@@ -271,14 +271,6 @@ def rcheck(spec):
     return out
 
 
-def rmatrix_natural(spec):
-    """(pi (x) pi)(R) = flip o rcheck."""
-    rep = natural_rep(spec)
-    if spec.family == "GL":
-        return rmatrix_natural_gl(spec.rank)
-    return _flip(rep.labels) @ rcheck(spec)
-
-
 @lru_cache(maxsize=None)
 def rcheck_cabled(spec, k, l):
     """The block braiding P R on V^(x)k (x) V^(x)l as a composite of kl R-checks.

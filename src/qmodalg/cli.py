@@ -86,7 +86,7 @@ def suite_braiding(spec):
             "pass": ident == LinearOperator.identity(ident.domain),
         }
     )
-    ranks = {name: len(_image_rank(projs[name])) for name in names}
+    ranks = {name: _image_rank(projs[name]) for name in names}
     entries.append(
         {
             "citation": "projector ranks",
@@ -114,7 +114,7 @@ def _image_rank(p):
         col = p.column(c)
         if col:
             eb.add(col)
-    return eb.pivots
+    return eb.rank()
 
 
 def suite_dims(handle, max_degree, label):
@@ -310,13 +310,14 @@ def suite_classical(fuel=None):
         spec = LieTypeSpec(fam, r)
         try:
             qd = quantum_dimension(spec).classical_limit()
-            ok = qd == natural_rep(spec).dim_v
         except PoleAtOneError:
-            ok = False
+            instance, ok = f"{spec}: pole at v = 1", False
+        else:
+            instance, ok = f"{spec}: {qd}", qd == natural_rep(spec).dim_v
         entries.append(
             {
                 "citation": "classical limit of the quantum dimension",
-                "instance": f"{spec}: {qd}",
+                "instance": instance,
                 "pass": ok,
             }
         )

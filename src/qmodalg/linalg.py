@@ -1,9 +1,15 @@
 """Exact sparse linear algebra over the scalar field.
 
 Vectors are dicts {key: Scalar} over any totally ordered key set (ints,
-label tuples, words).  Everything here is deterministic: pivots are always
-chosen as the smallest key, rows are processed in the order given, so
-repeated runs produce identical bases.
+label tuples, words).  Exact elimination swells coefficients, so pivots are
+chosen for size: the entry with the fewest numerator plus denominator terms
+(``_size``), in the Markowitz style.  The choice never shows in an output.
+``nullspace`` returns the reduced echelon basis over the given column order,
+and that basis is unique: a column is a pivot column exactly when it is not
+in the span of the earlier columns, whichever row supplies it.  An
+``EchelonBasis`` exposes only its rank and span membership, which no pivot
+choice changes.  Ties are broken by sizes and positions, never by hashing,
+so repeated runs do the same arithmetic.
 """
 
 from __future__ import annotations
@@ -11,25 +17,9 @@ from __future__ import annotations
 from .scalar import ONE
 
 
-def vec_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s = s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def vec_scale(a, c):
-    if not c:
-        return {}
-    return {k: c * x for k, x in a.items()}
+def _size(c):
+    """Pivot cost of a scalar: its numerator plus denominator term count."""
+    return len(c.num) + len(c.den)
 
 
 def vec_axpy(a, c, b):
@@ -52,25 +42,31 @@ def vec_axpy(a, c, b):
 
 
 class EchelonBasis:
-    """Incrementally maintained echelon basis; pivot = smallest key."""
+    """Incrementally maintained echelon basis.
+
+    Each stored row is the residual of an added vector against the rows
+    stored before it, scaled so that its pivot entry is 1.  The pivot is the
+    residual's smallest entry by ``_size``, ties going to the smallest key.
+    Rank and span membership do not depend on that choice.
+    """
 
     def __init__(self):
-        self.pivots = {}  # pivot key -> vector with that pivot scaled to 1
+        self.pivots = {}  # pivot key -> row, pivot scaled to 1; insertion order
 
     def __len__(self):
         return len(self.pivots)
 
     def reduce(self, vec):
-        """Residual of vec after subtracting pivot rows; fresh dict."""
+        """Residual of vec after subtracting pivot rows; fresh dict.
+
+        One pass in insertion order suffices: a stored row has no entry at
+        any earlier pivot, so a later step never brings back a cleared one.
+        """
         out = dict(vec)
-        while out:
-            hits = [k for k in out if k in self.pivots]
-            if not hits:
-                return out
-            for k in sorted(hits):
-                c = out.get(k)
-                if c:
-                    out = vec_axpy(out, -c, self.pivots[k])
+        for p, row in self.pivots.items():
+            c = out.get(p)
+            if c:
+                out = vec_axpy(out, -c, row)
         return out
 
     def add(self, vec):
@@ -78,7 +74,7 @@ class EchelonBasis:
         res = self.reduce(vec)
         if not res:
             return False
-        p = min(res.keys())
+        p = min(res, key=lambda k: (_size(res[k]), k))
         inv = res[p].inverse()
         self.pivots[p] = {k: inv * c for k, c in res.items()}
         return True
@@ -146,23 +142,27 @@ def nullspace(rows, col_keys):
     rows: list of dicts {col_key: Scalar}; col_keys: ordered column list.
     Returns vectors as dicts over col_keys, deterministically ordered by
     their free column.
+
+    Forward elimination visits the columns in order.  Its pivot is the
+    smallest entry in the column by ``_size``, ties going to the row with
+    fewest nonzeros, then to the earlier row.  The pivot rows are then
+    back-substituted once, last to first, into the reduced echelon form.
     """
     work = [dict(r) for r in rows if r]
-    pivots = {}  # col key -> row dict (pivot scaled to 1, fully reduced)
+    pivots = []  # (col key, row with pivot scaled to 1), in column order
     for key in col_keys:
-        pivot_row = None
+        best = None
         for i, r in enumerate(work):
-            if key in r:
-                pivot_row = work.pop(i)
-                break
-        if pivot_row is None:
+            c = r.get(key)
+            if c is not None:
+                cost = (_size(c), len(r), i)
+                if best is None or cost < best:
+                    best = cost
+        if best is None:
             continue
+        pivot_row = work.pop(best[2])
         inv = pivot_row[key].inverse()
         pivot_row = {k: inv * c for k, c in pivot_row.items()}
-        for other_key, other in list(pivots.items()):
-            c = other.get(key)
-            if c:
-                pivots[other_key] = vec_axpy(other, -c, pivot_row)
         nxt = []
         for r in work:
             c = r.get(key)
@@ -170,13 +170,21 @@ def nullspace(rows, col_keys):
             if r2:
                 nxt.append(r2)
         work = nxt
-        pivots[key] = pivot_row
-    free = [k for k in col_keys if k not in pivots]
+        pivots.append((key, pivot_row))
+    # Each pivot row holds only later columns, so once the rows after it are
+    # reduced, subtracting them clears every other pivot column in one pass.
+    reduced = {}
+    for key, row in reversed(pivots):
+        for pk, c in row.items():
+            if pk in reduced:
+                row = vec_axpy(row, -c, reduced[pk])
+        reduced[key] = row
+    free = [k for k in col_keys if k not in reduced]
     basis = []
     for f in free:
         vec = {f: ONE}
-        for pk, row in pivots.items():
-            c = row.get(f)
+        for pk, _ in pivots:
+            c = reduced[pk].get(f)
             if c:
                 vec[pk] = -c
         basis.append(vec)

@@ -227,3 +227,35 @@ def test_subcommand_reports_are_deterministic(tmp_path):
     assert run(argv + ["--output", str(a)]) == 0
     assert run(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_classical_limit_pole_is_reported(monkeypatch):
+    import qmodalg.cli as cli
+    from qmodalg.scalar import PoleAtOneError
+
+    real = cli.quantum_dimension
+    first, last = (cli.LieTypeSpec(*s) for s in (cli.GRID_SPECS[0], cli.GRID_SPECS[-1]))
+
+    def quantum_dimension(spec):
+        if spec in (first, last):
+            raise PoleAtOneError(str(spec))
+        return real(spec)
+
+    monkeypatch.setattr(cli, "quantum_dimension", quantum_dimension)
+    entries = [
+        e
+        for e in cli.suite_classical()["entries"]
+        if e["citation"] == "classical limit of the quantum dimension"
+    ]
+    assert len(entries) == len(cli.GRID_SPECS)
+    for entry, spec in zip(entries, cli.GRID_SPECS):
+        spec = cli.LieTypeSpec(*spec)
+        if spec in (first, last):
+            assert entry == {
+                "citation": "classical limit of the quantum dimension",
+                "instance": f"{spec}: pole at v = 1",
+                "pass": False,
+            }
+        else:
+            assert entry["instance"] == f"{spec}: {real(spec).classical_limit()}"
+            assert entry["pass"]

@@ -179,11 +179,15 @@ def test_fft_gl_matches_classical_counts():
 
 
 def test_fft_beyond_the_required_degrees():
-    # total degrees 6 and 8 as extra confluence/correctness evidence
+    # total degrees 6, 8 and 10 as extra confluence/correctness evidence;
+    # (5,5) holds the largest nullspaces in the tests, whose coefficients
+    # swell for 30 s and more under first-row pivoting
     h = build_am(LieTypeSpec("D", 2), 2)
-    for d, want in [((3, 3), 2), ((4, 2), 2), ((5, 1), 1), ((6, 0), 1), ((4, 4), 3)]:
+    for d, want in [((3, 3), 2), ((4, 2), 2), ((5, 1), 1), ((6, 0), 1), ((4, 4), 3), ((5, 5), 3)]:
         e = fft_verify(h, d)
         assert e["pass"] and e["invariant_dim"] == want, (d, e)
+    e = fft_verify(build_am(LieTypeSpec("B", 1), 2), (5, 5))
+    assert e["pass"] and e["invariant_dim"] == 3, e
     hc = build_am(LieTypeSpec("C", 2), 2)
     e = fft_verify(hc, (3, 3))
     assert e["pass"] and e["invariant_dim"] == 1

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +257,27 @@ def test_exterior_action_both_groups():
     got = act(h, GeneratorRef("e", 1, "n"), p)
     assert got == NCPolynomial.from_word(((0, 1, 1),))
     assert weight(h, ((0, 1, 2),)) == (1, 0, 0, 1)
+
+
+def test_invariant_basis_bytes_do_not_depend_on_the_hash_seed():
+    import qmodalg
+
+    code = (
+        "import json\n"
+        "from qmodalg.algebras import build_am\n"
+        "from qmodalg.rootdata import LieTypeSpec\n"
+        "from qmodalg.uqaction import invariant_basis_json\n"
+        "h = build_am(LieTypeSpec('B', 1), 2)\n"
+        "print(json.dumps(invariant_basis_json(h, (4, 4))))\n"
+    )
+    src = str(Path(qmodalg.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])) == 3
