@@ -550,6 +550,10 @@ def run(argv):
     if not args.command:
         parser.print_help()
         return 2
+    if args.command == "grid" and args.strict:
+        # the grid always runs the derived rules; --strict would change nothing
+        sys.stderr.write("error: --strict is not supported by grid\n")
+        return 2
     fuel = getattr(args, "fuel", None) or _fuel_default()
     fmt = getattr(args, "format", "json")
     out = getattr(args, "output", None)

@@ -4,13 +4,62 @@ Operators store a coefficient table {(row_label, col_label): Scalar} together
 with ordered domain/codomain label lists.  Labels are ints for V itself and
 tuples of ints for tensor powers.  No zero entries are ever stored, so
 equality of operators is equality of tables.
+
+Composition is fraction-free: each operand is put over one common
+denominator with integer numerators, products are accumulated on int
+coefficient dicts, and each output entry is canonicalised once at the end.
+Canonical form is unique, so the table does not depend on this route: it is
+the table that summing Scalar products entry by entry would give.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from .scalar import ONE
+from .scalar import ONE, Scalar, _lp_fma, _lp_mul, _poly_divmod, _poly_gcd
+
+
+def _den_key(den):
+    return frozenset(den.items())
+
+
+def _int_form(p, scale):
+    """scale*p as an int-coefficient dict; scale clears p's denominators."""
+    if scale == 1:
+        return {e: c.numerator for e, c in p.items()}
+    return {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
+
+
+def _over_one_denominator(entries):
+    """Put a table of Scalars over one denominator, without adding any.
+
+    Returns (D, L, to_int): D is the lcm of the entries' denominators, {0: 1}
+    when every entry is a Laurent polynomial; L is a positive int; and
+    to_int(s) is L*s*D, an int-coefficient Laurent dict, for an entry s.
+    """
+    dens = {}
+    for s in entries.values():
+        if len(s.den) > 1:
+            dens.setdefault(_den_key(s.den), s.den)
+    lnum = lcm(*{c.denominator for s in entries.values() for c in s.num.values()})
+    if not dens:
+        return {0: Fraction(1)}, lnum, lambda s: _int_form(s.num, lnum)
+    common, *rest = dens.values()
+    for d in rest:
+        common = _lp_mul(common, _poly_divmod(d, _poly_gcd(common, d))[0])
+    cofactors = {k: _poly_divmod(common, d)[0] for k, d in dens.items()}
+    cofactors[None] = common
+    lcof = lcm(*{c.denominator for p in cofactors.values() for c in p.values()})
+    cofactors = {k: _int_form(p, lcof) for k, p in cofactors.items()}
+
+    def to_int(s):
+        cof = cofactors[_den_key(s.den) if len(s.den) > 1 else None]
+        return _lp_mul(_int_form(s.num, lnum), cof)
+
+    return common, lnum * lcof, to_int
 
 
 class LinearOperator:
@@ -60,25 +109,47 @@ class LinearOperator:
         return out
 
     def compose(self, other):
-        """self o other (other applied first)."""
+        """self o other (other applied first).
+
+        Never adds two Scalars: self and other are each put over one common
+        denominator (D1, D2) with int numerators scaled by L1, L2; the
+        products are accumulated as int Laurent dicts; and each output entry
+        is divided by L1*L2 and, when D1*D2 is not 1, canonicalised once over
+        D1*D2.  The canonical form is unique, so the result equals the sum of
+        Scalar products, entry for entry.
+        """
         if other.codomain != self.domain:
             raise ValueError("composition dimension mismatch")
-        cols = self.by_col()
-        out = {}
+        den1, scale1, to_int1 = _over_one_denominator(self.entries)
+        den2, scale2, to_int2 = _over_one_denominator(other.entries)
+        cols = {}
+        ints = {}  # lifted operators repeat one Scalar object many times
+        for (r1, c1), v1 in self.entries.items():
+            n1 = ints.get(id(v1))
+            if n1 is None:
+                n1 = ints[id(v1)] = to_int1(v1)
+            cols.setdefault(c1, []).append((r1, n1))
+        acc = {}
         for (r2, c2), v2 in other.entries.items():
-            for r1, v1 in cols.get(r2, []):
+            col = cols.get(r2)
+            if col is None:
+                continue
+            n2 = to_int2(v2)
+            for r1, n1 in col:
                 key = (r1, c2)
-                s = out.get(key)
-                t = v1 * v2
-                if s is None:
-                    out[key] = t
-                else:
-                    s = s + t
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return LinearOperator(other.domain, self.codomain, out)
+                a = acc.get(key)
+                if a is None:
+                    acc[key] = a = {}
+                _lp_fma(a, n1, n2)
+        scale = scale1 * scale2
+        fraction = lru_cache(maxsize=None)(lambda c: Fraction(c, scale))
+        den = _lp_mul(den1, den2)
+        for key, a in acc.items():
+            if not a:
+                continue  # cancelled; the constructor drops the empty dict
+            num = {e: fraction(c) for e, c in a.items()}
+            acc[key] = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, den)
+        return LinearOperator(other.domain, self.codomain, acc)
 
     def __matmul__(self, other):
         return self.compose(other)

@@ -48,23 +48,28 @@ def _lp_neg(a):
     return {e: -c for e, c in a.items()}
 
 
-def _lp_mul(a, b):
-    if not a or not b:
-        return {}
-    out = {}
+def _lp_fma(acc, a, b):
+    """acc += a*b in place, dropping coefficients that cancel; returns acc.
+
+    Works for any coefficient ring: Fractions here, ints in linop.compose.
+    """
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            s = out.get(e)
+            s = acc.get(e)
             if s is None:
-                out[e] = ca * cb
+                acc[e] = ca * cb
             else:
-                s = s + ca * cb
+                s += ca * cb
                 if s:
-                    out[e] = s
+                    acc[e] = s
                 else:
-                    del out[e]
-    return out
+                    del acc[e]
+    return acc
+
+
+def _lp_mul(a, b):
+    return _lp_fma({}, a, b)
 
 
 def _poly_divmod(a, b):

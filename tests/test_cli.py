@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qmodalg.cli import run
 
@@ -157,6 +161,35 @@ def test_usage_errors():
     assert run(["braiding"]) == 2  # missing family
     assert run([]) == 2
     assert run(["relations", "--family", "D", "--rank", "1"]) == 2  # bad rank
+
+
+def test_grid_rejects_strict(tmp_path, capsys):
+    # the grid runs the derived rules only, so --strict would be ignored
+    out = tmp_path / "grid.json"
+    assert run(["grid", "--strict", "--output", str(out)]) == 2
+    assert "error: --strict is not supported by grid" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["--grid", "--strict"]) == 2
+
+
+def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    import qmodalg
+
+    src = str(Path(qmodalg.__file__).resolve().parents[1])
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"grid-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmodalg.cli", "grid", "--output", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["summary"]["all_pass"]
 
 
 def test_failing_checks_exit_one(tmp_path):
