@@ -1,6 +1,7 @@
 """Batch entry point: build algebras, run verification suites, emit reports.
 
-Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error,
+3 internal error (an exception the checks did not expect).
 Reports are deterministic: entries are emitted in a fixed order and JSON is
 serialised with sorted keys, so identical configurations give identical bytes.
 """
@@ -624,6 +625,13 @@ def run(argv):
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    except Exception as exc:
+        # a crash is not a failed check: keep exit code 1 for real failures
+        import traceback  # only on this path: it would add to every cold start
+
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     report = assemble(config, suites, verbose)
     emit(report, fmt, out)
     return 0 if report["summary"]["all_pass"] else 1

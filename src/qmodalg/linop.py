@@ -8,18 +8,21 @@ equality of operators is equality of tables.
 Composition is fraction-free: each operand is put over one common
 denominator with integer numerators, products are accumulated on int
 coefficient dicts, and each output entry is canonicalised once at the end.
-Canonical form is unique, so the table does not depend on this route: it is
-the table that summing Scalar products entry by entry would give.
+Scalars store integral coefficients as int (see scalar.py), so an operand
+whose entries are all int-coefficient Laurent polynomials is used as it
+stands, and when no denominator needs clearing each accumulated dict becomes
+an output entry as it is.  Canonical form is unique, so the table does not
+depend on this route: it is the table that summing Scalar products entry by
+entry would give.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .scalar import ONE, Scalar, _lp_fma, _lp_mul, _poly_divmod, _poly_gcd
+from .scalar import ONE, Scalar, _div, _lp_fma, _lp_mul, _poly_divmod, _poly_gcd
 
 
 def _den_key(den):
@@ -28,8 +31,6 @@ def _den_key(den):
 
 def _int_form(p, scale):
     """scale*p as an int-coefficient dict; scale clears p's denominators."""
-    if scale == 1:
-        return {e: c.numerator for e, c in p.items()}
     return {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
 
 
@@ -39,14 +40,27 @@ def _over_one_denominator(entries):
     Returns (D, L, to_int): D is the lcm of the entries' denominators, {0: 1}
     when every entry is a Laurent polynomial; L is a positive int; and
     to_int(s) is L*s*D, an int-coefficient Laurent dict, for an entry s.
+    That dict may be s.num itself, so callers must not mutate it.
     """
     dens = {}
     for s in entries.values():
         if len(s.den) > 1:
             dens.setdefault(_den_key(s.den), s.den)
-    lnum = lcm(*{c.denominator for s in entries.values() for c in s.num.values()})
+    lnum = lcm(
+        *{
+            c.denominator
+            for s in entries.values()
+            for c in s.num.values()
+            if type(c) is not int
+        }
+    )
+
+    def scaled(s):
+        # a stored-form num with no Fraction coefficient is already int
+        return s.num if lnum == 1 else _int_form(s.num, lnum)
+
     if not dens:
-        return {0: Fraction(1)}, lnum, lambda s: _int_form(s.num, lnum)
+        return {0: 1}, lnum, scaled
     common, *rest = dens.values()
     for d in rest:
         common = _lp_mul(common, _poly_divmod(d, _poly_gcd(common, d))[0])
@@ -57,7 +71,7 @@ def _over_one_denominator(entries):
 
     def to_int(s):
         cof = cofactors[_den_key(s.den) if len(s.den) > 1 else None]
-        return _lp_mul(_int_form(s.num, lnum), cof)
+        return _lp_mul(scaled(s), cof)
 
     return common, lnum * lcof, to_int
 
@@ -70,6 +84,17 @@ class LinearOperator:
         self.codomain = tuple(codomain)
         self.entries = {k: v for k, v in entries.items() if v}
         self._by_col = None
+
+    @staticmethod
+    def _raw(domain, codomain, entries):
+        """Build from label tuples and a table with no zero entry (internal
+        fast path)."""
+        op = object.__new__(LinearOperator)
+        op.domain = domain
+        op.codomain = codomain
+        op.entries = entries
+        op._by_col = None
+        return op
 
     @staticmethod
     def identity(labels):
@@ -114,8 +139,9 @@ class LinearOperator:
         Never adds two Scalars: self and other are each put over one common
         denominator (D1, D2) with int numerators scaled by L1, L2; the
         products are accumulated as int Laurent dicts; and each output entry
-        is divided by L1*L2 and, when D1*D2 is not 1, canonicalised once over
-        D1*D2.  The canonical form is unique, so the result equals the sum of
+        is divided by L1*L2 (taken as is when that is 1) and, when D1*D2 is
+        not 1, canonicalised once over D1*D2.  Cancelled entries are dropped
+        here.  The canonical form is unique, so the result equals the sum of
         Scalar products, entry for entry.
         """
         if other.codomain != self.domain:
@@ -142,14 +168,18 @@ class LinearOperator:
                     acc[key] = a = {}
                 _lp_fma(a, n1, n2)
         scale = scale1 * scale2
-        fraction = lru_cache(maxsize=None)(lambda c: Fraction(c, scale))
+        quotient = lru_cache(maxsize=None)(lambda c: _div(c, scale))
         den = _lp_mul(den1, den2)
+        cancelled = []
         for key, a in acc.items():
             if not a:
-                continue  # cancelled; the constructor drops the empty dict
-            num = {e: fraction(c) for e, c in a.items()}
+                cancelled.append(key)
+                continue
+            num = a if scale == 1 else {e: quotient(c) for e, c in a.items()}
             acc[key] = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, den)
-        return LinearOperator(other.domain, self.codomain, acc)
+        for key in cancelled:
+            del acc[key]
+        return LinearOperator._raw(other.domain, self.codomain, acc)
 
     def __matmul__(self, other):
         return self.compose(other)

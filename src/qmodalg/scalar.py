@@ -7,16 +7,18 @@ with leading coefficient 1, and zero is 0/1.  Equality of scalars is plain
 equality of representations, so dict comparison decides field equality.
 
 The base variable is v = q^(1/2); q is the synonym v^2.  Everything in scope
-is rational in v, so coefficients are Fractions.
+is rational in v, so coefficients are rationals, kept in stored form: an int
+when the value is integral and a Fraction (denominator > 1) otherwise, never
+a float.  Almost every coefficient met in practice is an integer, and int
+arithmetic skips the gcd a Fraction takes per operation.  For integral values
+int and Fraction agree on ==, hash and str, so the stored form changes no
+comparison, dict or set behaviour and no printed byte.  Every coefficient
+division goes through _div, which keeps results exact and in stored form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class ScalarDivisionError(ZeroDivisionError):
     """Division of a scalar by zero."""
@@ -27,7 +29,24 @@ class PoleAtOneError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials as sparse dicts {exponent: Fraction}, no zero values.
+# Laurent polynomials as sparse dicts {exponent: coefficient}, no zero values.
+
+def _div(a, b):
+    """a/b for rationals a, b != 0, exactly and in stored form."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    f = Fraction(a, b)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _as_stored(p):
+    """p with its integral Fraction coefficients stored as int."""
+    if Fraction in map(type, p.values()):
+        return {e: c.numerator if c.denominator == 1 else c for e, c in p.items()}
+    return p
+
 
 def _lp_add(a, b):
     out = dict(a)
@@ -51,7 +70,9 @@ def _lp_neg(a):
 def _lp_fma(acc, a, b):
     """acc += a*b in place, dropping coefficients that cancel; returns acc.
 
-    Works for any coefficient ring: Fractions here, ints in linop.compose.
+    Works for any coefficient ring and never mutates a or b: stored-form
+    rationals here, ints in linop.compose.  A product or sum of Fractions may
+    be integral, so callers that keep the result restore the stored form.
     """
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -82,17 +103,17 @@ def _poly_divmod(a, b):
         dr = max(rem)
         if dr < db:
             break
-        c = rem[dr] / lb
+        c = _div(rem[dr], lb)
         e0 = dr - db
-        quo[e0] = quo.get(e0, _F0) + c
+        quo[e0] = c  # rem[dr] cancels exactly, so each e0 comes once
         for eb, cb in b.items():
             e = eb + e0
-            s = rem.get(e, _F0) - c * cb
+            s = rem.get(e, 0) - c * cb
             if s:
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    return {e: c for e, c in quo.items() if c}, rem
+    return quo, rem
 
 
 def _poly_gcd(a, b):
@@ -101,16 +122,16 @@ def _poly_gcd(a, b):
         a, b = b, _poly_divmod(a, b)[1]
     lc = a[max(a)]
     if lc != 1:
-        return {e: c / lc for e, c in a.items()}
+        return {e: _div(c, lc) for e, c in a.items()}
     return a
 
 
-_DEN_ONE = {0: _F1}
+_DEN_ONE = {0: 1}
 
 
 def _canonize(num, den):
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
+    num = _as_stored({e: c for e, c in num.items() if c})
+    den = _as_stored({e: c for e, c in den.items() if c})
     if not den:
         raise ScalarDivisionError("zero denominator")
     if not num:
@@ -119,7 +140,7 @@ def _canonize(num, den):
         # monomial denominator c*v^e divides through exactly
         ((e, c),) = den.items()
         if e or c != 1:
-            num = {en - e: cn / c for en, cn in num.items()}
+            num = {en - e: _div(cn, c) for en, cn in num.items()}
         return num, dict(_DEN_ONE)
     na, da = min(num), min(den)
     n0 = {e - na: c for e, c in num.items()}
@@ -130,11 +151,11 @@ def _canonize(num, den):
         d0 = _poly_divmod(d0, g)[0]
     if len(d0) == 1:
         ((e, c),) = d0.items()
-        return {en + na - da - e: cn / c for en, cn in n0.items()}, dict(_DEN_ONE)
+        return {en + na - da - e: _div(cn, c) for en, cn in n0.items()}, dict(_DEN_ONE)
     lc = d0[max(d0)]
     if lc != 1:
-        d0 = {e: c / lc for e, c in d0.items()}
-        n0 = {e: c / lc for e, c in n0.items()}
+        d0 = {e: _div(c, lc) for e, c in d0.items()}
+        n0 = {e: _div(c, lc) for e, c in n0.items()}
     shift = na - da
     if shift:
         n0 = {e + shift: c for e, c in n0.items()}
@@ -148,13 +169,13 @@ class Scalar:
 
     def __init__(self, num=0, den=None):
         if isinstance(num, (int, Fraction)):
-            num = {0: Fraction(num)} if num else {}
+            num = {0: num} if num else {}
         if den is None:
             den = dict(_DEN_ONE)
         elif isinstance(den, (int, Fraction)):
             if not den:
                 raise ScalarDivisionError("zero denominator")
-            den = {0: Fraction(den)}
+            den = {0: den}
         self.num, self.den = _canonize(num, den)
         self._hash = None
 
@@ -179,10 +200,11 @@ class Scalar:
         return self.num == _DEN_ONE and self.den == _DEN_ONE
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -196,12 +218,14 @@ class Scalar:
         return Scalar._raw(_lp_neg(self.num), self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            return Scalar._raw(_lp_add(self.num, other.num), dict(_DEN_ONE))
+            num = _as_stored(_lp_add(self.num, other.num))
+            return Scalar._raw(num, dict(_DEN_ONE))
         return Scalar(
             _lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
             _lp_mul(self.den, other.den),
@@ -210,22 +234,25 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            return Scalar._raw(_lp_mul(self.num, other.num), dict(_DEN_ONE))
+            num = _as_stored(_lp_mul(self.num, other.num))
+            return Scalar._raw(num, dict(_DEN_ONE))
         return Scalar(_lp_mul(self.num, other.num), _lp_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -236,10 +263,11 @@ class Scalar:
         return Scalar(self.den, self.num)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         if not other.num:
             raise ScalarDivisionError("division by zero")
         return Scalar(_lp_mul(self.num, other.den), _lp_mul(self.den, other.num))
@@ -265,11 +293,11 @@ class Scalar:
 
     def classical_limit(self):
         """Exact value at v = 1 (q -> 1); raises PoleAtOneError on a pole."""
-        dv = sum(self.den.values(), _F0)
+        dv = sum(self.den.values())
         if dv == 0:
             # canonical form has gcd(num, den) = 1, so this is a true pole
             raise PoleAtOneError(f"pole at v = 1 in {self}")
-        return sum(self.num.values(), _F0) / dv
+        return Fraction(sum(self.num.values()), dv)
 
     # -- printing / parsing ---------------------------------------------------
 
@@ -314,12 +342,12 @@ ONE = Scalar(1)
 
 def v_pow(k):
     """v^k."""
-    return Scalar({k: _F1})
+    return Scalar({k: 1})
 
 
 def q_pow(k):
     """q^k = v^(2k)."""
-    return Scalar({2 * k: _F1})
+    return Scalar({2 * k: 1})
 
 
 Q = q_pow(1)
@@ -333,7 +361,7 @@ def gauss_int(n, step=2):
     """
     if n < 0:
         return -gauss_int(-n, step)
-    return Scalar({step * (n - 1 - 2 * j): _F1 for j in range(n)})
+    return Scalar({step * (n - 1 - 2 * j): 1 for j in range(n)})
 
 
 def q_int(n):

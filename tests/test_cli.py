@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -172,6 +173,9 @@ def test_grid_rejects_strict(tmp_path, capsys):
     assert run(["--grid", "--strict"]) == 2
 
 
+GRID_SHA256 = "bb2ff07e001f26293536319f513356378366e546b19e3ef4bf9cb526841ca7b1"
+
+
 def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     import qmodalg
 
@@ -190,6 +194,8 @@ def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["summary"]["all_pass"]
+    # the behaviour contract: the grid report's bytes are pinned
+    assert hashlib.sha256(reports[0]).hexdigest() == GRID_SHA256
 
 
 def test_failing_checks_exit_one(tmp_path):
@@ -213,6 +219,23 @@ def test_failing_checks_exit_one(tmp_path):
     assert code == 1
     report = json.loads(out.read_text())
     assert report["summary"]["failed"] > 0
+
+
+def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
+    # an unexpected exception is neither a failed check (1) nor a usage error (2)
+    import qmodalg.cli as cli
+
+    def suite_braiding(spec):
+        raise RuntimeError("kernel blew up")
+
+    monkeypatch.setattr(cli, "suite_braiding", suite_braiding)
+    out = tmp_path / "crash.json"
+    code = run(["braiding", "--family", "C", "--rank", "2", "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.rstrip().endswith("internal error: RuntimeError: kernel blew up")
+    assert not out.exists()
 
 
 def test_env_fuel_override(monkeypatch):

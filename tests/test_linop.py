@@ -44,7 +44,9 @@ def assert_canonical_table(op):
         c = Scalar(e.num, e.den)
         assert c == e and c.num == e.num and c.den == e.den
         for coeff in list(e.num.values()) + list(e.den.values()):
-            assert type(coeff) is Fraction
+            assert type(coeff) is int or (
+                type(coeff) is Fraction and coeff.denominator > 1
+            )
 
 
 def assert_matches_reference(left, right):

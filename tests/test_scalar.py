@@ -161,3 +161,117 @@ def test_power_operator():
     assert a ** 3 == a * a * a
     assert a ** 0 == ONE
     assert (q_pow(2)) ** -2 == q_pow(-4)
+
+
+# -- stored form and exactness -------------------------------------------------
+#
+# Coefficients are stored as int when integral and as Fraction otherwise.  The
+# operands below mix int, Fraction and integral-Fraction (Fraction(4, 2))
+# inputs, so a result that leaked an integral Fraction or a float would show.
+
+
+def _mixed_coeff(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    d = rng.randint(2, 4)
+    if kind == 1:
+        return Fraction(rng.randint(-6, 6), d)
+    return Fraction(rng.randint(-3, 3) * d, d)  # integral, as a Fraction
+
+
+def _mixed_poly(rng, max_terms=3, max_exp=3):
+    return {
+        rng.randint(-max_exp, max_exp): _mixed_coeff(rng)
+        for _ in range(rng.randint(1, max_terms))
+    }
+
+
+def _mixed_scalar(rng):
+    while True:
+        den = _mixed_poly(rng) if rng.random() < 0.6 else {0: _mixed_coeff(rng)}
+        if any(den.values()):
+            return Scalar(_mixed_poly(rng), den)
+
+
+def assert_stored_form(s):
+    for c in list(s.num.values()) + list(s.den.values()):
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (
+            s.num,
+            s.den,
+        )
+
+
+def _results(a, b, k):
+    yield a + b
+    yield a - b
+    yield a * b
+    yield a + 1
+    yield a * Fraction(6, 3)
+    yield a - Fraction(1, 2)
+    yield Fraction(3, 2) * a
+    yield a ** k
+    if b:
+        yield a / b
+        yield b.inverse()
+        yield a / Fraction(4, 2)
+        yield 3 / b
+
+
+def test_results_are_in_stored_form():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a, b = _mixed_scalar(rng), _mixed_scalar(rng)
+        assert_stored_form(a)
+        assert_stored_form(b)
+        for r in _results(a, b, rng.randint(-2, 3) if a else rng.randint(0, 3)):
+            assert_stored_form(r)
+            assert_stored_form(parse_scalar(str(r)))
+    for x, y in ((Fraction(4, 2), 1), (3, Fraction(3, 2)), (Fraction(-1, 2), 1)):
+        s = Scalar(x, y)
+        assert_stored_form(s)
+    assert type(Scalar(Fraction(4, 2)).num[0]) is int
+
+
+def _evaluate_poly(p, x):
+    return sum((Fraction(c) * x ** e for e, c in p.items()), Fraction(0))
+
+
+def _evaluate(s, x):
+    d = _evaluate_poly(s.den, x)
+    assert d != 0, "point is a pole"
+    return _evaluate_poly(s.num, x) / d
+
+
+def test_operations_commute_with_evaluation():
+    # Schwartz-Zippel style oracle: specialise v to random nonzero rationals
+    # at which no denominator vanishes; every field operation must commute
+    # with evaluation, computed here in Fraction arithmetic
+    rng = random.Random(1980)
+    checked = 0
+    for _ in range(120):
+        a, b = _mixed_scalar(rng), _mixed_scalar(rng)
+        x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+        if not _evaluate_poly(a.den, x) or not _evaluate_poly(b.den, x):
+            continue
+        ea, eb = _evaluate(a, x), _evaluate(b, x)
+        assert _evaluate(a + b, x) == ea + eb
+        assert _evaluate(a - b, x) == ea - eb
+        assert _evaluate(a * b, x) == ea * eb
+        assert _evaluate(a ** 2, x) == ea ** 2
+        if eb:
+            assert _evaluate(a / b, x) == ea / eb
+            assert _evaluate(b.inverse(), x) == 1 / eb
+            assert _evaluate(b ** -2, x) == eb ** -2
+        assert _evaluate(parse_scalar(str(a)), x) == ea
+        checked += 1
+    assert checked > 60
+
+
+def test_classical_limit_is_an_exact_fraction():
+    lim = parse_scalar("(q+1)/(q+2)").classical_limit()
+    assert lim == Fraction(2, 3) and type(lim) is Fraction
+    lim = q_int(3).classical_limit()
+    assert lim == 3 and type(lim) is Fraction
+    lim = Scalar({0: Fraction(1, 2), 2: Fraction(1, 2)}).classical_limit()
+    assert lim == 1 and type(lim) is Fraction
