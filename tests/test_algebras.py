@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qmodalg.algebras import (
@@ -232,6 +235,26 @@ def test_manifest_shape():
     assert len(man["rules"]) == len(h.rs.rules)
     entry = man["rules"][0]
     assert set(entry) == {"pattern", "replacement", "provenance"}
+    # the solved degree-2 rules of every builder, byte for byte
+    pins = [
+        (build_sq(LieTypeSpec("D", 2)),
+         "547dcff9ddfff8264adb766a643cc2e7635c40974765f23bb3e1e369a7594b09"),
+        (build_am(LieTypeSpec("B", 1), 2),
+         "5db448d82463b03319c6eb23c1bdcc28af1e9e69118fb223f58ce2dab18d3687"),
+        (build_am(LieTypeSpec("C", 2), 2),
+         "313633a0c3ec646bb89b6cbf3df6264bb07deacba2b78bbcfe71dfae50f32773"),
+        (build_am(LieTypeSpec("GL", 2), 2),
+         "437853b2a751f51b4b700eeec390c27a9b85aa1f8a326b950f0af22e6db38880"),
+        (build_akl(2, 2, 2),
+         "b428447ce0c428454f3cb29d12eaee0ad4b61700b7ad6ec388f349521048bf24"),
+        (build_exterior(2, 3),
+         "d2aa2ad54890bb515ed6f0a1044a7da229e684a99a7befdac2aca4acf850d282"),
+    ]
+    for handle, want in pins:
+        blob = json.dumps(
+            presentation_manifest(handle), sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == want, handle.kind
 
 
 def test_rule_degree_homogeneity():

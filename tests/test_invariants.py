@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qmodalg.algebras import build_akl, build_am, build_exterior, build_sq
@@ -97,6 +100,31 @@ def test_relation_suite_gl():
     assert rep["pass"]
 
 
+# sha256 of the canonical JSON of each suite's entries: citation, instance,
+# variant, verdict and residual text, in order.  The grid pins only the m=4
+# non-strict bytes; strict mode keeps the printed presentation, whose
+# residuals are pinned here.
+SUITE_PINS = {
+    ("D", 2, 5, False): "b2f76d702ae6fc8914171601ca92bfc5dba8cfd91f026674c4131205b2c06852",
+    ("B", 1, 5, False): "30bb6eb97ca4d1e04aeef1913fb87d1977aa3529c2fae6722e076544aa6a0f99",
+    ("C", 2, 5, False): "9d8d0dd88e9210224fe70502e5512154934b969d94c777070ae9f9f51e346d18",
+    ("B", 2, 3, False): "32ca0076047c7cf94b78af97c5895be5c99aec02206ed6f5c9366d0f94316581",
+    ("D", 3, 3, False): "60d2e40724670babe9e1667ca61161a38199eed6eb8df1bd6b16574ab7e5039e",
+    ("C", 3, 3, False): "e9114ce90d4b5552222b231299ee093e41bc6f117dc91e9f8f6afa8dbc68499d",
+    ("D", 2, 3, True): "fb2cdde738455f1386d65a2b1c9e9f1ffe31298cc5265d5b39b0c05d914b461b",
+    ("B", 1, 3, True): "edf0482f6225c30cc4bf25c4b646bf0cca92ca5f34a6b3bd3536babcb1d570e2",
+    ("C", 2, 3, True): "e3a8420ed5a9b78deac39e9db618f9c51ac06fa4d86b87c2acd34b678026582c",
+    ("D", 2, 4, True): "42779004b87fe85cf08f2dee9d7e919e30058aa7a033885a78485a6df5add44f",
+    ("B", 1, 4, True): "fe8f5d870f42f712c3186baee34c6fed50176c763190c7bb3b848d3f8a13f4c2",
+    ("C", 2, 4, True): "76e6aa5be8a7333309d6e3d1a8039666c1970446f2168c7945c134559f7fcb20",
+}
+
+
+def suite_sha(rep):
+    blob = json.dumps(rep["entries"], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("family,rank", [("B", 2), ("D", 3), ("C", 3)])
 def test_relation_suites_higher_rank(family, rank):
     # exercises the correction terms away from the smallest rank (for the
@@ -104,6 +132,16 @@ def test_relation_suites_higher_rank(family, rank):
     h = build_am(LieTypeSpec(family, rank), 3)
     rep = verify_relation_suite(h)
     assert rep["pass"], [e for e in rep["entries"] if not e["pass"]][:3]
+    assert suite_sha(rep) == SUITE_PINS[(family, rank, 3, False)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,m,strict",
+    [key for key in SUITE_PINS if key[2] != 3 or key[3]],
+)
+def test_relation_suite_bytes_are_pinned(family, rank, m, strict):
+    h = build_am(LieTypeSpec(family, rank), m, strict=strict)
+    assert suite_sha(verify_relation_suite(h)) == SUITE_PINS[(family, rank, m, strict)]
 
 
 def test_crossed_pairing_identity_gl():
