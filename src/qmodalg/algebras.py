@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .braiding import (
     rcheck,
@@ -22,7 +21,7 @@ from .braiding import (
     rmatrix_natural_gl_inverse,
     spectral_data,
 )
-from .linalg import Expresser
+from .linalg import EchelonBasis, Expresser
 from .ncpoly import (
     NCPolynomial,
     RewriteSystem,
@@ -32,7 +31,7 @@ from .ncpoly import (
     x_,
     y_,
 )
-from .rootdata import LieTypeSpec, natural_rep, sigma_candidate
+from .rootdata import LieTypeSpec, mat_inv_diag, mat_mul, natural_rep, sigma_candidate
 from .scalar import ONE, q_pow
 
 
@@ -161,12 +160,7 @@ class AlgebraHandle:
         return out
 
     def letter_weight(self, l):
-        """Weight in the epsilon basis (concatenated over groups for Exterior)."""
-        if self.kind == "Exterior":
-            reps = self.reps()
-            wm = reps["m"].weights[l[1] - 1]
-            wn = reps["n"].weights[l[2] - 1]
-            return wm + wn
+        """Weight in the epsilon basis."""
         rep = natural_rep(self.spec)
         w = rep.weights[l[2] - 1]
         if l[0] == 1:
@@ -222,8 +216,6 @@ class AlgebraHandle:
         return subst, cok
 
     def _pi_matrix(self, rep, g, dual):
-        from .rootdata import mat_inv_diag, mat_mul
-
         base = rep.e_mats[g.index] if g.kind == "e" else rep.f_mats[g.index]
         if not dual:
             return base
@@ -240,6 +232,7 @@ class ExteriorHandle(AlgebraHandle):
     """Letters (0, i, j) = row i of gl_m, column j of gl_n."""
 
     def letter_weight(self, l):
+        """Weight in the epsilon basis, concatenated over the two groups."""
         reps = self.reps()
         return reps["m"].weights[l[1] - 1] + reps["n"].weights[l[2] - 1]
 
@@ -269,34 +262,41 @@ class ExteriorHandle(AlgebraHandle):
 # ---------------------------------------------------------------------------
 # same-slot straightening rules, solved from the degree-2 relation subspace
 
+def _solve_pair_rules(ideal, normal, pairs, what):
+    """Straighten each pair modulo the degree-2 ideal, exactly.
+
+    The columns (the ideal, then one unit vector per normal pair) must be a
+    basis of the degree-2 words; each pair is expressed in it and keeps its
+    normal coordinates.
+    """
+    columns = ideal + [{p: ONE} for p in normal]
+    expr = Expresser(columns)
+    if expr.rank() != len(columns) or len(columns) != len(pairs) + len(normal):
+        raise PresentationError(f"{what}: degree-2 solve is not determined")
+    rules = {}
+    for pair in pairs:
+        coords = expr.express({pair: ONE})
+        if coords is None:
+            raise PresentationError(f"{what}: pair {pair} not expressible")
+        rules[pair] = {
+            normal[j - len(ideal)]: c
+            for j, c in coords.items()
+            if j >= len(ideal) and c
+        }
+    return rules
+
+
 @lru_cache(maxsize=None)
 def _pair_rules_solved(spec):
     """labels (b, a) with b > a mapped to {(c, d) c<=d: Scalar}, exactly."""
-    rep = natural_rep(spec)
     sd = spectral_data(spec)
     ideal = list(sd.summand("anti")[1])
     if spec.family == "C":
         ideal.extend(sd.summand("triv")[1])
-    labels = rep.labels
+    labels = natural_rep(spec).labels
     normal = [(a, b) for a in labels for b in labels if a <= b]
-    columns = ideal + [{p: ONE} for p in normal]
-    expr = Expresser(columns)
-    if expr.rank() != rep.dim_v ** 2 or len(columns) != rep.dim_v ** 2:
-        raise PresentationError(f"degree-2 solve is not determined for {spec}")
-    rules = {}
-    for b in labels:
-        for a in labels:
-            if b <= a:
-                continue
-            coords = expr.express({(b, a): ONE})
-            if coords is None:
-                raise PresentationError(f"pair ({b},{a}) not expressible for {spec}")
-            repl = {}
-            for j, c in coords.items():
-                if j >= len(ideal) and c:
-                    repl[normal[j - len(ideal)]] = c
-            rules[(b, a)] = repl
-    return rules
+    pairs = [(b, a) for b in labels for a in labels if b > a]
+    return _solve_pair_rules(ideal, normal, pairs, str(spec))
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +304,8 @@ def _pair_rules_dual_row(n):
     """Same-row straightening for the dual quantum matrix rows."""
     rinv = rmatrix_natural_gl_inverse(n)
     labels = tuple(range(1, n + 1))
-    relations = []
+    eb = EchelonBasis()
+    ideal = []
     for a in labels:
         for b in labels:
             rel = {(b, a): q_pow(-1)}
@@ -315,41 +316,16 @@ def _pair_rules_dual_row(n):
                     t = -v
                     rel[key] = t if s is None else s + t
             rel = {k: v for k, v in rel.items() if v}
-            if rel:
-                relations.append(rel)
+            if rel and eb.add(rel):
+                ideal.append(rel)
     normal = [(a, b) for a in labels for b in labels if a <= b]
-    from .linalg import EchelonBasis
-
-    eb = EchelonBasis()
-    ideal = []
-    for rel in relations:
-        if eb.add(rel):
-            ideal.append(rel)
-    columns = ideal + [{p: ONE} for p in normal]
-    expr = Expresser(columns)
-    if expr.rank() != n * n:
-        raise PresentationError("dual row solve is not determined")
-    rules = {}
-    for b in labels:
-        for a in labels:
-            if b <= a:
-                continue
-            coords = expr.express({(b, a): ONE})
-            if coords is None:
-                raise PresentationError(f"dual pair ({b},{a}) not expressible")
-            repl = {}
-            for j, c in coords.items():
-                if j >= len(ideal) and c:
-                    repl[normal[j - len(ideal)]] = c
-            rules[(b, a)] = repl
-    return rules
+    pairs = [(b, a) for b in labels for a in labels if b > a]
+    return _solve_pair_rules(ideal, normal, pairs, f"dual row GL{n}")
 
 
 @lru_cache(maxsize=None)
 def _pair_rules_exterior(m, n):
     """Straightening of weakly decreasing letter pairs of the exterior algebra."""
-    rep_m = natural_rep(LieTypeSpec("GL", m))
-    rep_n = natural_rep(LieTypeSpec("GL", n))
     sd_m = spectral_data(LieTypeSpec("GL", m))
     sd_n = spectral_data(LieTypeSpec("GL", n))
     ideal = []
@@ -363,24 +339,8 @@ def _pair_rules_exterior(m, n):
                 ideal.append(vec)
     letters = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     normal = [(p, r) for p in letters for r in letters if p < r]
-    columns = ideal + [{pr: ONE} for pr in normal]
-    expr = Expresser(columns)
-    if expr.rank() != (m * n) ** 2 or len(columns) != (m * n) ** 2:
-        raise PresentationError("exterior degree-2 solve is not determined")
-    rules = {}
-    for p in letters:
-        for r in letters:
-            if p < r:
-                continue
-            coords = expr.express({(p, r): ONE})
-            if coords is None:
-                raise PresentationError(f"exterior pair ({p},{r}) not expressible")
-            repl = {}
-            for j, c in coords.items():
-                if j >= len(ideal) and c:
-                    repl[normal[j - len(ideal)]] = c
-            rules[(p, r)] = repl
-    return rules
+    pairs = [(p, r) for p in letters for r in letters if p >= r]
+    return _solve_pair_rules(ideal, normal, pairs, f"exterior ({m},{n})")
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +559,6 @@ def build_exterior(m, n):
         rs=rs,
         manifest=manifest,
     )
-
-
-def graded_dimension(handle, degree):
-    return handle.graded_dimension(degree)
 
 
 def presentation_manifest(handle):

@@ -1,7 +1,8 @@
 """Batch entry point: build algebras, run verification suites, emit reports.
 
-Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error,
-3 internal error (an exception the checks did not expect).
+Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error (a bad
+option or QMODALG_FUEL value, an unsupported subcommand and algebra, or
+exhausted fuel), 3 internal error (any other exception, ValueError included).
 Reports are deterministic: entries are emitted in a fixed order and JSON is
 serialised with sorted keys, so identical configurations give identical bytes.
 """
@@ -47,9 +48,23 @@ GRID_SPECS = [
 ]
 
 
+def _int_at_least(name, value, low):
+    """value as an int no smaller than low (None stays None); a bad value is
+    a usage error."""
+    if value is None:
+        return None
+    try:
+        number = int(value)
+    except ValueError:
+        raise SystemExit2(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise SystemExit2(f"{name} must be at least {low}, got {number}")
+    return number
+
+
 def _fuel_default():
     env = os.environ.get("QMODALG_FUEL")
-    return int(env) if env else None
+    return _int_at_least("QMODALG_FUEL", env, 1) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +570,6 @@ def run(argv):
         # the grid always runs the derived rules; --strict would change nothing
         sys.stderr.write("error: --strict is not supported by grid\n")
         return 2
-    fuel = getattr(args, "fuel", None) or _fuel_default()
     fmt = getattr(args, "format", "json")
     out = getattr(args, "output", None)
     verbose = getattr(args, "verbose", False)
@@ -573,6 +587,10 @@ def run(argv):
         "sigma": getattr(args, "sigma", False),
     }
     try:
+        for name in ("copies", "k", "l", "m", "n", "fuel"):
+            _int_at_least(f"--{name}", getattr(args, name), 1)
+        _int_at_least("--max-degree", args.max_degree, 0)
+        fuel = args.fuel or _fuel_default()
         if args.command == "grid":
             suites = grid_report(fuel, include_sigma=args.sigma)
         elif args.command == "dims":
@@ -581,7 +599,10 @@ def run(argv):
         elif args.command == "braiding":
             suites = [suite_braiding(_spec_from(args))]
         elif args.command == "relations":
-            suites = [suite_relations(_handle_from(args), fuel)]
+            handle = _handle_from(args)
+            if handle.kind == "Exterior" or (handle.kind == "Am" and handle.spec.family == "GL"):
+                raise SystemExit2("relations needs --family B, C or D, or GL with --k and --l")
+            suites = [suite_relations(handle, fuel)]
         elif args.command == "invariance":
             spec = _spec_from(args)
             if spec.family == "GL":
@@ -595,7 +616,10 @@ def run(argv):
                     )
                 ]
         elif args.command == "fft":
-            suites = [suite_fft(_handle_from(args), args.max_degree, args.sigma, fuel)]
+            handle = _handle_from(args)
+            if handle.kind == "Exterior":
+                raise SystemExit2("fft needs --family; the exterior algebra has no pairings")
+            suites = [suite_fft(handle, args.max_degree, args.sigma, fuel)]
         elif args.command == "skew-duality":
             suites = [suite_skew(args.m or 2, args.n or 2, fuel)]
         elif args.command == "dump-presentation":
@@ -610,6 +634,8 @@ def run(argv):
             return 0
         elif args.command == "oracle-diff":
             spec = _spec_from(args)
+            if spec.family == "GL":
+                raise SystemExit2("oracle-diff needs --family B, C or D")
             suites = [
                 suite_oracle(spec, args.copies, min(args.max_degree, 3), fuel),
                 suite_oracle_diff(spec, args.copies),
@@ -621,9 +647,6 @@ def run(argv):
         return 2
     except FuelExhausted:
         sys.stderr.write("config error: straightening fuel exhausted\n")
-        return 2
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
         return 2
     except Exception as exc:
         # a crash is not a failed check: keep exit code 1 for real failures

@@ -10,9 +10,11 @@ entries record which one holds.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebras import (
     GeneratorRef,
+    _psi_terms,
     build_exterior,
     psi_gl_poly,
     psi_pair_poly,
@@ -69,8 +71,6 @@ def phi_partial(handle, kind, indices, t=None, fuel=None):
         i, j = indices
         if t is None:
             raise PsiRefError("partial sums need the cut index t")
-        from .algebras import _psi_terms
-
         terms = _psi_terms(spec, i, j, t, barred=(kind == "bar_psi_t"))
         return handle.normal_form(NCPolynomial(terms), fuel)
     if kind == "varphi":
@@ -105,16 +105,108 @@ def _qq():
     return q_pow(1) - q_pow(-1)
 
 
+class _Family(NamedTuple):
+    """What one classical family changes in the shared B/C/D relation suite.
+
+    The suite's relation families are the same for all three: the twist
+    under slot swap, centrality, outside letters, the letter between the
+    slots, the letter exchanges and the pairing-pairing exchanges.
+    """
+
+    twist: object        # n -> c with Psi^(j,i) = c Psi^(i,j) for i < j
+    correction: object   # (handle, slot, fuel) -> correction term, or None
+    ratio: object        # n -> c with correction = c Psi^(i,i), or None
+    corr_first: bool     # right letter exchange reads corr_j x_i, not x_i corr_j
+    skew: bool           # no equal-slot pairing; mirrored pure letter q-exchanges
+    labels: tuple        # instance prefixes of the twist and of the triples
+    citations: dict      # citations where the family's printed name differs
+    variants: dict       # notes where the printed source differs
+
+
+_CITATIONS = {
+    "twist": "twist of the pairing under slot swap",
+    "ratio": "correction term is the equal-slot pairing over (1 + q^(1-2n))",
+    "central": "equal-slot pairing is central",
+    "outside": "pairing commutes with outside letters",
+    "between": "letter between the slots",
+    "left": "left slot letter exchange",
+    "right": "right slot letter exchange",
+    "equal": "equal-slot pairing commutes with all pairings",
+    "shared-left": "shared-left-slot pairing exchange",
+    "shared-middle": "shared-middle-slot pairing exchange",
+    "shared-right": "shared-right-slot pairing exchange",
+    "nested": "nested pairings commute",
+    "disjoint": "disjoint increasing pairings commute",
+    "interleaved": "interleaved pairing exchange",
+}
+
+# The printed exchange relations quantify over "k != i, j" but only hold
+# shape by shape with both factors read as sorted-index generators (any
+# other relative order is the reversed exchange, which is not of the
+# printed form); the entries record that restriction.
+_SORTED = "printed quantifier restricted to the sorted shape"
+_SIGN = "printed second sign +; verified -"
+
+_FAMILIES = {
+    "D": _Family(
+        twist=lambda n: q_pow(1 - 2 * n),
+        correction=lambda h, i, fuel: phi_partial(h, "bar_psi_t", (i, i), h.spec.rank, fuel),
+        ratio=None,
+        corr_first=False,
+        skew=False,
+        labels=("(i,j)=", "(a,b,c)="),
+        citations={},
+        variants={"shared-left": _SORTED, "shared-middle": _SORTED, "shared-right": _SORTED},
+    ),
+    "B": _Family(
+        twist=lambda n: q_pow(-2 * n),
+        correction=lambda h, i, fuel: phi_partial(h, "varphi", (i,), fuel=fuel),
+        ratio=lambda n: (ONE + q_pow(1 - 2 * n)).inverse(),
+        corr_first=True,
+        skew=False,
+        labels=("(i,j)=", "(a,b,c)="),
+        citations={},
+        variants={
+            "ratio": "printed scalar (q^2n - q^-1)/(q - q^-1) fails; corrected",
+            "left": "printed duplicates the product; corrected reading",
+            "shared-left": _SORTED,
+            # the printed "i" correction slot of the middle shape is verified to be "j"
+            "shared-middle": _SORTED + "; correction slot j, not the printed i",
+            "shared-right": _SORTED,
+        },
+    ),
+    "C": _Family(
+        twist=lambda n: -q_pow(-1 - 2 * n),
+        correction=None,
+        ratio=None,
+        corr_first=False,
+        skew=True,
+        labels=("(s,t)=", ""),
+        citations={
+            "twist": "skew twist of the pairing under slot swap",
+            "left": "left slot letter q-exchange",
+            "right": "right slot letter q-exchange",
+            "shared-left": "shared-left-slot q-exchange",
+            "shared-middle": "shared-middle-slot q-exchange",
+            "shared-right": "shared-right-slot q-exchange",
+        },
+        variants={
+            "between": _SIGN,
+            "shared-left": _SORTED,
+            "shared-middle": "shape absent from the printed list; verified",
+            "disjoint": "printed form claims a correction; verified commuting",
+            "interleaved": _SIGN,
+        },
+    ),
+}
+
+
 def verify_relation_suite(handle, fuel=None):
     """All instantiable relation instances for the handle, residual-checked."""
     if handle.kind == "Akl":
         entries = _suite_gl(handle, fuel)
-    elif handle.spec.family == "D":
-        entries = _suite_d(handle, fuel)
-    elif handle.spec.family == "B":
-        entries = _suite_b(handle, fuel)
-    elif handle.spec.family == "C":
-        entries = _suite_c(handle, fuel)
+    elif handle.spec.family in _FAMILIES:
+        entries = _suite_classical(handle, _FAMILIES[handle.spec.family], fuel)
     else:
         raise ValueError("no relation suite for this handle")
     return {
@@ -125,436 +217,79 @@ def verify_relation_suite(handle, fuel=None):
     }
 
 
-def _letters(handle):
-    return [a for a in range(1, natural_rep(handle.spec).dim_v + 1)]
-
-
-def _xletter(handle, k, a):
-    return NCPolynomial.from_word((x_(k, a),))
-
-
-def _suite_d(handle, fuel):
-    spec = handle.spec
-    m = handle.params["m"]
-    n = spec.rank
+def _suite_classical(handle, fam, fuel):
+    """The B, C and D suites: the shared relation families, instantiated for
+    every slot index tuple in a fixed order, with the family's differences
+    read from its table row."""
+    m, n = handle.params["m"], handle.spec.rank
     qq = _qq()
     mul = lambda a, b: handle.multiply(a, b, fuel)
-    P = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            P[(i, j)] = psi(handle, (i, j), fuel)
+    comm = lambda a, b: mul(a, b) - mul(b, a)
+    exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
+    slots = range(1, m + 1)
+    P = {(i, j): psi(handle, (i, j), fuel) for i in slots for j in slots if i != j or not fam.skew}
+    corr = {i: fam.correction(handle, i, fuel) for i in slots} if fam.correction else None
+    letters = range(1, natural_rep(handle.spec).dim_v + 1)
+    x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
     entries = []
 
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            res = P[(j, i)] - P[(i, j)].scale(q_pow(1 - 2 * n))
-            entries.append(_entry("twist of the pairing under slot swap", f"(i,j)=({i},{j})", res, handle))
+    def add(key, instance, res):
+        citation = fam.citations.get(key, _CITATIONS[key])
+        entries.append(_entry(citation, instance, res, handle, fam.variants.get(key)))
 
-    labels = _letters(handle)
-    for i in range(1, m + 1):
-        for k in range(1, m + 1):
-            for a in labels:
-                xa = _xletter(handle, k, a)
-                res = mul(xa, P[(i, i)]) - mul(P[(i, i)], xa)
-                entries.append(
-                    _entry("equal-slot pairing is central", f"i={i},k={k},a={a}", res, handle)
-                )
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in list(range(1, i)) + list(range(j + 1, m + 1)):
-                for a in labels:
-                    xa = _xletter(handle, k, a)
-                    res = mul(xa, P[(i, j)]) - mul(P[(i, j)], xa)
-                    entries.append(
-                        _entry(
-                            "pairing commutes with outside letters",
-                            f"i={i},j={j},k={k},a={a}",
-                            res,
-                            handle,
-                        )
-                    )
-    for i in range(1, m + 1):
-        for k in range(i + 1, m + 1):
-            for j in range(k + 1, m + 1):
-                for a in labels:
-                    xa = _xletter(handle, k, a)
-                    res = (
-                        mul(xa, P[(i, j)])
-                        - mul(P[(i, j)], xa)
-                        - (
-                            mul(_xletter(handle, i, a), P[(k, j)])
-                            - mul(P[(i, k)], _xletter(handle, j, a))
-                        ).scale(qq)
-                    )
-                    entries.append(
-                        _entry(
-                            "letter between the slots",
-                            f"i={i},k={k},j={j},a={a}",
-                            res,
-                            handle,
-                        )
-                    )
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            bar_i = phi_partial(handle, "bar_psi_t", (i, i), n, fuel)
-            bar_j = phi_partial(handle, "bar_psi_t", (j, j), n, fuel)
-            for a in labels:
-                xi = _xletter(handle, i, a)
-                xj = _xletter(handle, j, a)
-                res = (
-                    mul(P[(i, j)], xi)
-                    - mul(xi, P[(i, j)]).scale(q_pow(-1))
-                    - mul(bar_i, xj).scale(qq)
-                )
-                entries.append(
-                    _entry("left slot letter exchange", f"i={i},j={j},a={a}", res, handle)
-                )
-                res = (
-                    mul(xj, P[(i, j)])
-                    - mul(P[(i, j)], xj).scale(q_pow(-1))
-                    - mul(xi, bar_j).scale(qq)
-                )
-                entries.append(
-                    _entry("right slot letter exchange", f"i={i},j={j},a={a}", res, handle)
-                )
-
-    entries.extend(_psi_psi_orthogonal(handle, P, "bar", fuel))
-    return entries
-
-
-def _psi_psi_orthogonal(handle, P, corr_kind, fuel):
-    """Pairing-pairing commutation relations for the orthogonal families.
-
-    The printed exchange relations quantify over "k != i, j" but only hold
-    shape by shape with both factors read as sorted-index generators (any
-    other relative order is the reversed exchange, which is not of the
-    printed form); the entries record that restriction.  corr_kind selects
-    the correction term (bar-psi for even, varphi for odd, whose printed
-    "i" correction slot in the middle shape is verified to be "j").
-    """
-    spec = handle.spec
-    m = handle.params["m"]
-    n = spec.rank
-    qq = _qq()
-    mul = lambda a, b: handle.multiply(a, b, fuel)
-
-    def corr(slot):
-        if corr_kind == "bar":
-            return phi_partial(handle, "bar_psi_t", (slot, slot), n, fuel)
-        return phi_partial(handle, "varphi", (slot,), fuel=fuel)
-
-    note = "printed quantifier restricted to the sorted shape"
-    entries = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(j, m + 1):
-                res = mul(P[(i, i)], P[(j, k)]) - mul(P[(j, k)], P[(i, i)])
-                entries.append(
-                    _entry(
-                        "equal-slot pairing commutes with all pairings",
-                        f"i={i},(j,k)=({j},{k})",
-                        res,
-                        handle,
-                    )
-                )
-    for a, b, c in combinations(range(1, m + 1), 3):
-        res = (
-            mul(P[(a, b)], P[(a, c)])
-            - mul(P[(a, c)], P[(a, b)]).scale(q_pow(-1))
-            - mul(corr(a), P[(b, c)]).scale(qq)
+    for i, j in combinations(slots, 2):
+        add("twist", f"{fam.labels[0]}({i},{j})", P[(j, i)] - P[(i, j)].scale(fam.twist(n)))
+    if fam.ratio:
+        for i in slots:
+            add("ratio", f"i={i}", corr[i] - P[(i, i)].scale(fam.ratio(n)))
+    if not fam.skew:
+        for i in slots:
+            for k in slots:
+                for a in letters:
+                    add("central", f"i={i},k={k},a={a}", comm(x[(k, a)], P[(i, i)]))
+    for i, j in combinations(slots, 2):
+        for k in list(range(1, i)) + list(range(j + 1, m + 1)):
+            for a in letters:
+                add("outside", f"i={i},j={j},k={k},a={a}", comm(x[(k, a)], P[(i, j)]))
+    for i, k, j in combinations(slots, 3):
+        for a in letters:
+            rhs = mul(x[(i, a)], P[(k, j)]) - mul(P[(i, k)], x[(j, a)])
+            add("between", f"i={i},k={k},j={j},a={a}", comm(x[(k, a)], P[(i, j)]) - rhs.scale(qq))
+    for i, j in combinations(slots, 2):
+        for a in letters:
+            xi, xj, pij = x[(i, a)], x[(j, a)], P[(i, j)]
+            if fam.skew:
+                left = exchange(xi, pij, q_pow(1))
+                right = exchange(pij, xj, q_pow(1))
+            else:
+                left = exchange(pij, xi, q_pow(-1)) - mul(corr[i], xj).scale(qq)
+                rcorr = mul(corr[j], xi) if fam.corr_first else mul(xi, corr[j])
+                right = exchange(xj, pij, q_pow(-1)) - rcorr.scale(qq)
+            add("left", f"i={i},j={j},a={a}", left)
+            add("right", f"i={i},j={j},a={a}", right)
+    if not fam.skew:
+        for i in slots:
+            for j in slots:
+                for k in range(j, m + 1):
+                    add("equal", f"i={i},(j,k)=({j},{k})", comm(P[(i, i)], P[(j, k)]))
+    for a, b, c in combinations(slots, 3):
+        # (key, factors of the q-exchange, correction slot, its cofactor)
+        shapes = (
+            ("shared-left", (a, b), (a, c), a, (b, c)),
+            ("shared-middle", (b, c), (a, b), b, (a, c)),
+            ("shared-right", (a, c), (b, c), c, (a, b)),
         )
-        entries.append(
-            _entry(
-                "shared-left-slot pairing exchange",
-                f"(a,b,c)=({a},{b},{c})",
-                res,
-                handle,
-                variant=note,
-            )
-        )
-        res = (
-            mul(P[(b, c)], P[(a, b)])
-            - mul(P[(a, b)], P[(b, c)]).scale(q_pow(-1))
-            - mul(corr(b), P[(a, c)]).scale(qq)
-        )
-        entries.append(
-            _entry(
-                "shared-middle-slot pairing exchange",
-                f"(a,b,c)=({a},{b},{c})",
-                res,
-                handle,
-                variant=note + ("; correction slot j, not the printed i"
-                                if corr_kind == "varphi" else ""),
-            )
-        )
-        res = (
-            mul(P[(a, c)], P[(b, c)])
-            - mul(P[(b, c)], P[(a, c)]).scale(q_pow(-1))
-            - mul(corr(c), P[(a, b)]).scale(qq)
-        )
-        entries.append(
-            _entry(
-                "shared-right-slot pairing exchange",
-                f"(a,b,c)=({a},{b},{c})",
-                res,
-                handle,
-                variant=note,
-            )
-        )
-    for a, b, c, d in combinations(range(1, m + 1), 4):
-        res = mul(P[(b, c)], P[(a, d)]) - mul(P[(a, d)], P[(b, c)])
-        entries.append(
-            _entry("nested pairings commute", f"({a},{b},{c},{d})", res, handle)
-        )
-        res = mul(P[(a, b)], P[(c, d)]) - mul(P[(c, d)], P[(a, b)])
-        entries.append(
-            _entry(
-                "disjoint increasing pairings commute",
-                f"({a},{b},{c},{d})",
-                res,
-                handle,
-            )
-        )
-        res = (
-            mul(P[(a, c)], P[(b, d)])
-            - mul(P[(b, d)], P[(a, c)])
-            - (mul(P[(a, b)], P[(c, d)]) - mul(P[(a, d)], P[(b, c)])).scale(qq)
-        )
-        entries.append(
-            _entry(
-                "interleaved pairing exchange",
-                f"({a},{b},{c},{d})",
-                res,
-                handle,
-            )
-        )
-    return entries
-
-
-def _suite_b(handle, fuel):
-    spec = handle.spec
-    m = handle.params["m"]
-    n = spec.rank
-    qq = _qq()
-    mul = lambda a, b: handle.multiply(a, b, fuel)
-    P = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            P[(i, j)] = psi(handle, (i, j), fuel)
-    entries = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            res = P[(j, i)] - P[(i, j)].scale(q_pow(-2 * n))
-            entries.append(
-                _entry("twist of the pairing under slot swap", f"(i,j)=({i},{j})", res, handle)
-            )
-
-    # the correction element and its scalar relation to the equal-slot pairing
-    for i in range(1, m + 1):
-        var = phi_partial(handle, "varphi", (i,), fuel=fuel)
-        corrected = P[(i, i)].scale((ONE + q_pow(1 - 2 * n)).inverse())
-        res = var - corrected
-        entries.append(
-            _entry(
-                "correction term is the equal-slot pairing over (1 + q^(1-2n))",
-                f"i={i}",
-                res,
-                handle,
-                variant="printed scalar (q^2n - q^-1)/(q - q^-1) fails; corrected",
-            )
-        )
-
-    labels = _letters(handle)
-    for i in range(1, m + 1):
-        for k in range(1, m + 1):
-            for a in labels:
-                xa = _xletter(handle, k, a)
-                res = mul(xa, P[(i, i)]) - mul(P[(i, i)], xa)
-                entries.append(
-                    _entry("equal-slot pairing is central", f"i={i},k={k},a={a}", res, handle)
-                )
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in list(range(1, i)) + list(range(j + 1, m + 1)):
-                for a in labels:
-                    xa = _xletter(handle, k, a)
-                    res = mul(xa, P[(i, j)]) - mul(P[(i, j)], xa)
-                    entries.append(
-                        _entry(
-                            "pairing commutes with outside letters",
-                            f"i={i},j={j},k={k},a={a}",
-                            res,
-                            handle,
-                        )
-                    )
-    for i in range(1, m + 1):
-        for k in range(i + 1, m + 1):
-            for j in range(k + 1, m + 1):
-                for a in labels:
-                    xa = _xletter(handle, k, a)
-                    res = (
-                        mul(xa, P[(i, j)])
-                        - mul(P[(i, j)], xa)
-                        - (
-                            mul(_xletter(handle, i, a), P[(k, j)])
-                            - mul(P[(i, k)], _xletter(handle, j, a))
-                        ).scale(qq)
-                    )
-                    entries.append(
-                        _entry("letter between the slots", f"i={i},k={k},j={j},a={a}", res, handle)
-                    )
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            var_i = phi_partial(handle, "varphi", (i,), fuel=fuel)
-            var_j = phi_partial(handle, "varphi", (j,), fuel=fuel)
-            for a in labels:
-                xi = _xletter(handle, i, a)
-                xj = _xletter(handle, j, a)
-                res = (
-                    mul(P[(i, j)], xi)
-                    - mul(xi, P[(i, j)]).scale(q_pow(-1))
-                    - mul(var_i, xj).scale(qq)
-                )
-                entries.append(
-                    _entry(
-                        "left slot letter exchange",
-                        f"i={i},j={j},a={a}",
-                        res,
-                        handle,
-                        variant="printed duplicates the product; corrected reading",
-                    )
-                )
-                res = (
-                    mul(xj, P[(i, j)])
-                    - mul(P[(i, j)], xj).scale(q_pow(-1))
-                    - mul(var_j, xi).scale(qq)
-                )
-                entries.append(
-                    _entry("right slot letter exchange", f"i={i},j={j},a={a}", res, handle)
-                )
-
-    entries.extend(_psi_psi_orthogonal(handle, P, "varphi", fuel))
-    return entries
-
-
-def _suite_c(handle, fuel):
-    spec = handle.spec
-    m = handle.params["m"]
-    n = spec.rank
-    qq = _qq()
-    mul = lambda a, b: handle.multiply(a, b, fuel)
-    P = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j:
-                P[(i, j)] = psi(handle, (i, j), fuel)
-    entries = []
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            res = P[(t, s)] + P[(s, t)].scale(q_pow(-1 - 2 * n))
-            entries.append(
-                _entry("skew twist of the pairing under slot swap", f"(s,t)=({s},{t})", res, handle)
-            )
-    labels = _letters(handle)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in list(range(1, i)) + list(range(j + 1, m + 1)):
-                for a in labels:
-                    xa = _xletter(handle, k, a)
-                    res = mul(xa, P[(i, j)]) - mul(P[(i, j)], xa)
-                    entries.append(
-                        _entry(
-                            "pairing commutes with outside letters",
-                            f"i={i},j={j},k={k},a={a}",
-                            res,
-                            handle,
-                        )
-                    )
-    for i in range(1, m + 1):
-        for k in range(i + 1, m + 1):
-            for j in range(k + 1, m + 1):
-                for a in labels:
-                    xa = _xletter(handle, k, a)
-                    res = (
-                        mul(xa, P[(i, j)])
-                        - mul(P[(i, j)], xa)
-                        - (
-                            mul(_xletter(handle, i, a), P[(k, j)])
-                            - mul(P[(i, k)], _xletter(handle, j, a))
-                        ).scale(qq)
-                    )
-                    entries.append(
-                        _entry(
-                            "letter between the slots",
-                            f"i={i},k={k},j={j},a={a}",
-                            res,
-                            handle,
-                            variant="printed second sign +; verified -",
-                        )
-                    )
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for a in labels:
-                xi = _xletter(handle, i, a)
-                xj = _xletter(handle, j, a)
-                res = mul(xi, P[(i, j)]) - mul(P[(i, j)], xi).scale(q_pow(1))
-                entries.append(
-                    _entry("left slot letter q-exchange", f"i={i},j={j},a={a}", res, handle)
-                )
-                res = mul(P[(i, j)], xj) - mul(xj, P[(i, j)]).scale(q_pow(1))
-                entries.append(
-                    _entry("right slot letter q-exchange", f"i={i},j={j},a={a}", res, handle)
-                )
-    # pairing-pairing relations: pure q-exchanges, sorted shapes
-    note = "printed quantifier restricted to the sorted shape"
-    for a, b, c in combinations(range(1, m + 1), 3):
-        res = mul(P[(a, b)], P[(a, c)]) - mul(P[(a, c)], P[(a, b)]).scale(q_pow(-1))
-        entries.append(
-            _entry("shared-left-slot q-exchange", f"({a},{b},{c})", res, handle, variant=note)
-        )
-        res = mul(P[(b, c)], P[(a, b)]) - mul(P[(a, b)], P[(b, c)]).scale(q_pow(-1))
-        entries.append(
-            _entry(
-                "shared-middle-slot q-exchange",
-                f"({a},{b},{c})",
-                res,
-                handle,
-                variant="shape absent from the printed list; verified",
-            )
-        )
-        res = mul(P[(a, c)], P[(b, c)]) - mul(P[(b, c)], P[(a, c)]).scale(q_pow(-1))
-        entries.append(
-            _entry("shared-right-slot q-exchange", f"({a},{b},{c})", res, handle)
-        )
-    for a, b, c, d in combinations(range(1, m + 1), 4):
-        res = mul(P[(b, c)], P[(a, d)]) - mul(P[(a, d)], P[(b, c)])
-        entries.append(
-            _entry("nested pairings commute", f"({a},{b},{c},{d})", res, handle)
-        )
-        res = mul(P[(a, b)], P[(c, d)]) - mul(P[(c, d)], P[(a, b)])
-        entries.append(
-            _entry(
-                "disjoint increasing pairings commute",
-                f"({a},{b},{c},{d})",
-                res,
-                handle,
-                variant="printed form claims a correction; verified commuting",
-            )
-        )
-        res = (
-            mul(P[(a, c)], P[(b, d)])
-            - mul(P[(b, d)], P[(a, c)])
-            - (mul(P[(a, b)], P[(c, d)]) - mul(P[(a, d)], P[(b, c)])).scale(qq)
-        )
-        entries.append(
-            _entry(
-                "interleaved pairing exchange",
-                f"({a},{b},{c},{d})",
-                res,
-                handle,
-                variant="printed second sign +; verified -",
-            )
-        )
+        for key, u, w, slot, rest in shapes:
+            res = exchange(P[u], P[w], q_pow(-1))
+            if corr is not None:
+                res = res - mul(corr[slot], P[rest]).scale(qq)
+            add(key, f"{fam.labels[1]}({a},{b},{c})", res)
+    for a, b, c, d in combinations(slots, 4):
+        inst = f"({a},{b},{c},{d})"
+        add("nested", inst, comm(P[(b, c)], P[(a, d)]))
+        add("disjoint", inst, comm(P[(a, b)], P[(c, d)]))
+        rhs = mul(P[(a, b)], P[(c, d)]) - mul(P[(a, d)], P[(b, c)])
+        add("interleaved", inst, comm(P[(a, c)], P[(b, d)]) - rhs.scale(qq))
     return entries
 
 

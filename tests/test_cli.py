@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qmodalg.cli import run
 
 
@@ -236,6 +238,51 @@ def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err
     assert err.rstrip().endswith("internal error: RuntimeError: kernel blew up")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError])
+def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
+    # only bad input is a usage error; a ValueError or KeyError from inside
+    # the checks is a crash
+    import qmodalg.cli as cli
+
+    def suite_braiding(spec):
+        raise exc("inside the kernel")
+
+    monkeypatch.setattr(cli, "suite_braiding", suite_braiding)
+    assert run(["braiding", "--family", "C", "--rank", "2"]) == 3
+    assert f"internal error: {exc.__name__}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "relations --family D --rank 2 --fuel 0",
+        "relations --family D --rank 2 --copies 0",
+        "relations --family GL --rank 2 --k 0 --l 2",
+        "skew-duality --m 0",
+        "skew-duality --n -1",
+        "fft --family B --rank 1 --max-degree -1",
+        "relations --family GL --rank 2",
+        "relations --exterior",
+        "fft --exterior",
+        "oracle-diff --family GL --rank 2",
+    ],
+)
+def test_bad_option_values_exit_two(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(argv.split() + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_malformed_env_fuel_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("QMODALG_FUEL", "abc")
+    assert run(["relations", "--family", "D", "--rank", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: QMODALG_FUEL must be an integer, got 'abc'\n"
+    monkeypatch.setenv("QMODALG_FUEL", "0")
+    assert run(["relations", "--family", "D", "--rank", "2"]) == 2
 
 
 def test_env_fuel_override(monkeypatch):
