@@ -249,12 +249,37 @@ def test_manifest_shape():
          "b428447ce0c428454f3cb29d12eaee0ad4b61700b7ad6ec388f349521048bf24"),
         (build_exterior(2, 3),
          "d2aa2ad54890bb515ed6f0a1044a7da229e684a99a7befdac2aca4acf850d282"),
+        # the printed cross rules, three slots
+        (build_am(LieTypeSpec("D", 2), 3, strict=True),
+         "b3a5cb9f5143e08d52136fe7dbcc2b2c3a51f0a27dc5918e43483b5f85e62108"),
+        (build_am(LieTypeSpec("B", 1), 3, strict=True),
+         "0ca24b3f27be81e0da0bb2f5a383131ca6c528e21b3677592f1de9c81c139cd6"),
+        (build_am(LieTypeSpec("C", 2), 3, strict=True),
+         "1e03090fc912f63d9e406afc6003a5f067f477d370bf29738d78b7d2a2c17ee1"),
+        (build_am(LieTypeSpec("D", 3), 3, strict=True),
+         "f48353f9ab2476fee9df776cb1404b1ecba8bfabbb34d77d55d79038be28c56e"),
+        (build_am(LieTypeSpec("B", 2), 3, strict=True),
+         "ac3bc7b188cb89e54120ed178af2adff7096d0142d8720220a98e907d7783b51"),
+        (build_am(LieTypeSpec("C", 3), 3, strict=True),
+         "7a217571342007c883c0cc526f69e6557807957984be36b3a149f8d8632dd8d7"),
+        # the derived cross-slot, dual-row and mixed rules
+        (build_am(LieTypeSpec("D", 3), 3),
+         "3521ba4abb2a4a14bb33e2e22a7f142530cb60c2f725d62d5b6dbfe27f131a4c"),
+        (build_am(LieTypeSpec("B", 2), 3),
+         "c7c923cc995236e344a876a60f350ec13b2fcb2a53a494e2eccad92e1146daea"),
+        (build_am(LieTypeSpec("C", 3), 3),
+         "5e22e2c99daf0cfe9bf55cf478533b5e9e0605267f106487581e8702b385d23e"),
+        (build_akl(3, 2, 3),
+         "0b3cf2a9164482ecfd9f9f817109ae7ea2df7f6792c7ce8fcb3dcb4beca12b0a"),
+        (build_exterior(3, 2),
+         "a88eb423c73959fdc5de55b2ad4d6bc9639c04df70c154f3541b86cb8fad56ae"),
     ]
     for handle, want in pins:
         blob = json.dumps(
             presentation_manifest(handle), sort_keys=True, separators=(",", ":")
         )
-        assert hashlib.sha256(blob.encode()).hexdigest() == want, handle.kind
+        assert hashlib.sha256(blob.encode()).hexdigest() == want, (
+            handle.kind, str(handle.spec), handle.params, handle.strict)
 
 
 def test_rule_degree_homogeneity():

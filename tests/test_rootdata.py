@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qmodalg.rootdata import (
@@ -30,6 +32,31 @@ def test_spec_validation():
 def test_defining_relations_hold_on_v(family, rank):
     rep = natural_rep(LieTypeSpec(family, rank))
     assert validate_rep(rep) == []
+
+
+def _perturbed(rep, field, index):
+    """rep with the first sorted entry of its field[index] matrix times q."""
+    mats = dict(getattr(rep, field))
+    mat = dict(mats[index])
+    key = sorted(mat)[0]
+    mat[key] = mat[key] * q_pow(1)
+    mats[index] = mat
+    return dataclasses.replace(rep, **{field: mats})
+
+
+@pytest.mark.parametrize(
+    "family,rank,field,want",
+    [
+        ("D", 2, "e_mats", ["[e,f]_1", "[e_1,f_2]", "serre e (1,2)", "serre e (2,1)"]),
+        ("B", 1, "e_mats", ["[e,f]_1"]),
+        ("C", 2, "e_mats", ["[e,f]_1"]),
+        ("GL", 3, "e_mats", ["[e,f]_1"]),
+        ("D", 2, "k_mats", ["[e,f]_1", "k_1 e_1 scaling", "k_1 e_2 scaling"]),
+    ],
+)
+def test_validate_rep_names_the_broken_relations(family, rank, field, want):
+    rep = natural_rep(LieTypeSpec(family, rank))
+    assert validate_rep(_perturbed(rep, field, 1)) == want
 
 
 def test_d2_raising_generator_entries():
