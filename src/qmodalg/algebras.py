@@ -13,7 +13,9 @@ slotwise) lives in tensor_oracle_product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import combinations, product
+from typing import NamedTuple
 
 from .braiding import (
     rcheck,
@@ -22,6 +24,7 @@ from .braiding import (
     spectral_data,
 )
 from .linalg import EchelonBasis, Expresser
+from .linop import LinearOperator
 from .ncpoly import (
     NCPolynomial,
     RewriteSystem,
@@ -31,8 +34,8 @@ from .ncpoly import (
     x_,
     y_,
 )
-from .rootdata import LieTypeSpec, mat_inv_diag, mat_mul, natural_rep, sigma_candidate
-from .scalar import ONE, q_pow
+from .rootdata import LieTypeSpec, natural_rep, sigma_candidate
+from .scalar import ONE, accumulate, q_pow
 
 
 class PresentationError(RuntimeError):
@@ -48,6 +51,16 @@ class GeneratorRef:
     def __str__(self):
         tag = "" if self.group == "g" else self.group
         return f"{self.kind}{tag}{self.index}" if self.kind != "sigma" else "sigma"
+
+
+def _compositions(total, parts):
+    """Tuples of parts non-negative ints summing to total, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 class AlgebraHandle:
@@ -105,16 +118,7 @@ class AlgebraHandle:
 
     def degree_compositions(self, total):
         """All multidegrees with the given total, in lexicographic order."""
-        nslots = len(self.slots)
-
-        def rec(rem, parts):
-            if len(parts) == nslots - 1:
-                yield tuple(parts + [rem])
-                return
-            for d in range(rem + 1):
-                yield from rec(rem - d, parts + [d])
-
-        return list(rec(total, []))
+        return list(_compositions(total, len(self.slots)))
 
     # -- algebra operations --------------------------------------------------
 
@@ -126,12 +130,6 @@ class AlgebraHandle:
 
     def one(self):
         return NCPolynomial.one()
-
-    def letter_poly(self, l):
-        return NCPolynomial.from_word((l,))
-
-    def word_poly(self, letters):
-        return NCPolynomial.from_word(tuple(letters))
 
     def render(self, p):
         style = sq_letter_str if self.kind == "Sq" else default_letter_str
@@ -219,13 +217,16 @@ class AlgebraHandle:
         base = rep.e_mats[g.index] if g.kind == "e" else rep.f_mats[g.index]
         if not dual:
             return base
-        # dual coefficient action: pi'(x) = pi(S(x))^T
-        kdiag = {(a, a): v for a, v in rep.coproduct_k(g.index).items()}
+        # dual coefficient action: pi'(x) = pi(S(x))^T, S(e) = -e k^-1, S(f) = -k f
+        labels = rep.labels
+        k = rep.coproduct_k(g.index)
+        pi = LinearOperator(labels, labels, base)
         if g.kind == "e":
-            m = mat_mul(base, mat_inv_diag(kdiag, rep.labels))
+            kinv = {(a, a): v.inverse() for a, v in k.items()}
+            m = pi @ LinearOperator(labels, labels, kinv)
         else:
-            m = mat_mul(kdiag, base)
-        return {(c, r): -v for (r, c), v in m.items()}
+            m = LinearOperator(labels, labels, {(a, a): v for a, v in k.items()}) @ pi
+        return {(c, r): -v for (r, c), v in m.entries.items()}
 
 
 class ExteriorHandle(AlgebraHandle):
@@ -309,13 +310,7 @@ def _pair_rules_dual_row(n):
     for a in labels:
         for b in labels:
             rel = {(b, a): q_pow(-1)}
-            for ((r1, r2), (c1, c2)), v in rinv.entries.items():
-                if (r1, r2) == (a, b):
-                    key = (c1, c2)
-                    s = rel.get(key)
-                    t = -v
-                    rel[key] = t if s is None else s + t
-            rel = {k: v for k, v in rel.items() if v}
+            accumulate(rel, ((c, -v) for (r, c), v in rinv.entries.items() if r == (a, b)))
             if rel and eb.add(rel):
                 ideal.append(rel)
     normal = [(a, b) for a in labels for b in labels if a <= b]
@@ -344,18 +339,34 @@ def _pair_rules_exterior(m, n):
 
 
 # ---------------------------------------------------------------------------
-# cross-slot rules from R-check entries
+# rule families: label-pair tables lifted onto slots
 
-def _rcheck_columns(spec):
-    rc = rcheck(spec)
-    return {c: list(rows) for c, rows in rc.by_col().items()}
+def _slots(letter, count):
+    """One letter maker per slot: slot i sends a label a to letter(i, a)."""
+    return [partial(letter, i) for i in range(1, count + 1)]
 
 
-def _rinv_rows(n):
-    rows = {}
-    for (r, c), v in rmatrix_natural_gl_inverse(n).entries.items():
-        rows.setdefault(r, []).append((c, v))
-    return rows
+def _on_slot(pair_rules, letter):
+    """A label-pair rule table {(b, a): {(c, d): v}} as rules on one slot."""
+    return {
+        (letter(b), letter(a)): NCPolynomial(
+            {(letter(c), letter(d)): v for (c, d), v in repl.items()}
+        )
+        for (b, a), repl in pair_rules.items()
+    }
+
+
+def _exchange_rules(columns, slot_pairs, labels):
+    """Rules right(b) left(a) -> sum of v left(c) right(d), one per label pair
+    and (left, right) slot pair, with the ((c, d), v) listed in columns[(b, a)]."""
+    return {
+        (right(b), left(a)): NCPolynomial(
+            {(left(c), right(d)): v for (c, d), v in columns.get((b, a), ())}
+        )
+        for left, right in slot_pairs
+        for b in labels
+        for a in labels
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +374,11 @@ def _rinv_rows(n):
 
 def _add_rules(rs, manifest, rules, provenance, render=default_letter_str):
     for pat, repl in sorted(rules.items()):
-        poly = repl if isinstance(repl, NCPolynomial) else NCPolynomial(repl)
-        rs.add_rule(pat, poly)
+        rs.add_rule(pat, repl)
         manifest.append(
             {
                 "pattern": "".join(render(l) for l in pat),
-                "replacement": poly.render(render),
+                "replacement": repl.render(render),
                 "provenance": provenance,
             }
         )
@@ -399,46 +409,25 @@ def build_am(spec, m, strict=False):
 
 
 def _build_am(spec, m, kind, strict=False):
-    rep = natural_rep(spec)
-    labels = rep.labels
+    labels = natural_rep(spec).labels
     slots = [
         (f"slot{i}", tuple(x_(i, a) for a in labels)) for i in range(1, m + 1)
     ]
     rs = RewriteSystem({})
     manifest = []
     render = sq_letter_str if kind == "Sq" else default_letter_str
-
-    pair = _pair_rules_solved(spec)
-    for i in range(1, m + 1):
-        rules = {
-            (x_(i, b), x_(i, a)): NCPolynomial(
-                {(x_(i, c), x_(i, d)): v for (c, d), v in repl.items()}
-            )
-            for (b, a), repl in pair.items()
-        }
-        _add_rules(rs, manifest, rules, _family_pair_provenance(spec), render)
-
+    pair, prov = _pair_rules_solved(spec), _family_pair_provenance(spec)
+    for x in _slots(x_, m):
+        _add_rules(rs, manifest, _on_slot(pair, x), prov, render)
     if m > 1:
         if strict and spec.family in ("B", "C", "D"):
             cross, prov = _printed_cross_rules(spec, m)
-            _add_rules(rs, manifest, cross, prov, render)
         else:
-            cols = _rcheck_columns(spec)
-            cross = {}
-            for i in range(1, m + 1):
-                for j in range(i + 1, m + 1):
-                    for b in labels:
-                        for a in labels:
-                            repl = {
-                                (x_(i, u), x_(j, w)): v
-                                for (u, w), v in cols.get((b, a), [])
-                            }
-                            cross[(x_(j, b), x_(i, a))] = NCPolynomial(repl)
-            _add_rules(
-                rs, manifest, cross, "cross-slot exchange from R-check entries", render
-            )
-
-    handle = AlgebraHandle(
+            pairs = combinations(_slots(x_, m), 2)
+            cross = _exchange_rules(rcheck(spec).by_col(), pairs, labels)
+            prov = "cross-slot exchange from R-check entries"
+        _add_rules(rs, manifest, cross, prov, render)
+    return AlgebraHandle(
         kind=kind,
         spec=spec,
         params={"m": m},
@@ -447,7 +436,6 @@ def _build_am(spec, m, kind, strict=False):
         manifest=manifest,
         strict=strict,
     )
-    return handle
 
 
 @lru_cache(maxsize=None)
@@ -461,67 +449,29 @@ def build_akl(n, k, l):
     slots += [(f"y{b}", tuple(y_(b, a) for a in labels)) for b in range(1, l + 1)]
     rs = RewriteSystem({})
     manifest = []
+    xs, ys = _slots(x_, k), _slots(y_, l)
 
     pair = _pair_rules_solved(spec)
-    for i in range(1, k + 1):
-        rules = {
-            (x_(i, b), x_(i, a)): NCPolynomial(
-                {(x_(i, c), x_(i, d)): v for (c, d), v in repl.items()}
-            )
-            for (b, a), repl in pair.items()
-        }
-        _add_rules(rs, manifest, rules, "quantum matrix row relations")
-
-    cols = _rcheck_columns(spec)
-    cross = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for b in labels:
-                for a in labels:
-                    repl = {
-                        (x_(i, u), x_(j, w)): v for (u, w), v in cols.get((b, a), [])
-                    }
-                    cross[(x_(j, b), x_(i, a))] = NCPolynomial(repl)
+    for x in xs:
+        _add_rules(rs, manifest, _on_slot(pair, x), "quantum matrix row relations")
+    cross = _exchange_rules(rcheck(spec).by_col(), combinations(xs, 2), labels)
     _add_rules(rs, manifest, cross, "cross-row exchange from R-check entries")
 
     dual_pair = _pair_rules_dual_row(n)
-    for b in range(1, l + 1):
-        rules = {
-            (y_(b, v1), y_(b, v2)): NCPolynomial(
-                {(y_(b, c), y_(b, d)): v for (c, d), v in repl.items()}
-            )
-            for (v1, v2), repl in dual_pair.items()
-        }
+    for y in ys:
+        rules = _on_slot(dual_pair, y)
         _add_rules(rs, manifest, rules, "dual quantum matrix row relations")
 
-    rrows = _rinv_rows(n)
-    ycross = {}
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            for b in labels:
-                for a in labels:
-                    repl = {
-                        (y_(i, c), y_(j, d)): v
-                        for (c, d), v in rrows.get((a, b), [])
-                    }
-                    ycross[(y_(j, b), y_(i, a))] = NCPolynomial(repl)
-    _add_rules(rs, manifest, ycross, "dual cross-row exchange from inverse R entries")
-
-    # mixed rules: Y past X via inverse-R coefficient pairing
-    mixed = {}
-    buckets = {}
+    # inverse-R entries ((r1, r2), (c1, c2)): Y rows exchange along row
+    # (r1, r2) read under (r2, r1); Y passes X pairing r1 with c2
+    ycols, mixed = {}, {}
     for ((r1, r2), (c1, c2)), v in rmatrix_natural_gl_inverse(n).entries.items():
-        buckets.setdefault((r1, c2), []).append(((r2, c1), v))
-    for i in range(1, k + 1):
-        for beta in range(1, l + 1):
-            for b in labels:
-                for a in labels:
-                    repl = {
-                        (x_(i, c), y_(beta, d)): v
-                        for (c, d), v in buckets.get((b, a), [])
-                    }
-                    mixed[(y_(beta, b), x_(i, a))] = NCPolynomial(repl)
-    _add_rules(rs, manifest, mixed, "mixed exchange from inverse R pairing")
+        ycols.setdefault((r2, r1), []).append(((c1, c2), v))
+        mixed.setdefault((r1, c2), []).append(((r2, c1), v))
+    ycross = _exchange_rules(ycols, combinations(ys, 2), labels)
+    _add_rules(rs, manifest, ycross, "dual cross-row exchange from inverse R entries")
+    xy = _exchange_rules(mixed, product(xs, ys), labels)
+    _add_rules(rs, manifest, xy, "mixed exchange from inverse R pairing")
 
     return AlgebraHandle(
         kind="Akl",
@@ -544,12 +494,7 @@ def build_exterior(m, n):
     ]
     rs = RewriteSystem({})
     manifest = []
-    rules = {
-        ((0,) + p, (0,) + r): NCPolynomial(
-            {((0,) + c, (0,) + d): v for (c, d), v in repl.items()}
-        )
-        for (p, r), repl in _pair_rules_exterior(m, n).items()
-    }
+    rules = _on_slot(_pair_rules_exterior(m, n), lambda p: (0,) + p)
     _add_rules(rs, manifest, rules, "exterior degree-2 ideal solve (symmetric part)")
     return ExteriorHandle(
         kind="Exterior",
@@ -575,52 +520,64 @@ def presentation_manifest(handle):
 # ---------------------------------------------------------------------------
 # transcribed textbook presentation variants (strict mode)
 
+class _Printed(NamedTuple):
+    """The q-exponents of one family's printed pairing and cross rules.
+
+    With N = dim V, t <= n and t' = N + 1 - t, the partial sums are
+    psi_t = sum_{s<=t} q^(s-n+psi) X_i,s' X_j,s and bar-psi_t = sum_{s<=t}
+    q^(n-s+bar) X_i,s X_j,s', and the rules read
+        X_j,t X_i,t' = q^first X_i,t' X_j,t - (q-q^-1) q^(n-t+first_psi) psi_t
+        X_j,t' X_i,t = q^second X_i,t X_j,t' + middle (q-q^-1) X_i,t' X_j,t
+                       + (q-q^-1) q^(t-n+tail) (bar-psi_(t+bar_next) - Psi)
+    where first_psi None drops the psi_t term.
+    """
+
+    name: str
+    psi: int
+    bar: int
+    skew: bool  # Psi = bar-psi_n - psi_n instead of bar-psi_n + psi_n
+    first: int
+    first_psi: int | None
+    second: int
+    middle: int
+    bar_next: int
+    tail: int
+
+
+_PRINTED = {
+    "D": _Printed("even orthogonal", 0, 0, False, 1, 0, 1, -1, 1, 0),
+    "B": _Printed("odd orthogonal", -1, 0, False, 1, 1, -1, -1, 0, 0),
+    "C": _Printed("symplectic", -1, 1, True, -1, None, 1, 1, 1, -1),
+}
+
+
 def _psi_terms(spec, i, j, t, barred):
     """Partial sums psi_t / bar-psi_t of the cross rules, as letter dicts."""
+    fam = _PRINTED.get(spec.family)
+    if fam is None:
+        return {}
     n = spec.rank
-    out = {}
-    if spec.family == "D":
-        pairsum = 2 * n + 1
-        for s in range(1, t + 1):
-            if barred:
-                out[(x_(i, s), x_(j, pairsum - s))] = q_pow(n - s)
-            else:
-                out[(x_(i, pairsum - s), x_(j, s))] = q_pow(s - n)
-    elif spec.family == "B":
-        pairsum = 2 * n + 2
-        for s in range(1, t + 1):
-            if barred:
-                out[(x_(i, s), x_(j, pairsum - s))] = q_pow(n - s)
-            else:
-                out[(x_(i, pairsum - s), x_(j, s))] = q_pow(s - n - 1)
-    elif spec.family == "C":
-        pairsum = 2 * n + 1
-        for s in range(1, t + 1):
-            if barred:
-                out[(x_(i, s), x_(j, pairsum - s))] = q_pow(n + 1 - s)
-            else:
-                out[(x_(i, pairsum - s), x_(j, s))] = q_pow(s - n - 1)
-    return out
+    pairsum = natural_rep(spec).dim_v + 1
+    if barred:
+        return {
+            (x_(i, s), x_(j, pairsum - s)): q_pow(n - s + fam.bar)
+            for s in range(1, t + 1)
+        }
+    return {
+        (x_(i, pairsum - s), x_(j, s)): q_pow(s - n + fam.psi) for s in range(1, t + 1)
+    }
 
 
 def psi_pair_poly(spec, i, j):
     """The quadratic pairing element Psi^(i,j) before normalisation."""
-    n = spec.rank
-    if spec.family == "D":
-        terms = _psi_terms(spec, i, j, n, False)
-        terms.update(_psi_terms(spec, i, j, n, True))
-    elif spec.family == "B":
-        terms = _psi_terms(spec, i, j, n, False)
-        terms.update(_psi_terms(spec, i, j, n, True))
-        terms[(x_(i, n + 1), x_(j, n + 1))] = ONE
-    elif spec.family == "C":
-        terms = {}
-        for (w, c) in _psi_terms(spec, i, j, n, True).items():
-            terms[w] = c
-        for (w, c) in _psi_terms(spec, i, j, n, False).items():
-            terms[w] = -c
-    else:
+    if spec.family == "GL":
         raise ValueError("GL pairing uses psi_gl_poly")
+    n = spec.rank
+    sign = -ONE if _PRINTED[spec.family].skew else ONE
+    terms = {w: sign * c for w, c in _psi_terms(spec, i, j, n, False).items()}
+    terms.update(_psi_terms(spec, i, j, n, True))
+    if natural_rep(spec).dim_v % 2:
+        terms[(x_(i, n + 1), x_(j, n + 1))] = ONE
     return NCPolynomial(terms)
 
 
@@ -630,125 +587,51 @@ def psi_gl_poly(n, i, beta):
 
 def _printed_cross_rules(spec, m):
     """Cross rules exactly as the source presentation prints them."""
+    if spec.family not in _PRINTED:
+        raise ValueError("printed cross rules exist for B, C, D only")
+    fam = _PRINTED[spec.family]
     n = spec.rank
+    dim = natural_rep(spec).dim_v
+    pairsum = dim + 1
+    zero = n + 1 if dim % 2 else None  # the zero weight label of B
     qq = q_pow(1) - q_pow(-1)
     rules = {}
-    if spec.family == "D":
-        pairsum = 2 * n + 1
-        dim = 2 * n
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                psi_full = psi_pair_poly(spec, i, j)
-                for a in range(1, dim + 1):
-                    rules[(x_(j, a), x_(i, a))] = NCPolynomial(
-                        {(x_(i, a), x_(j, a)): q_pow(1)}
-                    )
-                for a in range(1, dim + 1):
-                    for b in range(a + 1, dim + 1):
-                        if a + b == pairsum:
-                            continue
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+
+            def w(a, b):
+                return (x_(i, a), x_(j, b))
+
+            def partial_sum(t, barred):
+                return NCPolynomial(_psi_terms(spec, i, j, t, barred))
+
+            psi_full = psi_pair_poly(spec, i, j)
+            for a in range(1, dim + 1):
+                if a != zero:
+                    rules[(x_(j, a), x_(i, a))] = NCPolynomial({w(a, a): q_pow(1)})
+                for b in range(a + 1, dim + 1):
+                    if a + b != pairsum:
                         rules[(x_(j, b), x_(i, a))] = NCPolynomial(
-                            {(x_(i, a), x_(j, b)): ONE, (x_(i, b), x_(j, a)): qq}
+                            {w(a, b): ONE, w(b, a): qq}
                         )
-                        rules[(x_(j, a), x_(i, b))] = NCPolynomial(
-                            {(x_(i, b), x_(j, a)): ONE}
-                        )
-                for t in range(1, n + 1):
-                    psi_t = NCPolynomial(_psi_terms(spec, i, j, t, False))
-                    rules[(x_(j, t), x_(i, pairsum - t))] = (
-                        NCPolynomial({(x_(i, pairsum - t), x_(j, t)): q_pow(1)})
-                        - psi_t.scale(qq * q_pow(n - t))
+                        rules[(x_(j, a), x_(i, b))] = NCPolynomial({w(b, a): ONE})
+            if zero is not None:
+                rules[(x_(j, zero), x_(i, zero))] = NCPolynomial(
+                    {w(zero, zero): ONE}
+                ) - partial_sum(n, False).scale(qq)
+            for t in range(1, n + 1):
+                u = pairsum - t
+                first = NCPolynomial({w(u, t): q_pow(fam.first)})
+                if fam.first_psi is not None:
+                    first = first - partial_sum(t, False).scale(
+                        qq * q_pow(n - t + fam.first_psi)
                     )
-                    bar_next = NCPolynomial(_psi_terms(spec, i, j, t + 1, True))
-                    rules[(x_(j, pairsum - t), x_(i, t))] = (
-                        NCPolynomial(
-                            {
-                                (x_(i, t), x_(j, pairsum - t)): q_pow(1),
-                                (x_(i, pairsum - t), x_(j, t)): -qq,
-                            }
-                        )
-                        + (bar_next - psi_full).scale(qq * q_pow(t - n))
-                    )
-        return rules, "printed presentation: even orthogonal cross rules"
-    if spec.family == "B":
-        pairsum = 2 * n + 2
-        dim = 2 * n + 1
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                psi_full = psi_pair_poly(spec, i, j)
-                for a in range(1, dim + 1):
-                    if a != n + 1:
-                        rules[(x_(j, a), x_(i, a))] = NCPolynomial(
-                            {(x_(i, a), x_(j, a)): q_pow(1)}
-                        )
-                psi_n = NCPolynomial(_psi_terms(spec, i, j, n, False))
-                rules[(x_(j, n + 1), x_(i, n + 1))] = (
-                    NCPolynomial({(x_(i, n + 1), x_(j, n + 1)): ONE})
-                    - psi_n.scale(qq)
-                )
-                for a in range(1, dim + 1):
-                    for b in range(a + 1, dim + 1):
-                        if a + b == pairsum:
-                            continue
-                        rules[(x_(j, b), x_(i, a))] = NCPolynomial(
-                            {(x_(i, a), x_(j, b)): ONE, (x_(i, b), x_(j, a)): qq}
-                        )
-                        rules[(x_(j, a), x_(i, b))] = NCPolynomial(
-                            {(x_(i, b), x_(j, a)): ONE}
-                        )
-                for t in range(1, n + 1):
-                    psi_t = NCPolynomial(_psi_terms(spec, i, j, t, False))
-                    rules[(x_(j, t), x_(i, pairsum - t))] = (
-                        NCPolynomial({(x_(i, pairsum - t), x_(j, t)): q_pow(1)})
-                        - psi_t.scale(qq * q_pow(n - t + 1))
-                    )
-                    bar_t = NCPolynomial(_psi_terms(spec, i, j, t, True))
-                    rules[(x_(j, pairsum - t), x_(i, t))] = (
-                        NCPolynomial(
-                            {
-                                (x_(i, t), x_(j, pairsum - t)): q_pow(-1),
-                                (x_(i, pairsum - t), x_(j, t)): -qq,
-                            }
-                        )
-                        + (bar_t - psi_full).scale(qq * q_pow(t - n))
-                    )
-        return rules, "printed presentation: odd orthogonal cross rules"
-    if spec.family == "C":
-        pairsum = 2 * n + 1
-        dim = 2 * n
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                psi_full = psi_pair_poly(spec, i, j)
-                for a in range(1, dim + 1):
-                    rules[(x_(j, a), x_(i, a))] = NCPolynomial(
-                        {(x_(i, a), x_(j, a)): q_pow(1)}
-                    )
-                for a in range(1, dim + 1):
-                    for b in range(a + 1, dim + 1):
-                        if a + b == pairsum:
-                            continue
-                        rules[(x_(j, a), x_(i, b))] = NCPolynomial(
-                            {(x_(i, b), x_(j, a)): ONE}
-                        )
-                        rules[(x_(j, b), x_(i, a))] = NCPolynomial(
-                            {(x_(i, a), x_(j, b)): ONE, (x_(i, b), x_(j, a)): qq}
-                        )
-                for t in range(1, n + 1):
-                    rules[(x_(j, t), x_(i, pairsum - t))] = NCPolynomial(
-                        {(x_(i, pairsum - t), x_(j, t)): q_pow(-1)}
-                    )
-                    bar_next = NCPolynomial(_psi_terms(spec, i, j, t + 1, True))
-                    rules[(x_(j, pairsum - t), x_(i, t))] = (
-                        NCPolynomial(
-                            {
-                                (x_(i, t), x_(j, pairsum - t)): q_pow(1),
-                                (x_(i, pairsum - t), x_(j, t)): qq,
-                            }
-                        )
-                        + (bar_next - psi_full).scale(qq * q_pow(t - n - 1))
-                    )
-        return rules, "printed presentation: symplectic cross rules"
-    raise ValueError("printed cross rules exist for B, C, D only")
+                rules[(x_(j, t), x_(i, u))] = first
+                tail = partial_sum(t + fam.bar_next, True) - psi_full
+                rules[(x_(j, u), x_(i, t))] = NCPolynomial(
+                    {w(t, u): q_pow(fam.second), w(u, t): fam.middle * qq}
+                ) + tail.scale(qq * q_pow(t - n + fam.tail))
+    return rules, f"printed presentation: {fam.name} cross rules"
 
 
 def printed_rule_diffs(spec, m=2):
@@ -794,16 +677,10 @@ def _slot_blocks(word, m):
 def _slot_only_system(spec, m):
     """Rewrite system with only the per-slot straightening rules."""
     pair = _pair_rules_solved(spec)
-    rs = RewriteSystem({})
-    for i in range(1, m + 1):
-        for (b, a), repl in pair.items():
-            rs.add_rule(
-                (x_(i, b), x_(i, a)),
-                NCPolynomial(
-                    {(x_(i, c), x_(i, d)): v for (c, d), v in repl.items()}
-                ),
-            )
-    return rs
+    rules = {}
+    for x in _slots(x_, m):
+        rules.update(_on_slot(pair, x))
+    return RewriteSystem(rules)
 
 
 def tensor_oracle_product(spec, m, x, y, fuel=None):
@@ -834,23 +711,10 @@ def _oracle_word_product(spec, m, wx, wy, slot_rs, fuel):
         cab = rcheck_cabled(spec, kk, ll)
         nxt = {}
         for labels, coeff in states.items():
+            pre, post = labels[:pos], labels[pos + 2:]
             col = cab.column(labels[pos] + labels[pos + 1])
-            for outword, val in col.items():
-                ns = (
-                    labels[:pos]
-                    + (outword[:ll], outword[ll:])
-                    + labels[pos + 2:]
-                )
-                s = nxt.get(ns)
-                t = coeff * val
-                if s is None:
-                    nxt[ns] = t
-                else:
-                    s = s + t
-                    if s:
-                        nxt[ns] = s
-                    else:
-                        del nxt[ns]
+            images = ((pre + (w[:ll], w[ll:]) + post, v) for w, v in col.items())
+            accumulate(nxt, images, coeff)
         states = nxt
         slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
         sizes[pos], sizes[pos + 1] = sizes[pos + 1], sizes[pos]

@@ -18,7 +18,7 @@ from itertools import product
 from .linalg import EchelonBasis, Expresser
 from .linop import LinearOperator, kron, lift_pair_op
 from .rootdata import LieTypeSpec, natural_rep
-from .scalar import ONE, ZERO, q_pow
+from .scalar import ONE, accumulate, q_pow
 
 
 class SpectralConsistencyError(RuntimeError):
@@ -206,13 +206,9 @@ def projectors(spec):
             img = {}
             for j, c in coords.items():
                 if lo <= j < hi:
-                    for key, val in columns[j].items():
-                        s = img.get(key)
-                        t = c * val
-                        img[key] = t if s is None else s + t
+                    accumulate(img, columns[j].items(), c)
             for key, val in img.items():
-                if val:
-                    mats[name][(key, w)] = val
+                mats[name][(key, w)] = val
     return {
         name: LinearOperator(words, words, mats[name]) for name, _, _, _ in blocks
     }
@@ -223,7 +219,6 @@ def rmatrix_natural_gl(n):
     labels = tuple(range(1, n + 1))
     words = [tuple(w) for w in product(labels, repeat=2)]
     entries = {}
-    qm1 = q_pow(1) - ONE
     qq = q_pow(1) - q_pow(-1)
     for a, b in words:
         entries[((a, b), (a, b))] = q_pow(1) if a == b else ONE
@@ -339,15 +334,8 @@ def verify_braid_and_skein(spec):
         # T^(2,1) has the same coefficient table as T^(1,2) once V_2 (x) V_1
         # is identified with V (x) V, so the relation is an eigenvalue statement.
         tvec = invariant_vector_t(spec)
-        lhs = rc.apply(tvec)
         kappa = pair_eigenvalue_p0(spec)
-        diff = dict(lhs)
-        for key, c in tvec.items():
-            s = diff.get(key, ZERO) - kappa * c
-            if s:
-                diff[key] = s
-            else:
-                diff.pop(key, None)
+        diff = accumulate(rc.apply(tvec), tvec.items(), -kappa)
         entries.append(
             {
                 "citation": "R-check T^(1,2) = kappa T^(2,1)",

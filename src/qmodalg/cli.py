@@ -16,6 +16,7 @@ import sys
 from math import comb
 
 from .algebras import (
+    _compositions,
     build_akl,
     build_am,
     build_exterior,
@@ -180,15 +181,6 @@ def suite_dims(handle, max_degree, label):
             }
         )
     return {"name": f"dims {label}", "entries": entries}
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def suite_oracle(spec, m, max_total_degree, fuel=None):
@@ -500,6 +492,58 @@ class SystemExit2(Exception):
     pass
 
 
+# every option: flag -> argparse keywords; its default is also what a
+# report's config block records for a subcommand that does not take it
+OPTIONS = {
+    "family": dict(choices=["GL", "B", "C", "D"]),
+    "rank": dict(type=int, default=2),
+    "copies": dict(type=int, default=2, help="tensor copies m"),
+    "k": dict(type=int),
+    "l": dict(type=int),
+    "m": dict(type=int),
+    "n": dict(type=int),
+    "max-degree": dict(type=int, default=4),
+    "fuel": dict(type=int),
+    "strict": dict(action="store_true",
+                   help="use the transcribed printed presentation variants"),
+    "sigma": dict(action="store_true",
+                  help="include the extension generator in invariance checks"),
+    "exterior": dict(action="store_true"),
+    "format": dict(choices=["json", "text"], default="json"),
+    "output": dict(),
+    "verbose": dict(action="store_true"),
+}
+
+_ALGEBRA = ("family", "rank", "copies", "k", "l", "strict")
+_REPORT = ("format", "output", "verbose")
+
+# the options each subcommand reads; any other known option is an error
+COMMAND_OPTIONS = {
+    "dims": _ALGEBRA + ("m", "n", "exterior", "max-degree") + _REPORT,
+    "braiding": ("family", "rank") + _REPORT,
+    "relations": _ALGEBRA + ("fuel",) + _REPORT,
+    "invariance": ("family", "rank", "copies", "k", "l", "sigma", "fuel") + _REPORT,
+    "fft": _ALGEBRA + ("max-degree", "sigma", "fuel") + _REPORT,
+    "skew-duality": ("m", "n", "fuel") + _REPORT,
+    "dump-presentation": _ALGEBRA + ("m", "n", "exterior", "output"),
+    "oracle-diff": ("family", "rank", "copies", "max-degree", "fuel") + _REPORT,
+    "grid": ("fuel", "sigma") + _REPORT,
+}
+
+
+class _Unsupported(argparse.Action):
+    """An option another subcommand takes: parsed as usual, so abbreviations
+    resolve as they would with every option present, then refused in run()."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.unsupported = namespace.unsupported or self.option_strings[0]
+
+
+def _default(flag):
+    kw = OPTIONS[flag]
+    return kw.get("default", False if kw.get("action") == "store_true" else None)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="qmodalg",
@@ -507,40 +551,20 @@ def build_parser():
     )
     p.add_argument("--grid", action="store_true", help="run the full verification grid")
     sub = p.add_subparsers(dest="command")
-
-    def common(sp, family=True):
-        if family:
-            sp.add_argument("--family", choices=["GL", "B", "C", "D"])
-            sp.add_argument("--rank", type=int, default=2)
-        sp.add_argument("--copies", type=int, default=2, help="tensor copies m")
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--l", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--max-degree", type=int, default=4)
-        sp.add_argument("--fuel", type=int)
-        sp.add_argument("--strict", action="store_true",
-                        help="use the transcribed printed presentation variants")
-        sp.add_argument("--sigma", action="store_true",
-                        help="include the extension generator in invariance checks")
-        sp.add_argument("--exterior", action="store_true")
-        sp.add_argument("--format", choices=["json", "text"], default="json")
-        sp.add_argument("--output")
-        sp.add_argument("--verbose", action="store_true")
-
-    for name in (
-        "dims",
-        "braiding",
-        "relations",
-        "invariance",
-        "fft",
-        "skew-duality",
-        "dump-presentation",
-        "oracle-diff",
-        "grid",
-    ):
+    for name, flags in COMMAND_OPTIONS.items():
         sp = sub.add_parser(name)
-        common(sp)
+        sp.set_defaults(unsupported=None)
+        for flag, kw in OPTIONS.items():
+            if flag in flags:
+                sp.add_argument("--" + flag, **kw)
+            else:
+                sp.add_argument(
+                    "--" + flag,
+                    action=_Unsupported,
+                    nargs=0 if kw.get("action") == "store_true" else None,
+                    default=_default(flag),
+                    help=argparse.SUPPRESS,
+                )
     return p
 
 
@@ -552,7 +576,7 @@ def _handle_from(args):
     spec = _spec_from(args)
     if spec.family == "GL" and args.k and args.l:
         return build_akl(spec.rank, args.k, args.l)
-    return build_am(spec, args.copies, strict=getattr(args, "strict", False))
+    return build_am(spec, args.copies, strict=args.strict)
 
 
 def run(argv):
@@ -566,25 +590,17 @@ def run(argv):
     if not args.command:
         parser.print_help()
         return 2
-    if args.command == "grid" and args.strict:
-        # the grid always runs the derived rules; --strict would change nothing
-        sys.stderr.write("error: --strict is not supported by grid\n")
+    if args.unsupported:
+        sys.stderr.write(f"error: {args.unsupported} is not supported by {args.command}\n")
         return 2
-    fmt = getattr(args, "format", "json")
-    out = getattr(args, "output", None)
-    verbose = getattr(args, "verbose", False)
+    fmt, out, verbose = args.format, args.output, args.verbose
     config = {
         "command": args.command,
-        "family": getattr(args, "family", None),
-        "rank": getattr(args, "rank", None),
-        "copies": getattr(args, "copies", None),
-        "k": getattr(args, "k", None),
-        "l": getattr(args, "l", None),
-        "m": getattr(args, "m", None),
-        "n": getattr(args, "n", None),
-        "max_degree": getattr(args, "max_degree", None),
-        "strict": getattr(args, "strict", False),
-        "sigma": getattr(args, "sigma", False),
+        **{
+            key: getattr(args, key)
+            for key in ("family", "rank", "copies", "k", "l", "m", "n", "max_degree",
+                        "strict", "sigma")
+        },
     }
     try:
         for name in ("copies", "k", "l", "m", "n", "fuel"):
@@ -600,7 +616,7 @@ def run(argv):
             suites = [suite_braiding(_spec_from(args))]
         elif args.command == "relations":
             handle = _handle_from(args)
-            if handle.kind == "Exterior" or (handle.kind == "Am" and handle.spec.family == "GL"):
+            if handle.kind == "Am" and handle.spec.family == "GL":
                 raise SystemExit2("relations needs --family B, C or D, or GL with --k and --l")
             suites = [suite_relations(handle, fuel)]
         elif args.command == "invariance":
@@ -617,8 +633,6 @@ def run(argv):
                 ]
         elif args.command == "fft":
             handle = _handle_from(args)
-            if handle.kind == "Exterior":
-                raise SystemExit2("fft needs --family; the exterior algebra has no pairings")
             suites = [suite_fft(handle, args.max_degree, args.sigma, fuel)]
         elif args.command == "skew-duality":
             suites = [suite_skew(args.m or 2, args.n or 2, fuel)]

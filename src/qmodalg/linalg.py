@@ -14,7 +14,7 @@ so repeated runs do the same arithmetic.
 
 from __future__ import annotations
 
-from .scalar import ONE
+from .scalar import ONE, accumulate
 
 
 def _size(c):
@@ -24,21 +24,8 @@ def _size(c):
 
 def vec_axpy(a, c, b):
     """a + c*b, in a fresh dict."""
-    if not c:
-        return dict(a)
     out = dict(a)
-    for k, x in b.items():
-        s = out.get(k)
-        cx = c * x
-        if s is None:
-            out[k] = cx
-        else:
-            s = s + cx
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+    return accumulate(out, b.items(), c) if c else out
 
 
 class EchelonBasis:

@@ -22,7 +22,16 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .scalar import ONE, Scalar, _div, _lp_fma, _lp_mul, _poly_divmod, _poly_gcd
+from .scalar import (
+    ONE,
+    Scalar,
+    _div,
+    _lp_fma,
+    _lp_mul,
+    _poly_divmod,
+    _poly_gcd,
+    accumulate,
+)
 
 
 def _den_key(den):
@@ -120,17 +129,7 @@ class LinearOperator:
         out = {}
         cols = self.by_col()
         for c, coeff in vec.items():
-            for r, val in cols.get(c, []):
-                s = out.get(r)
-                t = coeff * val
-                if s is None:
-                    out[r] = t
-                else:
-                    s = s + t
-                    if s:
-                        out[r] = s
-                    else:
-                        del out[r]
+            accumulate(out, cols.get(c, ()), coeff)
         return out
 
     def compose(self, other):
@@ -187,17 +186,7 @@ class LinearOperator:
     def __add__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("addition dimension mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s = s + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        out = accumulate(dict(self.entries), other.entries.items())
         return LinearOperator(self.domain, self.codomain, out)
 
     def __sub__(self, other):
@@ -243,15 +232,13 @@ def kron(ops):
     codomain = [tuple(w) for w in product(*[op.codomain for op in ops])]
     entries = {}
     for pairs in product(*[list(op.entries.items()) for op in ops]):
+        # distinct entry tuples give distinct keys, so nothing is summed
         row = tuple(p[0][0] for p in pairs)
         col = tuple(p[0][1] for p in pairs)
         val = pairs[0][1]
         for p in pairs[1:]:
             val = val * p[1]
-        key = (row, col)
-        s = entries.get(key)
-        entries[key] = val if s is None else s + val
-    entries = {k: v for k, v in entries.items() if v}
+        entries[(row, col)] = val
     return LinearOperator(domain, codomain, entries)
 
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 
-from .scalar import ONE
+from .scalar import ONE, accumulate
 
-
-def letter(kind, factor, label):
-    return (kind, factor, label)
+# expansions one normal_form may make when the caller gives no fuel
+DEFAULT_FUEL = 10 ** 6
 
 
 def x_(i, a):
@@ -73,18 +72,7 @@ class NCPolynomial:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w)
-            if s is None:
-                out[w] = c
-            else:
-                s = s + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return NCPolynomial(out)
+        return NCPolynomial(accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
@@ -101,18 +89,7 @@ class NCPolynomial:
         """Free (tensor-algebra) product, no straightening."""
         out = {}
         for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                s = out.get(w)
-                t = c1 * c2
-                if s is None:
-                    out[w] = t
-                else:
-                    s = s + t
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
+            accumulate(out, ((w1 + w2, c2) for w2, c2 in other.coeffs.items()), c1)
         return NCPolynomial(out)
 
     def terms(self):
@@ -172,10 +149,8 @@ class RewriteSystem:
     """Two-letter patterns with polynomial replacements, plus a memoised
     leftmost reduction to ordered-word normal form."""
 
-    def __init__(self, rules, order_descriptor="deglex", fuel_default=10 ** 6):
+    def __init__(self, rules):
         self.rules = {}
-        self.order_descriptor = order_descriptor
-        self.fuel_default = fuel_default
         self._memo = {}
         for pat, repl in rules.items():
             self.add_rule(pat, repl)
@@ -223,14 +198,11 @@ class RewriteSystem:
                 stack.pop()
                 continue
             if budget[0] <= 0:
-                raise FuelExhausted(NCPolynomial({top: ONE}))
+                raise FuelExhausted(NCPolynomial({word: ONE}))
             repl = rules[(top[redex], top[redex + 1])]
             pre, post = top[:redex], top[redex + 2:]
-            deps = {}
-            for w, c in repl.coeffs.items():
-                dep = pre + w + post
-                s = deps.get(dep)
-                deps[dep] = c if s is None else s + c
+            # the replacement words are distinct, so no two deps coincide
+            deps = {pre + w + post: c for w, c in repl.coeffs.items()}
             missing = [d for d in deps if d not in memo]
             if missing:
                 stack.extend(missing)
@@ -238,44 +210,31 @@ class RewriteSystem:
             budget[0] -= 1
             out = {}
             for dep, c in deps.items():
-                if not c:
-                    continue
-                for w, x in memo[dep].items():
-                    s = out.get(w)
-                    t = c * x
-                    if s is None:
-                        out[w] = t
-                    else:
-                        s = s + t
-                        if s:
-                            out[w] = s
-                        else:
-                            del out[w]
+                accumulate(out, memo[dep].items(), c)
             memo[top] = out
             stack.pop()
         return memo[word]
 
     def normal_form(self, poly, fuel=None):
-        """Deterministic normal form, linear in the input polynomial."""
-        budget = [self.fuel_default if fuel is None else fuel]
+        """Deterministic normal form, linear in the input polynomial.
+
+        On FuelExhausted the partial is the normal form of the terms reduced
+        so far plus the remaining terms as they came, so it equals poly in
+        the algebra.
+        """
+        budget = [DEFAULT_FUEL if fuel is None else fuel]
         if budget[0] <= 0:
             raise ValueError("fuel must be positive")
+        terms = poly.terms()
         out = {}
+        done = 0
         try:
-            for word, coeff in poly.terms():
-                for w, x in self._nf_word(word, budget).items():
-                    s = out.get(w)
-                    t = coeff * x
-                    if s is None:
-                        out[w] = t
-                    else:
-                        s = s + t
-                        if s:
-                            out[w] = s
-                        else:
-                            del out[w]
-        except FuelExhausted as exc:
-            raise FuelExhausted(NCPolynomial(out) + exc.partial) from None
+            for word, coeff in terms:
+                accumulate(out, self._nf_word(word, budget).items(), coeff)
+                done += 1
+        except FuelExhausted:
+            rest = NCPolynomial(dict(terms[done:]))
+            raise FuelExhausted(NCPolynomial(out) + rest) from None
         return NCPolynomial(out)
 
     def multiply(self, p, r, fuel=None):

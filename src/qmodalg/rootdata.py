@@ -90,14 +90,9 @@ class RepData:
 
 @lru_cache(maxsize=None)
 def natural_rep(spec: LieTypeSpec) -> RepData:
-    fam, n = spec.family, spec.rank
-    if fam == "GL":
-        return _natural_gl(spec, n)
-    if fam == "D":
-        return _natural_d(spec, n)
-    if fam == "B":
-        return _natural_b(spec, n)
-    return _natural_c(spec, n)
+    if spec.family == "GL":
+        return _natural_gl(spec, spec.rank)
+    return _natural_bcd(spec, spec.rank)
 
 
 def _evec(n, entries):
@@ -132,7 +127,6 @@ def _rho2(spec):
 
 
 def _finish(spec, signed, weights, e, f, k, simple):
-    n = spec.rank
     rho2 = _rho2(spec)
     pair = tuple(sum(r * w for r, w in zip(rho2, wt)) for wt in weights)
     qdim = ZERO
@@ -167,86 +161,40 @@ def _natural_gl(spec, n):
     return _finish(spec, signed, weights, e, f, k, simple)
 
 
-def _bcd_signed(n, with_zero):
-    signed = list(range(1, n + 1))
-    if with_zero:
-        signed.append(0)
-    signed.extend(range(-n, 0))  # -n, -(n-1), ..., -1
-    return signed
+def _bcd_last(family, n):
+    """What sets B, C and D apart: whether the zero label v_0 is present, e_n
+    on signed labels, and alpha_n in epsilon coordinates."""
+    return {
+        "B": (True, {(n, 0): ONE, (0, -n): -ONE}, [(n, 1)]),
+        "C": (False, {(n, -n): ONE}, [(n, 2)]),
+        "D": (False, {(n - 1, -n): ONE, (n, -n + 1): -ONE}, [(n - 1, 1), (n, 1)]),
+    }[family]
 
 
-def _bcd_weights(n, signed):
-    out = []
-    for s in signed:
-        if s == 0:
-            out.append(_evec(n, []))
-        else:
-            out.append(_evec(n, [(abs(s), 1 if s > 0 else -1)]))
-    return out
+def _natural_bcd(spec, n):
+    with_zero, e_last, alpha_last = _bcd_last(spec.family, n)
+    signed = list(range(1, n + 1)) + ([0] if with_zero else []) + list(range(-n, 0))
+    weights = [_evec(n, [(abs(s), 1 if s > 0 else -1)] if s else []) for s in signed]
+    pos = {s: a for a, s in enumerate(signed, start=1)}
+    # the type-A part e_i = E_{i,i+1} - E_{-i-1,-i}, then e_n; f_i = e_i^T
+    blocks = [{(i, i + 1): ONE, (-i - 1, -i): -ONE} for i in range(1, n)] + [e_last]
+    simple = [_evec(n, [(i, 1), (i + 1, -1)]) for i in range(1, n)]
+    simple.append(_evec(n, alpha_last))
+    e, f, k = {}, {}, {}
+    for i, block in enumerate(blocks, start=1):
+        e[i] = {(pos[r], pos[c]): v for (r, c), v in block.items()}
+        f[i] = {(pos[c], pos[r]): v for (r, c), v in block.items()}
+        k[i] = _k_from_weight(weights, simple[i - 1])
+    return _finish(spec, signed, weights, e, f, k, simple)
 
 
-def _sl_block(pos, i, qv=None):
-    """Common type-A part: e_i = E_{i,i+1} - E_{-i-1,-i}, etc., via positions."""
-    e = {(pos(i), pos(i + 1)): ONE, (pos(-i - 1), pos(-i)): -ONE}
-    f = {(pos(i + 1), pos(i)): ONE, (pos(-i), pos(-i - 1)): -ONE}
-    return e, f
-
-
-def _k_from_weight(signed, weights, alpha):
+def _k_from_weight(weights, alpha):
     """Diagonal k with eigenvalue q^{(alpha, wt)} on each basis vector."""
     m = {}
     for a, wt in enumerate(weights, start=1):
         exp = sum(x * y for x, y in zip(alpha, wt))
         m[(a, a)] = q_pow(exp)
     return m
-
-
-def _natural_d(spec, n):
-    signed = _bcd_signed(n, with_zero=False)
-    weights = _bcd_weights(n, signed)
-    pos = lambda s: signed.index(s) + 1
-    e, f, k, simple = {}, {}, {}, []
-    for i in range(1, n):
-        e[i], f[i] = _sl_block(pos, i)
-        simple.append(_evec(n, [(i, 1), (i + 1, -1)]))
-    e[n] = {(pos(n - 1), pos(-n)): ONE, (pos(n), pos(-n + 1)): -ONE}
-    f[n] = {(pos(-n), pos(n - 1)): ONE, (pos(-n + 1), pos(n)): -ONE}
-    simple.append(_evec(n, [(n - 1, 1), (n, 1)]))
-    for i in range(1, n + 1):
-        k[i] = _k_from_weight(signed, weights, simple[i - 1])
-    return _finish(spec, signed, weights, e, f, k, simple)
-
-
-def _natural_b(spec, n):
-    signed = _bcd_signed(n, with_zero=True)
-    weights = _bcd_weights(n, signed)
-    pos = lambda s: signed.index(s) + 1
-    e, f, k, simple = {}, {}, {}, []
-    for i in range(1, n):
-        e[i], f[i] = _sl_block(pos, i)
-        simple.append(_evec(n, [(i, 1), (i + 1, -1)]))
-    e[n] = {(pos(n), pos(0)): ONE, (pos(0), pos(-n)): -ONE}
-    f[n] = {(pos(0), pos(n)): ONE, (pos(-n), pos(0)): -ONE}
-    simple.append(_evec(n, [(n, 1)]))
-    for i in range(1, n + 1):
-        k[i] = _k_from_weight(signed, weights, simple[i - 1])
-    return _finish(spec, signed, weights, e, f, k, simple)
-
-
-def _natural_c(spec, n):
-    signed = _bcd_signed(n, with_zero=False)
-    weights = _bcd_weights(n, signed)
-    pos = lambda s: signed.index(s) + 1
-    e, f, k, simple = {}, {}, {}, []
-    for i in range(1, n):
-        e[i], f[i] = _sl_block(pos, i)
-        simple.append(_evec(n, [(i, 1), (i + 1, -1)]))
-    e[n] = {(pos(n), pos(-n)): ONE}
-    f[n] = {(pos(-n), pos(n)): ONE}
-    simple.append(_evec(n, [(n, 2)]))
-    for i in range(1, n + 1):
-        k[i] = _k_from_weight(signed, weights, simple[i - 1])
-    return _finish(spec, signed, weights, e, f, k, simple)
 
 
 # ---------------------------------------------------------------------------
@@ -287,59 +235,7 @@ def irrep_dim_gl(k, lam):
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers and validation
-
-def mat_mul(a, b):
-    bc = {}
-    for (r, c), v in b.items():
-        bc.setdefault(r, []).append((c, v))
-    out = {}
-    for (r, c), v in a.items():
-        for c2, v2 in bc.get(c, []):
-            key = (r, c2)
-            s = out.get(key)
-            t = v * v2
-            if s is None:
-                out[key] = t
-            else:
-                s = s + t
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return out
-
-
-def mat_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = v
-        else:
-            s = s + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def mat_scale(a, c):
-    return {} if not c else {k: c * v for k, v in a.items()}
-
-
-def mat_sub(a, b):
-    return mat_add(a, mat_scale(b, -ONE))
-
-
-def mat_inv_diag(a, labels):
-    return {(x, x): a[(x, x)].inverse() for x in labels if (x, x) in a}
-
-
-def _commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
+# validation
 
 def _cartan_pairing(spec, ai, aj):
     return sum(x * y for x, y in zip(ai, aj))
@@ -358,12 +254,23 @@ def validate_rep(rep):
     labels = rep.labels
     problems = []
 
+    def op(mat):
+        return LinearOperator(labels, labels, mat)
+
+    def inv_diag(k):
+        return op({(a, b): v.inverse() for (a, b), v in k.entries.items() if a == b})
+
     def check(name, mat):
-        if mat:
+        if not mat.is_zero():
             problems.append(name)
 
+    e = {i: op(m) for i, m in rep.e_mats.items()}
+    f = {i: op(m) for i, m in rep.f_mats.items()}
+    k = {b: op(m) for b, m in rep.k_mats.items()}
+    idx = list(rep.chevalley_indices())
+
     # weights: e_i raises by alpha_i, f_i lowers
-    for i in rep.chevalley_indices():
+    for i in idx:
         ai = rep.simple_roots[i - 1]
         for (r, c), val in rep.e_mats[i].items():
             wr, wc = rep.weights[r - 1], rep.weights[c - 1]
@@ -374,46 +281,38 @@ def validate_rep(rep):
             if tuple(y - x for x, y in zip(wr, wc)) != ai:
                 problems.append(f"f_{i} not lowering by alpha_{i}")
 
-    # k/K relations and [e, f]
+    # k/K relations and [e, f]; GL pairs e_i with K_i K_{i+1}^-1
+    def check_ef(i):
+        ki = k[i] @ inv_diag(k[i + 1]) if spec.family == "GL" else k[i]
+        rhs = (ki - inv_diag(ki)).scale(_ef_denominator(spec, i).inverse())
+        check(f"[e,f]_{i}", e[i] @ f[i] - f[i] @ e[i] - rhs)
+
+    def check_cross(i):
+        for j in idx:
+            if i != j:
+                check(f"[e_{i},f_{j}]", e[i] @ f[j] - f[j] @ e[i])
+
     if spec.family == "GL":
-        for i in rep.chevalley_indices():
-            ka = rep.k_mats[i]
-            kb_inv = mat_inv_diag(rep.k_mats[i + 1], labels)
-            kk = mat_mul(ka, kb_inv)
-            kk_inv = mat_inv_diag(kk, labels)
-            lhs = _commutator(rep.e_mats[i], rep.f_mats[i])
-            rhs = mat_scale(mat_sub(kk, kk_inv), (q_pow(1) - q_pow(-1)).inverse())
-            check(f"[e,f]_{i}", mat_sub(lhs, rhs))
-        for i in rep.chevalley_indices():
-            for j in rep.chevalley_indices():
-                if i != j:
-                    check(f"[e_{i},f_{j}]", _commutator(rep.e_mats[i], rep.f_mats[j]))
+        for i in idx:
+            check_ef(i)
+        for i in idx:
+            check_cross(i)
     else:
-        for i in rep.chevalley_indices():
-            ki = rep.k_mats[i]
-            ki_inv = mat_inv_diag(ki, labels)
-            lhs = _commutator(rep.e_mats[i], rep.f_mats[i])
-            rhs = mat_scale(mat_sub(ki, ki_inv), _ef_denominator(spec, i).inverse())
-            check(f"[e,f]_{i}", mat_sub(lhs, rhs))
-            for j in rep.chevalley_indices():
-                if i != j:
-                    check(f"[e_{i},f_{j}]", _commutator(rep.e_mats[i], rep.f_mats[j]))
+        for i in idx:
+            check_ef(i)
+            check_cross(i)
 
     # k e k^-1 scaling (k diagonal with weight eigenvalues)
     grading = rep.simple_roots if spec.family != "GL" else tuple(
         _evec(spec.rank, [(b, 1)]) for b in rep.cartan_indices()
     )
     for b in rep.cartan_indices():
-        kb = rep.k_mats[b]
-        kb_inv = mat_inv_diag(kb, labels)
-        for j in rep.chevalley_indices():
-            lhs = mat_mul(kb, mat_mul(rep.e_mats[j], kb_inv))
+        for j in idx:
+            lhs = k[b] @ e[j] @ inv_diag(k[b])
             exp = _cartan_pairing(spec, grading[b - 1], rep.simple_roots[j - 1])
-            rhs = mat_scale(rep.e_mats[j], q_pow(exp))
-            check(f"k_{b} e_{j} scaling", mat_sub(lhs, rhs))
+            check(f"k_{b} e_{j} scaling", lhs - e[j].scale(q_pow(exp)))
 
     # Serre relations, with q_i = v^{(alpha_i, alpha_i)}
-    idx = list(rep.chevalley_indices())
     for i in idx:
         for j in idx:
             if i == j:
@@ -426,19 +325,19 @@ def validate_rep(rep):
                 continue
             nrel = 1 - aij // aii
             step = aii  # (alpha_i, alpha_i) in v-units: q_i = v^step
-            for mats, nm in ((rep.e_mats, "e"), (rep.f_mats, "f")):
-                acc = {}
+            for mats, nm in ((e, "e"), (f, "f")):
+                acc = LinearOperator.zero(labels)
                 for s in range(nrel + 1):
                     coeff = gauss_binom(nrel, s, step)
                     if s % 2:
                         coeff = -coeff
-                    term = {(a, a): ONE for a in labels}
+                    term = LinearOperator.identity(labels)
                     for _ in range(nrel - s):
-                        term = mat_mul(term, mats[i])
-                    term = mat_mul(term, mats[j])
+                        term = term @ mats[i]
+                    term = term @ mats[j]
                     for _ in range(s):
-                        term = mat_mul(term, mats[i])
-                    acc = mat_add(acc, mat_scale(term, coeff))
+                        term = term @ mats[i]
+                    acc = acc + term.scale(coeff)
                 check(f"serre {nm} ({i},{j})", acc)
     return problems
 

@@ -48,19 +48,25 @@ def _as_stored(p):
     return p
 
 
-def _lp_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
+def accumulate(acc, pairs, c=None):
+    """acc[k] += x, or c*x when c is given, for each (k, x) in pairs; returns acc.
+
+    Works in place on any sparse dict of ring elements and drops each key
+    whose sum cancels, so an acc without zero values keeps none.
+    """
+    for k, x in pairs:
+        if c is not None:
+            x = c * x
+        s = acc.get(k)
         if s is None:
-            out[e] = c
+            acc[k] = x
         else:
-            s = s + c
+            s = s + x
             if s:
-                out[e] = s
+                acc[k] = s
             else:
-                del out[e]
-    return out
+                del acc[k]
+    return acc
 
 
 def _lp_neg(a):
@@ -196,9 +202,6 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == _DEN_ONE and self.den == _DEN_ONE
-
     def __eq__(self, other):
         if type(other) is not Scalar:
             if isinstance(other, (int, Fraction)):
@@ -224,12 +227,11 @@ class Scalar:
             elif not isinstance(other, Scalar):
                 return NotImplemented
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            num = _as_stored(_lp_add(self.num, other.num))
+            num = _as_stored(accumulate(dict(self.num), other.num.items()))
             return Scalar._raw(num, dict(_DEN_ONE))
-        return Scalar(
-            _lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den)),
-            _lp_mul(self.den, other.den),
-        )
+        num = _lp_mul(self.num, other.den)
+        accumulate(num, _lp_mul(other.num, self.den).items())
+        return Scalar(num, _lp_mul(self.den, other.den))
 
     __radd__ = __add__
 

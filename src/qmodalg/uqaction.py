@@ -16,25 +16,13 @@ from .braiding import invariant_vector_t, tensor_generator_ops
 from .linalg import EchelonBasis, nullspace
 from .ncpoly import NCPolynomial
 from .rootdata import natural_rep, rho_pairing
-from .scalar import ONE, ZERO, q_pow
+from .scalar import ONE, accumulate, q_pow
 
 
 def act(handle, g, p, fuel=None):
     """Normal form of g(p) for a generator reference g."""
     subst, cok = handle.generator_action(g)
     out = {}
-
-    def accumulate(word, coeff):
-        s = out.get(word)
-        if s is None:
-            out[word] = coeff
-        else:
-            s = s + coeff
-            if s:
-                out[word] = s
-            else:
-                del out[word]
-
     for word, c in p.coeffs.items():
         if g.kind in ("k", "k_inv", "sigma"):
             # group-like: substitute every letter (each image is monomial
@@ -44,8 +32,7 @@ def act(handle, g, p, fuel=None):
                 branches = [
                     (w + (nl,), cc * v) for (w, cc) in branches for nl, v in subst[l]
                 ]
-            for w, cc in branches:
-                accumulate(w, cc)
+            accumulate(out, branches)
             continue
         r = len(word)
         for t in range(r):
@@ -58,8 +45,8 @@ def act(handle, g, p, fuel=None):
                     scale = scale * cok[word[s]].inverse()
             if not scale:
                 continue
-            for nl, v in subst[word[t]]:
-                accumulate(word[:t] + (nl,) + word[t + 1:], scale * v)
+            pre, post = word[:t], word[t + 1:]
+            accumulate(out, ((pre + (nl,) + post, v) for nl, v in subst[word[t]]), scale)
     return handle.normal_form(NCPolynomial(out), fuel)
 
 
@@ -138,14 +125,7 @@ def invariant_pair_vector(spec):
     for (kind, i), op in sorted(ops.items()):
         img = op.apply(tvec)
         if kind == "k":
-            diff = dict(img)
-            for key, c in tvec.items():
-                s = diff.get(key, ZERO) - c
-                if s:
-                    diff[key] = s
-                else:
-                    diff.pop(key, None)
-            img = diff
+            img = accumulate(img, tvec.items(), -ONE)
         entries.append(
             {
                 "citation": "invariance of T",

@@ -362,3 +362,26 @@ def test_classical_limit_pole_is_reported(monkeypatch):
         else:
             assert entry["instance"] == f"{spec}: {real(spec).classical_limit()}"
             assert entry["pass"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        ("dims --family D --fuel 3", "--fuel"),
+        ("braiding --family D --copies 7", "--copies"),
+        ("relations --family D --sigma", "--sigma"),
+        ("invariance --family D --strict", "--strict"),
+        ("fft --family D --exterior", "--exterior"),
+        ("skew-duality --family D", "--family"),
+        ("dump-presentation --family D --format text", "--format"),
+        ("oracle-diff --family D --strict", "--strict"),
+        ("grid --max-degree 2", "--max-degree"),
+    ],
+)
+def test_unhonoured_option_exits_two(argv, flag, tmp_path, capsys):
+    # each subcommand takes only the options it reads; another's is refused
+    out = tmp_path / "report.json"
+    assert run(argv.split() + ["--output", str(out)]) == 2
+    command = argv.split()[0]
+    assert capsys.readouterr().err == f"error: {flag} is not supported by {command}\n"
+    assert not out.exists()

@@ -96,13 +96,34 @@ def test_graded_words_validates_length():
 
 
 def test_fuel_exhaustion_carries_partial():
-    h = build_am(LieTypeSpec("D", 2), 2)
+    # a fresh system has a cold memo, whatever ran before in this process
+    rs = RewriteSystem(build_am(LieTypeSpec("D", 2), 2).rs.rules)
     hard = NCPolynomial.from_word((x_(2, 4), x_(2, 3), x_(1, 2), x_(1, 1)))
     with pytest.raises(FuelExhausted) as info:
-        h.normal_form(hard, fuel=1)
+        rs.normal_form(hard, fuel=1)
     assert isinstance(info.value.partial, NCPolynomial)
-    full = h.normal_form(hard)
-    assert h.rs.is_normal_word(next(iter(full.coeffs)))
+    full = rs.normal_form(hard)
+    assert rs.is_normal_word(next(iter(full.coeffs)))
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        [((x_(2, 4), x_(2, 3), x_(1, 2), x_(1, 1)), ONE)],
+        [
+            ((x_(2, 1), x_(1, 1)), ONE),
+            ((x_(2, 4), x_(2, 3), x_(1, 2), x_(1, 1)), q_pow(2)),
+            ((x_(2, 3), x_(1, 4), x_(1, 2)), -q_pow(-1)),
+        ],
+    ],
+)
+def test_fuel_partial_equals_the_input_in_the_algebra(words):
+    rules = build_am(LieTypeSpec("D", 2), 2).rs.rules
+    poly = NCPolynomial(dict(words))
+    with pytest.raises(FuelExhausted) as info:
+        RewriteSystem(rules).normal_form(poly, fuel=1)
+    partial = info.value.partial
+    assert RewriteSystem(rules).normal_form(partial) == RewriteSystem(rules).normal_form(poly)
 
 
 def test_rule_validation_rejects_nondecreasing():

@@ -1,0 +1,73 @@
+"""Every function and class in the package is exported or referenced somewhere.
+
+A reference is any identifier, attribute name or import alias in src/,
+tests/ or perfbench/, or a dotted name the benchmark's tracer looks up by
+string (perfbench/tracing.SPANS).  Dunder methods are called by Python
+itself and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qmodalg"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("qmodalg/__init__.py defines no __all__")
+
+
+def _traced_names():
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+        ):
+            return {
+                part
+                for const in ast.walk(node.value)
+                if isinstance(const, ast.Constant) and isinstance(const.value, str)
+                for part in const.value.split(".")
+            }
+    raise AssertionError("perfbench/tracing.py defines no SPANS")
+
+
+def _references():
+    names = _traced_names()
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+                if node.asname:
+                    names.add(node.asname)
+    return names
+
+
+def test_every_definition_is_exported_or_referenced():
+    keep = _exported() | _references()
+    unused = []
+    for path, tree in _trees("src/qmodalg"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if name not in keep:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, "defined but never used:\n" + "\n".join(unused)
