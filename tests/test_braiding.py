@@ -1,5 +1,6 @@
 import pytest
 
+from qmodalg.algebras import psi_pair_poly
 from qmodalg.braiding import (
     invariant_vector_t,
     pair_eigenvalue_p0,
@@ -14,6 +15,7 @@ from qmodalg.braiding import (
 )
 from qmodalg.linalg import EchelonBasis
 from qmodalg.linop import LinearOperator, lift_block_op
+from qmodalg.ncpoly import NCPolynomial, x_
 from qmodalg.rootdata import LieTypeSpec, natural_rep
 from qmodalg.scalar import ONE, q_pow
 
@@ -109,6 +111,45 @@ def test_t_vector_eigen_relation():
         t = invariant_vector_t(spec)
         kappa = pair_eigenvalue_p0(spec)
         assert rc.apply(t) == {k: kappa * c for k, c in t.items()}
+
+
+def _t_reference(spec):
+    """T and kappa as the per-family formulas wrote them before the pairing
+    table; the reference the table is checked against."""
+    rep = natural_rep(spec)
+    n = spec.rank
+    vec = {}
+    for i in range(1, n + 1):
+        pi, mi = rep.position(i), rep.position(-i)
+        if spec.family == "D":
+            vec[(pi, mi)] = q_pow(n - i)
+            vec[(mi, pi)] = q_pow(i - n)
+        elif spec.family == "B":
+            vec[(pi, mi)] = q_pow(n - i)
+            vec[(mi, pi)] = q_pow(i - n - 1)
+        else:
+            vec[(pi, mi)] = q_pow(n - i + 1)
+            vec[(mi, pi)] = -q_pow(i - n - 1)
+    if spec.family == "B":
+        p0 = rep.position(0)
+        vec[(p0, p0)] = ONE
+    kappa = {"D": q_pow(1 - 2 * n), "B": q_pow(-2 * n), "C": -q_pow(-2 * n - 1)}
+    return vec, kappa[spec.family]
+
+
+T_SPECS = [("B", n) for n in (1, 2, 3, 4)] + [("C", n) for n in (1, 2, 3, 4)]
+T_SPECS += [("D", n) for n in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("family,rank", T_SPECS)
+def test_pairing_matches_the_reference_formulas(family, rank):
+    spec = LieTypeSpec(family, rank)
+    vec, kappa = _t_reference(spec)
+    assert invariant_vector_t(spec) == vec
+    assert pair_eigenvalue_p0(spec) == kappa
+    for i, j in ((1, 2), (2, 1), (2, 2)):
+        lifted = {(x_(i, a), x_(j, b)): c for (a, b), c in vec.items()}
+        assert psi_pair_poly(spec, i, j) == NCPolynomial(lifted)
 
 
 def test_cabled_base_case():

@@ -3,7 +3,8 @@
 A reference is any identifier, attribute name or import alias in src/,
 tests/ or perfbench/, or a dotted name the benchmark's tracer looks up by
 string (perfbench/tracing.SPANS).  Dunder methods are called by Python
-itself and are exempt.
+itself and are exempt.  Every module-level import of a package module
+other than __init__.py is used by a name in that module.
 """
 
 import ast
@@ -71,3 +72,23 @@ def test_every_definition_is_exported_or_referenced():
                 if name not in keep:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path, tree in _trees("src/qmodalg"):
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for name, line in sorted(imported.items()):
+            if name not in used:
+                unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

@@ -281,3 +281,31 @@ def test_invariant_basis_bytes_do_not_depend_on_the_hash_seed():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert len(json.loads(outs[0])) == 3
+
+
+# sha256 of every rendered act(h, g, w): g over the invariance generators
+# (sigma included) and k_inv, w over all words of degree <= 2, per handle
+ACT_PIN = "9ece4633d263938a64266357b4cad842e30db1cd7344e744ebe30e1f9d0feeca"
+
+
+def _act_blob():
+    from itertools import product
+
+    handles = [build_am(LieTypeSpec(f, r), 2) for f, r in (("D", 2), ("B", 1), ("C", 2), ("GL", 2))]
+    handles += [build_akl(2, 2, 2), build_exterior(2, 3)]
+    lines = []
+    for h in handles:
+        gens = h.invariance_generators(include_sigma=True)
+        gens += [GeneratorRef("k_inv", g.index, g.group) for g in gens if g.kind == "k"]
+        words = [w for d in range(3) for w in product(h.alphabet, repeat=d)]
+        for g in gens:
+            for w in words:
+                img = act(h, g, NCPolynomial.from_word(w))
+                lines.append(f"{h.kind} {h.spec} {h.params} {g} {w}: {h.render(img)}")
+    return "\n".join(lines)
+
+
+def test_letter_action_bytes_are_pinned():
+    import hashlib
+
+    assert hashlib.sha256(_act_blob().encode()).hexdigest() == ACT_PIN
