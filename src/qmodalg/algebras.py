@@ -18,6 +18,8 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .braiding import (
+    invariant_vector_t,
+    pairing_terms,
     rcheck,
     rcheck_cabled,
     rmatrix_natural_gl_inverse,
@@ -180,53 +182,49 @@ class AlgebraHandle:
         return self._action_cache[g]
 
     def _build_action(self, g):
-        subst = {}
-        cok = {}
+        """Letter images of g: group m acts on a letter's row l[1], any other
+        group on its label l[2]; a letter with l[0] == 1 is dual."""
         if g.kind == "sigma":
-            op = sigma_candidate(self.spec)
-            cols = {c: list(rows) for c, rows in op.by_col().items()}
-            for l in self.alphabet:
-                subst[l] = tuple(
-                    ((l[0], l[1], r), v) for r, v in cols.get(l[2], [])
-                )
+            cols = sigma_candidate(self.spec).by_col()
+            subst = {
+                l: tuple((l[:2] + (r,), v) for r, v in cols.get(l[2], ()))
+                for l in self.alphabet
+            }
             return subst, None
-        rep = self.reps()["g"]
+        rep = self.reps()[g.group]
+        pos = 1 if g.group == "m" else 2
+        subst, cok = {}, {}
+        if g.kind in ("k", "k_inv"):
+            for l in self.alphabet:
+                ev = rep.k_diag(g.index, l[pos])
+                invert = (l[0] == 1) != (g.kind == "k_inv")
+                subst[l] = ((l, ev.inverse() if invert else ev),)
+            return subst, cok
+        duals = {l[0] == 1 for l in self.alphabet}
+        cols = {dual: self._pi_matrix(rep, g, dual).by_col() for dual in duals}
+        k = rep.coproduct_k(g.index)
         for l in self.alphabet:
-            dual = l[0] == 1
-            label = l[2]
-            if g.kind in ("k", "k_inv"):
-                ev = rep.k_diag(g.index, label)
-                if dual:
-                    ev = ev.inverse()
-                if g.kind == "k_inv":
-                    ev = ev.inverse()
-                subst[l] = ((l, ev),)
-                continue
-            mat = self._pi_matrix(rep, g, dual)
-            images = tuple(
-                ((l[0], l[1], r), v)
-                for (r, c), v in mat.items()
-                if c == label
-            )
-            subst[l] = images
-            kv = rep.coproduct_k(g.index)[label]
-            cok[l] = kv.inverse() if dual else kv
+            dual, label = l[0] == 1, l[pos]
+            images = cols[dual].get(label, ())
+            subst[l] = tuple((l[:pos] + (r,) + l[pos + 1:], v) for r, v in images)
+            cok[l] = k[label].inverse() if dual else k[label]
         return subst, cok
 
     def _pi_matrix(self, rep, g, dual):
-        base = rep.e_mats[g.index] if g.kind == "e" else rep.f_mats[g.index]
-        if not dual:
-            return base
-        # dual coefficient action: pi'(x) = pi(S(x))^T, S(e) = -e k^-1, S(f) = -k f
         labels = rep.labels
-        k = rep.coproduct_k(g.index)
+        base = rep.e_mats[g.index] if g.kind == "e" else rep.f_mats[g.index]
         pi = LinearOperator(labels, labels, base)
+        if not dual:
+            return pi
+        # dual coefficient action: pi'(x) = pi(S(x))^T, S(e) = -e k^-1, S(f) = -k f
+        k = rep.coproduct_k(g.index)
         if g.kind == "e":
             kinv = {(a, a): v.inverse() for a, v in k.items()}
             m = pi @ LinearOperator(labels, labels, kinv)
         else:
             m = LinearOperator(labels, labels, {(a, a): v for a, v in k.items()}) @ pi
-        return {(c, r): -v for (r, c), v in m.entries.items()}
+        dual_entries = {(c, r): -v for (r, c), v in m.entries.items()}
+        return LinearOperator(labels, labels, dual_entries)
 
 
 class ExteriorHandle(AlgebraHandle):
@@ -236,28 +234,6 @@ class ExteriorHandle(AlgebraHandle):
         """Weight in the epsilon basis, concatenated over the two groups."""
         reps = self.reps()
         return reps["m"].weights[l[1] - 1] + reps["n"].weights[l[2] - 1]
-
-    def _build_action(self, g):
-        reps = self.reps()
-        rep = reps[g.group]
-        subst = {}
-        cok = {}
-        pos = 1 if g.group == "m" else 2
-        for l in self.alphabet:
-            label = l[pos]
-            if g.kind in ("k", "k_inv"):
-                ev = rep.k_diag(g.index, label)
-                subst[l] = ((l, ev.inverse() if g.kind == "k_inv" else ev),)
-                continue
-            mat = rep.e_mats[g.index] if g.kind == "e" else rep.f_mats[g.index]
-            images = []
-            for (r, c), v in mat.items():
-                if c == label:
-                    nl = (0, r, l[2]) if pos == 1 else (0, l[1], r)
-                    images.append((nl, v))
-            subst[l] = tuple(images)
-            cok[l] = rep.coproduct_k(g.index)[label]
-        return subst, cok
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +497,11 @@ def presentation_manifest(handle):
 # transcribed textbook presentation variants (strict mode)
 
 class _Printed(NamedTuple):
-    """The q-exponents of one family's printed pairing and cross rules.
+    """The q-exponents of one family's printed cross rules.
 
-    With N = dim V, t <= n and t' = N + 1 - t, the partial sums are
-    psi_t = sum_{s<=t} q^(s-n+psi) X_i,s' X_j,s and bar-psi_t = sum_{s<=t}
-    q^(n-s+bar) X_i,s X_j,s', and the rules read
+    With N = dim V, t <= n, t' = N + 1 - t and psi_t, bar-psi_t the partial
+    sums of the family's pairing (braiding.pairing_terms) on slots (i, j),
+    the rules read
         X_j,t X_i,t' = q^first X_i,t' X_j,t - (q-q^-1) q^(n-t+first_psi) psi_t
         X_j,t' X_i,t = q^second X_i,t X_j,t' + middle (q-q^-1) X_i,t' X_j,t
                        + (q-q^-1) q^(t-n+tail) (bar-psi_(t+bar_next) - Psi)
@@ -533,9 +509,6 @@ class _Printed(NamedTuple):
     """
 
     name: str
-    psi: int
-    bar: int
-    skew: bool  # Psi = bar-psi_n - psi_n instead of bar-psi_n + psi_n
     first: int
     first_psi: int | None
     second: int
@@ -545,40 +518,21 @@ class _Printed(NamedTuple):
 
 
 _PRINTED = {
-    "D": _Printed("even orthogonal", 0, 0, False, 1, 0, 1, -1, 1, 0),
-    "B": _Printed("odd orthogonal", -1, 0, False, 1, 1, -1, -1, 0, 0),
-    "C": _Printed("symplectic", -1, 1, True, -1, None, 1, 1, 1, -1),
+    "D": _Printed("even orthogonal", 1, 0, 1, -1, 1, 0),
+    "B": _Printed("odd orthogonal", 1, 1, -1, -1, 0, 0),
+    "C": _Printed("symplectic", -1, None, 1, 1, 1, -1),
 }
 
 
-def _psi_terms(spec, i, j, t, barred):
-    """Partial sums psi_t / bar-psi_t of the cross rules, as letter dicts."""
-    fam = _PRINTED.get(spec.family)
-    if fam is None:
-        return {}
-    n = spec.rank
-    pairsum = natural_rep(spec).dim_v + 1
-    if barred:
-        return {
-            (x_(i, s), x_(j, pairsum - s)): q_pow(n - s + fam.bar)
-            for s in range(1, t + 1)
-        }
-    return {
-        (x_(i, pairsum - s), x_(j, s)): q_pow(s - n + fam.psi) for s in range(1, t + 1)
-    }
+def slot_pair_poly(terms, i, j):
+    """Label-pair terms {(a, b): v} as the polynomial sum of v X_i,a X_j,b."""
+    return NCPolynomial({(x_(i, a), x_(j, b)): v for (a, b), v in terms.items()})
 
 
 def psi_pair_poly(spec, i, j):
-    """The quadratic pairing element Psi^(i,j) before normalisation."""
-    if spec.family == "GL":
-        raise ValueError("GL pairing uses psi_gl_poly")
-    n = spec.rank
-    sign = -ONE if _PRINTED[spec.family].skew else ONE
-    terms = {w: sign * c for w, c in _psi_terms(spec, i, j, n, False).items()}
-    terms.update(_psi_terms(spec, i, j, n, True))
-    if natural_rep(spec).dim_v % 2:
-        terms[(x_(i, n + 1), x_(j, n + 1))] = ONE
-    return NCPolynomial(terms)
+    """The quadratic pairing element Psi^(i,j) before normalisation: T on
+    slots (i, j)."""
+    return slot_pair_poly(invariant_vector_t(spec), i, j)
 
 
 def psi_gl_poly(n, i, beta):
@@ -603,7 +557,7 @@ def _printed_cross_rules(spec, m):
                 return (x_(i, a), x_(j, b))
 
             def partial_sum(t, barred):
-                return NCPolynomial(_psi_terms(spec, i, j, t, barred))
+                return slot_pair_poly(pairing_terms(spec, 1, t, barred), i, j)
 
             psi_full = psi_pair_poly(spec, i, j)
             for a in range(1, dim + 1):

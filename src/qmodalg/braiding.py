@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .linalg import EchelonBasis, Expresser
 from .linop import LinearOperator, kron, lift_pair_op
@@ -25,16 +26,52 @@ class SpectralConsistencyError(RuntimeError):
     """The listed spanning vectors failed to be a basis of V (x) V."""
 
 
+class _Pairing(NamedTuple):
+    """The q-exponents of one family's invariant pairing.
+
+    With N = dim V and s' = N + 1 - s the label paired with s, the pairing
+    T = bar-psi_n + sign psi_n (+ v_0 (x) v_0 when N is odd) is made of
+        psi_t = sum_{s<=t} q^(s-n+psi) v_s' (x) v_s,
+        bar-psi_t = sum_{s<=t} q^(n-s+bar) v_s (x) v_s',
+    where sign is -1 for a skew pairing, and R-check acts on T by
+    kappa = sign q^(kappa-2n).
+    """
+
+    psi: int
+    bar: int
+    skew: bool
+    kappa: int
+
+
+_PAIRINGS = {
+    "D": _Pairing(0, 0, False, 1),
+    "B": _Pairing(-1, 0, False, 0),
+    "C": _Pairing(-1, 1, True, -1),
+}
+
+
+def pairing(spec):
+    """The family's invariant pairing row; GL pairs V with its dual instead."""
+    if spec.family not in _PAIRINGS:
+        raise ValueError("GL has no invariant pairing on V (x) V")
+    return _PAIRINGS[spec.family]
+
+
+def pairing_terms(spec, lo, hi, barred):
+    """The terms of psi (or bar-psi) for lo <= s <= hi, keyed by label pairs."""
+    row = pairing(spec)
+    n = spec.rank
+    pairsum = natural_rep(spec).dim_v + 1
+    if barred:
+        return {(s, pairsum - s): q_pow(n - s + row.bar) for s in range(lo, hi + 1)}
+    return {(pairsum - s, s): q_pow(s - n + row.psi) for s in range(lo, hi + 1)}
+
+
 def pair_eigenvalue_p0(spec):
     """Eigenvalue of R-check on the one-dimensional summand L_0."""
-    n = spec.rank
-    if spec.family == "D":
-        return q_pow(1 - 2 * n)
-    if spec.family == "B":
-        return q_pow(-2 * n)
-    if spec.family == "C":
-        return -q_pow(-2 * n - 1)
-    raise ValueError("GL has no L_0 summand")
+    row = pairing(spec)
+    kappa = q_pow(row.kappa - 2 * spec.rank)
+    return -kappa if row.skew else kappa
 
 
 def _rep_op(rep, mat):
@@ -75,25 +112,12 @@ def tensor_generator_ops(rep, r):
 
 def invariant_vector_t(spec):
     """The distinguished invariant vector T in V (x) V, in position labels."""
-    rep = natural_rep(spec)
     n = spec.rank
-    vec = {}
-    for i in range(1, n + 1):
-        pi, mi = rep.position(i), rep.position(-i)
-        if spec.family == "D":
-            vec[(pi, mi)] = q_pow(n - i)
-            vec[(mi, pi)] = q_pow(i - n)
-        elif spec.family == "B":
-            vec[(pi, mi)] = q_pow(n - i)
-            vec[(mi, pi)] = q_pow(i - n - 1)
-        elif spec.family == "C":
-            vec[(pi, mi)] = q_pow(n - i + 1)
-            vec[(mi, pi)] = -q_pow(i - n - 1)
-        else:
-            raise ValueError("GL has no invariant vector in V (x) V")
-    if spec.family == "B":
-        p0 = rep.position(0)
-        vec[(p0, p0)] = ONE
+    sign = -ONE if pairing(spec).skew else ONE
+    vec = {w: sign * c for w, c in pairing_terms(spec, 1, n, False).items()}
+    vec.update(pairing_terms(spec, 1, n, True))
+    if natural_rep(spec).dim_v % 2:
+        vec[(n + 1, n + 1)] = ONE  # v_0 (x) v_0, v_0 at position n + 1
     return vec
 
 
@@ -214,14 +238,14 @@ def projectors(spec):
     }
 
 
-def rmatrix_natural_gl(n):
-    """R = 1(x)1 + (q-1) sum E_aa (x) E_aa + (q-q^-1) sum_{a<b} E_ab (x) E_ba."""
+def _rmatrix_gl(n, e):
+    """R = 1(x)1 + (q^e-1) sum E_aa (x) E_aa + (q^e-q^-e) sum_{a<b} E_ab (x) E_ba."""
     labels = tuple(range(1, n + 1))
     words = [tuple(w) for w in product(labels, repeat=2)]
     entries = {}
-    qq = q_pow(1) - q_pow(-1)
+    qq = q_pow(e) - q_pow(-e)
     for a, b in words:
-        entries[((a, b), (a, b))] = q_pow(1) if a == b else ONE
+        entries[((a, b), (a, b))] = q_pow(e) if a == b else ONE
     for a in labels:
         for b in labels:
             if a < b:
@@ -229,19 +253,14 @@ def rmatrix_natural_gl(n):
     return LinearOperator(words, words, entries)
 
 
+def rmatrix_natural_gl(n):
+    """The R-matrix of the natural GL_n module."""
+    return _rmatrix_gl(n, 1)
+
+
 def rmatrix_natural_gl_inverse(n):
-    """Explicit inverse of the GL natural R-matrix."""
-    labels = tuple(range(1, n + 1))
-    words = [tuple(w) for w in product(labels, repeat=2)]
-    entries = {}
-    qq = q_pow(1) - q_pow(-1)
-    for a, b in words:
-        entries[((a, b), (a, b))] = q_pow(-1) if a == b else ONE
-    for a in labels:
-        for b in labels:
-            if a < b:
-                entries[((a, b), (b, a))] = -qq
-    return LinearOperator(words, words, entries)
+    """Its inverse: the same matrix with q replaced by q^-1."""
+    return _rmatrix_gl(n, -1)
 
 
 def _flip(labels):

@@ -24,13 +24,14 @@ from .algebras import (
     printed_rule_diffs,
     tensor_oracle_product,
 )
-from .braiding import projectors, verify_braid_and_skein
+from .braiding import pairing, projectors, verify_braid_and_skein
 from .invariants import (
     fft_verify,
     psi,
     skew_duality_check,
     verify_relation_suite,
 )
+from .linalg import rank
 from .linop import LinearOperator
 from .ncpoly import FuelExhausted, NCPolynomial
 from .rootdata import LieTypeSpec, natural_rep, quantum_dimension
@@ -103,7 +104,7 @@ def suite_braiding(spec):
             "pass": ident == LinearOperator.identity(ident.domain),
         }
     )
-    ranks = {name: _image_rank(projs[name]) for name in names}
+    ranks = {name: rank(p.column(c) for c in p.domain) for name, p in projs.items()}
     entries.append(
         {
             "citation": "projector ranks",
@@ -121,17 +122,6 @@ def suite_braiding(spec):
             }
         )
     return {"name": f"braiding {spec}", "entries": entries}
-
-
-def _image_rank(p):
-    from .linalg import EchelonBasis
-
-    eb = EchelonBasis()
-    for c in p.domain:
-        col = p.column(c)
-        if col:
-            eb.add(col)
-    return eb.rank()
 
 
 def suite_dims(handle, max_degree, label):
@@ -265,7 +255,7 @@ def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
         handle = build_am(spec, m)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                if spec.family == "C" and i == j:
+                if i == j and pairing(spec).skew:
                     continue
                 rep = is_invariant(
                     handle, psi(handle, (i, j), fuel), include_sigma=include_sigma, fuel=fuel

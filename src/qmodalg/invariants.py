@@ -14,11 +14,12 @@ from typing import NamedTuple
 
 from .algebras import (
     GeneratorRef,
-    _psi_terms,
     build_exterior,
     psi_gl_poly,
     psi_pair_poly,
+    slot_pair_poly,
 )
+from .braiding import pair_eigenvalue_p0, pairing, pairing_terms
 from .linalg import EchelonBasis
 from .ncpoly import NCPolynomial, x_, y_
 from .rootdata import irrep_dim_gl, natural_rep
@@ -41,7 +42,7 @@ def psi(handle, ref, fuel=None):
     m = handle.params["m"]
     if not (1 <= i <= m and 1 <= j <= m):
         raise PsiRefError(f"pair {ref} outside the slot range")
-    if handle.spec.family == "C" and i == j:
+    if i == j and pairing(handle.spec).skew:
         raise PsiRefError("the symplectic family has no equal-slot generator")
     return handle.normal_form(psi_pair_poly(handle.spec, i, j), fuel)
 
@@ -49,34 +50,35 @@ def psi(handle, ref, fuel=None):
 def phi_partial(handle, kind, indices, t=None, fuel=None):
     """Named partial sums of the pairing generators, in normal form."""
     spec = handle.spec
-    n = spec.rank
+    if handle.kind not in ("Sq", "Am") or spec.family == "GL":
+        raise PsiRefError("partial sums exist for the B, C and D slot algebras")
+    m, n = handle.params["m"], spec.rank
+    slots = indices if isinstance(indices, tuple) else (indices,)
+    if not all(1 <= s <= m for s in slots):
+        raise PsiRefError(f"slots {slots} outside 1..{m}")
     if kind in ("phi_plus", "phi_minus"):
-        (i,) = indices if isinstance(indices, tuple) else (indices,)
+        (i,) = slots
         t = 1 if t is None else t
         if not 1 <= t <= n + 1:
             raise PsiRefError("start index out of range")
-        if spec.family not in ("B", "D"):
+        if pairing(spec).skew:
             raise PsiRefError("phi partial sums exist for the orthogonal families")
-        pairsum = 2 * n + 1 if spec.family == "D" else 2 * n + 2
-        terms = {}
-        for s in range(t, n + 1):
-            if kind == "phi_plus":
-                terms[(x_(i, s), x_(i, pairsum - s))] = q_pow(n - s)
-            else:
-                if spec.family != "D":
-                    raise PsiRefError("phi_minus is defined for the even family")
-                terms[(x_(i, pairsum - s), x_(i, s))] = q_pow(s - n)
-        return handle.normal_form(NCPolynomial(terms), fuel)
+        if kind == "phi_minus" and spec.family != "D":
+            raise PsiRefError("phi_minus is defined for the even family")
+        terms = pairing_terms(spec, t, n, barred=(kind == "phi_plus"))
+        return handle.normal_form(slot_pair_poly(terms, i, i), fuel)
     if kind in ("psi_t", "bar_psi_t"):
-        i, j = indices
+        i, j = slots
         if t is None:
             raise PsiRefError("partial sums need the cut index t")
-        terms = _psi_terms(spec, i, j, t, barred=(kind == "bar_psi_t"))
-        return handle.normal_form(NCPolynomial(terms), fuel)
+        if not 1 <= t <= n:
+            raise PsiRefError("cut index out of range")
+        terms = pairing_terms(spec, 1, t, barred=(kind == "bar_psi_t"))
+        return handle.normal_form(slot_pair_poly(terms, i, j), fuel)
     if kind == "varphi":
         if spec.family != "B":
             raise PsiRefError("varphi is the odd orthogonal correction term")
-        (i,) = indices if isinstance(indices, tuple) else (indices,)
+        (i,) = slots
         bar = phi_partial(handle, "bar_psi_t", (i, i), n, fuel)
         corr = NCPolynomial(
             {(x_(i, n + 1), x_(i, n + 1)): (ONE - q_pow(-1)) / (q_pow(1) - q_pow(-1))}
@@ -109,15 +111,15 @@ class _Family(NamedTuple):
     """What one classical family changes in the shared B/C/D relation suite.
 
     The suite's relation families are the same for all three: the twist
-    under slot swap, centrality, outside letters, the letter between the
-    slots, the letter exchanges and the pairing-pairing exchanges.
+    under slot swap (by kappa), centrality, outside letters, the letter
+    between the slots, the letter exchanges and the pairing-pairing
+    exchanges.  A skew pairing (braiding.pairing) has no equal-slot
+    generator and mirrored pure letter q-exchanges.
     """
 
-    twist: object        # n -> c with Psi^(j,i) = c Psi^(i,j) for i < j
     correction: object   # (handle, slot, fuel) -> correction term, or None
     ratio: object        # n -> c with correction = c Psi^(i,i), or None
     corr_first: bool     # right letter exchange reads corr_j x_i, not x_i corr_j
-    skew: bool           # no equal-slot pairing; mirrored pure letter q-exchanges
     labels: tuple        # instance prefixes of the twist and of the triples
     citations: dict      # citations where the family's printed name differs
     variants: dict       # notes where the printed source differs
@@ -149,21 +151,17 @@ _SIGN = "printed second sign +; verified -"
 
 _FAMILIES = {
     "D": _Family(
-        twist=lambda n: q_pow(1 - 2 * n),
         correction=lambda h, i, fuel: phi_partial(h, "bar_psi_t", (i, i), h.spec.rank, fuel),
         ratio=None,
         corr_first=False,
-        skew=False,
         labels=("(i,j)=", "(a,b,c)="),
         citations={},
         variants={"shared-left": _SORTED, "shared-middle": _SORTED, "shared-right": _SORTED},
     ),
     "B": _Family(
-        twist=lambda n: q_pow(-2 * n),
         correction=lambda h, i, fuel: phi_partial(h, "varphi", (i,), fuel=fuel),
         ratio=lambda n: (ONE + q_pow(1 - 2 * n)).inverse(),
         corr_first=True,
-        skew=False,
         labels=("(i,j)=", "(a,b,c)="),
         citations={},
         variants={
@@ -176,11 +174,9 @@ _FAMILIES = {
         },
     ),
     "C": _Family(
-        twist=lambda n: -q_pow(-1 - 2 * n),
         correction=None,
         ratio=None,
         corr_first=False,
-        skew=True,
         labels=("(s,t)=", ""),
         citations={
             "twist": "skew twist of the pairing under slot swap",
@@ -222,12 +218,13 @@ def _suite_classical(handle, fam, fuel):
     every slot index tuple in a fixed order, with the family's differences
     read from its table row."""
     m, n = handle.params["m"], handle.spec.rank
+    skew, kappa = pairing(handle.spec).skew, pair_eigenvalue_p0(handle.spec)
     qq = _qq()
     mul = lambda a, b: handle.multiply(a, b, fuel)
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     slots = range(1, m + 1)
-    P = {(i, j): psi(handle, (i, j), fuel) for i in slots for j in slots if i != j or not fam.skew}
+    P = {(i, j): psi(handle, (i, j), fuel) for i in slots for j in slots if i != j or not skew}
     corr = {i: fam.correction(handle, i, fuel) for i in slots} if fam.correction else None
     letters = range(1, natural_rep(handle.spec).dim_v + 1)
     x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
@@ -238,11 +235,11 @@ def _suite_classical(handle, fam, fuel):
         entries.append(_entry(citation, instance, res, handle, fam.variants.get(key)))
 
     for i, j in combinations(slots, 2):
-        add("twist", f"{fam.labels[0]}({i},{j})", P[(j, i)] - P[(i, j)].scale(fam.twist(n)))
+        add("twist", f"{fam.labels[0]}({i},{j})", P[(j, i)] - P[(i, j)].scale(kappa))
     if fam.ratio:
         for i in slots:
             add("ratio", f"i={i}", corr[i] - P[(i, i)].scale(fam.ratio(n)))
-    if not fam.skew:
+    if not skew:
         for i in slots:
             for k in slots:
                 for a in letters:
@@ -258,7 +255,7 @@ def _suite_classical(handle, fam, fuel):
     for i, j in combinations(slots, 2):
         for a in letters:
             xi, xj, pij = x[(i, a)], x[(j, a)], P[(i, j)]
-            if fam.skew:
+            if skew:
                 left = exchange(xi, pij, q_pow(1))
                 right = exchange(pij, xj, q_pow(1))
             else:
@@ -267,7 +264,7 @@ def _suite_classical(handle, fam, fuel):
                 right = exchange(xj, pij, q_pow(-1)) - rcorr.scale(qq)
             add("left", f"i={i},j={j},a={a}", left)
             add("right", f"i={i},j={j},a={a}", right)
-    if not fam.skew:
+    if not skew:
         for i in slots:
             for j in slots:
                 for k in range(j, m + 1):
@@ -403,11 +400,11 @@ def _psi_generators(handle):
             degs[(i, b)] = tuple(d)
         return gens, degs
     m = handle.params["m"]
-    strict = handle.spec.family == "C"
+    skew = pairing(handle.spec).skew
     gens = [
         (i, j)
         for i in range(1, m + 1)
-        for j in range(i + (1 if strict else 0), m + 1)
+        for j in range(i + (1 if skew else 0), m + 1)
     ]
     degs = {}
     for (i, j) in gens:

@@ -68,6 +68,23 @@ def test_varphi_example_rank_one():
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "family,rank,kind,indices,t",
+    [
+        ("GL", 2, "psi_t", (1, 2), 1),      # GL has no pairing
+        ("GL", 2, "bar_psi_t", (1, 2), 1),
+        ("C", 2, "psi_t", (1, 2), 5),       # t must lie in 1..n
+        ("D", 2, "psi_t", (1, 7), 1),       # slot 7 of 2
+        ("D", 2, "phi_plus", 5, 1),
+        ("B", 1, "varphi", (3,), None),
+    ],
+)
+def test_phi_partial_rejects_what_it_cannot_build(family, rank, kind, indices, t):
+    h = build_am(LieTypeSpec(family, rank), 2)
+    with pytest.raises(PsiRefError):
+        phi_partial(h, kind, indices, t)
+
+
 def test_psi_gl():
     h = build_akl(2, 2, 2)
     got = psi(h, (1, 1))
