@@ -200,6 +200,50 @@ def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert hashlib.sha256(reports[0]).hexdigest() == GRID_SHA256
 
 
+# (argv, exit code, sha256 of the report file): between them these cover
+# every entry shape (residual, variant, agrees and printed, the dimension
+# fields, sigma_filtered_dim) and the text format
+SUBCOMMAND_PINS = [
+    ("braiding --family C --rank 3", 0,
+     "82b49b2bd1de9568bff0a2b1fe940def0036af9a9151049fed393fab832f24c9"),
+    ("dims --family GL --rank 2 --k 2 --l 3 --max-degree 3", 0,
+     "0557545f405ea34e8494d1d2819bb75a04c723e745609ddcafb5972cf45d002f"),
+    ("dims --exterior --m 2 --n 3", 0,
+     "b121b539808ec6fa744700c6073b47c3755c861973c8726f9b9bc6f7893d6444"),
+    ("dims --family B --rank 1 --copies 3 --max-degree 3", 0,
+     "cbbe620e082ace851444ddc8660e25b9707f903924b80605750a009ea6913ec8"),
+    ("relations --family D --rank 2 --copies 3 --strict --verbose", 1,
+     "27acc56c946ebb47f79c86d6258a9c0f52f7ff2d2e2ec3fcebda0812240a83e1"),
+    ("relations --family B --rank 1 --copies 3 --strict --format text", 1,
+     "df53b886bdedc7e785256162149f5620272b76caf9906f156db376e89a0bb873"),
+    ("relations --family GL --rank 2 --k 2 --l 3", 0,
+     "780f2b25672458d2108660ccb85ff60aed862a4af62c6e1ab06dfa50857239ec"),
+    ("invariance --family B --rank 1 --copies 3 --sigma", 0,
+     "4f88c9078a4d9fb721eab16b9db6d2aedcb7374c2f9176a8ed23451627f3cf31"),
+    ("invariance --family GL --rank 2 --k 2 --l 3", 0,
+     "d4b08dccb60be304feca98ae1c14b39235a736133f7cc83bac8c1808f3c887dd"),
+    ("fft --family D --rank 2 --max-degree 3 --sigma", 0,
+     "5c5f98c523b49ab9a5ea28ebbb97d304c5305954d08d9abe3fc3665864f5e5f7"),
+    ("fft --family GL --rank 2 --k 2 --l 2 --max-degree 2", 0,
+     "453b03772c04ab92b6955f762ce23614b10d1c057cf45d2d1709b423f8954954"),
+    ("skew-duality --m 2 --n 3", 0,
+     "3b0295e0ca6d97295ec0138322b0ccf06616ef8ae19c2edb884882fd4cca8017"),
+    ("oracle-diff --family B --rank 1 --copies 2", 0,
+     "e52b466b8dc4611b79eea5543753b684341d0e7ae69c43c570613513b734ad0c"),
+    ("oracle-diff --family D --rank 2 --verbose", 0,
+     "484572cf92a1da40d09f96f0db075240a509708d9f1cd82845256e3022985255"),
+    ("oracle-diff --family D --rank 2 --verbose --format text", 0,
+     "2ad378a2c69a0a2bf920b17252523c4a59b2b3d929844659583e22f591233bd1"),
+]
+
+
+def test_subcommand_report_bytes_are_pinned(tmp_path):
+    for i, (argv, code, sha) in enumerate(SUBCOMMAND_PINS):
+        out = tmp_path / f"report-{i}"
+        assert run(argv.split() + ["--output", str(out)]) == code, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, argv
+
+
 def test_failing_checks_exit_one(tmp_path):
     # the transcribed printed rules do not satisfy the twist relations, so
     # the relation suite under --strict must report failures and exit 1

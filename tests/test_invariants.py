@@ -112,9 +112,23 @@ def test_relation_suites_smaller_grid(family, rank, m):
     assert rep["pass"], [e for e in rep["entries"] if not e["pass"]][:3]
 
 
+# sha256 (suite_sha below) of the GL relation suites on build_akl(n, k, l)
+# where the i<j and alpha<beta loops run more than once; the grid pins only
+# k = l = 2.
+GL_SUITE_PINS = {
+    (2, 3, 3): "eb85993b2c80e796e74dc6a942c19e66a9aea09d722c66b17ece858c9633c20a",
+    (3, 2, 3): "3ada78d892109158d2add63ab31253855b5143f77f05e98e10387c8b3316ed3b",
+    (2, 3, 2): "98e502223520e1d72725957673aafcea6f220ffd720b5b7d7ea4cbf895ac43b3",
+}
+
+
 def test_relation_suite_gl():
     rep = verify_relation_suite(build_akl(2, 2, 2))
     assert rep["pass"]
+    for (n, k, l), sha in GL_SUITE_PINS.items():
+        rep = verify_relation_suite(build_akl(n, k, l))
+        assert rep["pass"], (n, k, l)
+        assert suite_sha(rep) == sha, (n, k, l)
 
 
 # sha256 of the canonical JSON of each suite's entries: citation, instance,
