@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .braiding import (
     invariant_vector_t,
+    pairing,
     pairing_terms,
     rcheck,
     rcheck_cabled,
@@ -36,6 +37,7 @@ from .ncpoly import (
     x_,
     y_,
 )
+from .report import check
 from .rootdata import LieTypeSpec, natural_rep, sigma_candidate
 from .scalar import ONE, accumulate, q_pow
 
@@ -268,7 +270,7 @@ def _pair_rules_solved(spec):
     """labels (b, a) with b > a mapped to {(c, d) c<=d: Scalar}, exactly."""
     sd = spectral_data(spec)
     ideal = list(sd.summand("anti")[1])
-    if spec.family == "C":
+    if spec.family != "GL" and pairing(spec).skew:
         ideal.extend(sd.summand("triv")[1])
     labels = natural_rep(spec).labels
     normal = [(a, b) for a in labels for b in labels if a <= b]
@@ -591,8 +593,9 @@ def _printed_cross_rules(spec, m):
 def printed_rule_diffs(spec, m=2):
     """Compare printed cross rules against the R-check-derived ones.
 
-    Returns entries citing each differing pattern with both replacements
-    reduced against the shipped system.
+    Returns one informational (passing) report entry per printed pattern,
+    recording whether both replacements agree once reduced against the
+    shipped system.
     """
     shipped = build_am(spec, m)
     printed, prov = _printed_cross_rules(spec, m)
@@ -601,15 +604,11 @@ def printed_rule_diffs(spec, m=2):
         lhs = shipped.normal_form(NCPolynomial.from_word(pat))
         rhs = shipped.normal_form(repl)
         diff = lhs - rhs
-        entries.append(
-            {
-                "provenance": prov,
-                "pattern": "".join(default_letter_str(l) for l in pat),
-                "printed": repl.render(default_letter_str),
-                "agrees": diff.is_zero(),
-                "residual": None if diff.is_zero() else shipped.render(diff),
-            }
-        )
+        agrees = diff.is_zero()
+        pattern = "".join(default_letter_str(l) for l in pat)
+        residual = None if agrees else shipped.render(diff)
+        text = repl.render(default_letter_str)
+        entries.append(check(prov, pattern, True, printed=text, agrees=agrees, residual=residual))
     return entries
 
 

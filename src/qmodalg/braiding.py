@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .linalg import EchelonBasis, Expresser
 from .linop import LinearOperator, kron, lift_pair_op
+from .report import check, suite
 from .rootdata import LieTypeSpec, natural_rep
 from .scalar import ONE, accumulate, q_pow
 
@@ -314,13 +315,7 @@ def verify_braid_and_skein(spec):
     r1 = lift_pair_op(rc, rep.labels, 3, 1)
     r2 = lift_pair_op(rc, rep.labels, 3, 2)
     braid_ok = (r1 @ r2 @ r1) == (r2 @ r1 @ r2)
-    entries.append(
-        {
-            "citation": "YB braid relation on V^3",
-            "instance": str(spec),
-            "pass": braid_ok,
-        }
-    )
+    entries.append(check("YB braid relation on V^3", str(spec), braid_ok))
 
     words = rc.domain
     ident = LinearOperator.identity(words)
@@ -330,24 +325,13 @@ def verify_braid_and_skein(spec):
     acc = factors[0]
     for f in factors[1:]:
         acc = acc @ f
-    entries.append(
-        {
-            "citation": "skein minimal polynomial",
-            "instance": "(R-q)(R+q^-1)" + ("(R-kappa)" if spec.family != "GL" else ""),
-            "pass": acc.is_zero(),
-        }
-    )
+    instance = "(R-q)(R+q^-1)" + ("(R-kappa)" if spec.family != "GL" else "")
+    entries.append(check("skein minimal polynomial", instance, acc.is_zero()))
 
     # R-check commutes with the coproduct action of every generator
     ops = tensor_generator_ops(rep, 2)
     comm_ok = all(rc.commutes_with(op) for op in ops.values())
-    entries.append(
-        {
-            "citation": "R-check intertwines the coproduct action",
-            "instance": str(spec),
-            "pass": comm_ok,
-        }
-    )
+    entries.append(check("R-check intertwines the coproduct action", str(spec), comm_ok))
 
     if spec.family != "GL":
         # T^(2,1) has the same coefficient table as T^(1,2) once V_2 (x) V_1
@@ -355,17 +339,6 @@ def verify_braid_and_skein(spec):
         tvec = invariant_vector_t(spec)
         kappa = pair_eigenvalue_p0(spec)
         diff = accumulate(rc.apply(tvec), tvec.items(), -kappa)
-        entries.append(
-            {
-                "citation": "R-check T^(1,2) = kappa T^(2,1)",
-                "instance": str(spec),
-                "pass": not diff,
-            }
-        )
+        entries.append(check("R-check T^(1,2) = kappa T^(2,1)", str(spec), not diff))
 
-    return {
-        "suite": "braiding",
-        "spec": str(spec),
-        "entries": entries,
-        "pass": all(e["pass"] for e in entries),
-    }
+    return suite(f"braiding {spec}", entries)

@@ -34,6 +34,7 @@ from .invariants import (
 from .linalg import rank
 from .linop import LinearOperator
 from .ncpoly import FuelExhausted, NCPolynomial
+from .report import check, suite
 from .rootdata import LieTypeSpec, natural_rep, quantum_dimension
 from .scalar import PoleAtOneError
 from .uqaction import invariant_pair_vector, is_invariant
@@ -74,54 +75,35 @@ def _fuel_default():
 
 def suite_braiding(spec):
     report = verify_braid_and_skein(spec)
-    entries = list(report["entries"])
+    entries = report["entries"]
     projs = projectors(spec)
     names = sorted(projs)
     ident = None
     for name in names:
         p = projs[name]
         ident = p if ident is None else ident + p
-        entries.append(
-            {
-                "citation": "projector idempotence",
-                "instance": f"{spec} {name}",
-                "pass": (p @ p) == p,
-            }
-        )
+        entries.append(check("projector idempotence", f"{spec} {name}", (p @ p) == p))
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            entries.append(
-                {
-                    "citation": "projector orthogonality",
-                    "instance": f"{spec} {a}|{b}",
-                    "pass": (projs[a] @ projs[b]).is_zero(),
-                }
-            )
-    entries.append(
-        {
-            "citation": "projectors resolve the identity",
-            "instance": str(spec),
-            "pass": ident == LinearOperator.identity(ident.domain),
-        }
-    )
+            ok = (projs[a] @ projs[b]).is_zero()
+            entries.append(check("projector orthogonality", f"{spec} {a}|{b}", ok))
+    ok = ident == LinearOperator.identity(ident.domain)
+    entries.append(check("projectors resolve the identity", str(spec), ok))
     ranks = {name: rank(p.column(c) for c in p.domain) for name, p in projs.items()}
-    entries.append(
-        {
-            "citation": "projector ranks",
-            "instance": f"{spec}: " + ", ".join(f"{k}={v}" for k, v in sorted(ranks.items())),
-            "pass": True,
-        }
-    )
+    instance = f"{spec}: " + ", ".join(f"{k}={v}" for k, v in sorted(ranks.items()))
+    entries.append(check("projector ranks", instance, True))
     if str(spec) == "D2":
-        entries.append(
-            {
-                "citation": "expected projector ranks (9, 6, 1)",
-                "instance": str(spec),
-                "pass": (ranks.get("sym"), ranks.get("anti"), ranks.get("triv"))
-                == (9, 6, 1),
-            }
-        )
-    return {"name": f"braiding {spec}", "entries": entries}
+        ok = (ranks.get("sym"), ranks.get("anti"), ranks.get("triv")) == (9, 6, 1)
+        entries.append(check("expected projector ranks (9, 6, 1)", str(spec), ok))
+    return suite(report["name"], entries)
+
+
+def _bidegrees(handle, max_total):
+    """The Akl multidegrees grouped by bidegree (dx, dy), dx + dy <= max_total."""
+    k, l = handle.params["k"], handle.params["l"]
+    for dx in range(max_total + 1):
+        for dy in range(max_total + 1 - dx):
+            yield dx, dy, [cx + cy for cx in _compositions(dx, k) for cy in _compositions(dy, l)]
 
 
 def suite_dims(handle, max_degree, label):
@@ -134,43 +116,26 @@ def suite_dims(handle, max_degree, label):
                 handle.graded_dimension(d) for d in handle.degree_compositions(k)
             )
         entries.append(
-            {
-                "citation": "exterior total dimension 2^(mn)",
-                "instance": f"{label}: {total}",
-                "pass": total == 2 ** (m * n),
-            }
+            check("exterior total dimension 2^(mn)", f"{label}: {total}", total == 2 ** (m * n))
         )
-        return {"name": f"dims {label}", "entries": entries}
+        return suite(f"dims {label}", entries)
     if handle.kind == "Akl":
         n, k, l = handle.params["n"], handle.params["k"], handle.params["l"]
-        for dx in range(max_degree + 1):
-            for dy in range(max_degree + 1 - dx):
-                got = 0
-                for comp_x in _compositions(dx, k):
-                    for comp_y in _compositions(dy, l):
-                        got += handle.graded_dimension(tuple(comp_x) + tuple(comp_y))
-                want = comb(k * n + dx - 1, dx) * comb(l * n + dy - 1, dy)
-                entries.append(
-                    {
-                        "citation": "flat bidegree dimension",
-                        "instance": f"{label} ({dx},{dy}): {got} vs {want}",
-                        "pass": got == want,
-                    }
-                )
-        return {"name": f"dims {label}", "entries": entries}
+        for dx, dy, degrees in _bidegrees(handle, max_degree):
+            got = sum(handle.graded_dimension(d) for d in degrees)
+            want = comb(k * n + dx - 1, dx) * comb(l * n + dy - 1, dy)
+            instance = f"{label} ({dx},{dy}): {got} vs {want}"
+            entries.append(check("flat bidegree dimension", instance, got == want))
+        return suite(f"dims {label}", entries)
     m = handle.params["m"]
     dim_v = natural_rep(handle.spec).dim_v
     for k in range(max_degree + 1):
         got = sum(handle.graded_dimension(d) for d in handle.degree_compositions(k))
         want = comb(m * dim_v + k - 1, k)
         entries.append(
-            {
-                "citation": "flat total-degree dimension",
-                "instance": f"{label} k={k}: {got} vs {want}",
-                "pass": got == want,
-            }
+            check("flat total-degree dimension", f"{label} k={k}: {got} vs {want}", got == want)
         )
-    return {"name": f"dims {label}", "entries": entries}
+    return suite(f"dims {label}", entries)
 
 
 def suite_oracle(spec, m, max_total_degree, fuel=None):
@@ -194,46 +159,25 @@ def suite_oracle(spec, m, max_total_degree, fuel=None):
             if presented != oracle:
                 mismatches += 1
                 entries.append(
-                    {
-                        "citation": "presented product differs from the tensor route",
-                        "instance": f"{handle.render(p1)} * {handle.render(p2)}",
-                        "pass": False,
-                        "residual": handle.render(presented - oracle),
-                    }
+                    check(
+                        "presented product differs from the tensor route",
+                        f"{handle.render(p1)} * {handle.render(p2)}",
+                        False,
+                        residual=handle.render(presented - oracle),
+                    )
                 )
-    entries.append(
-        {
-            "citation": "tensor-route agreement",
-            "instance": f"{spec} m={m}: {checked} pairs, {mismatches} mismatches",
-            "pass": mismatches == 0,
-        }
-    )
-    return {"name": f"oracle {spec} m={m}", "entries": entries}
+    instance = f"{spec} m={m}: {checked} pairs, {mismatches} mismatches"
+    entries.append(check("tensor-route agreement", instance, mismatches == 0))
+    return suite(f"oracle {spec} m={m}", entries)
 
 
 def suite_oracle_diff(spec, m=2):
     """Printed presentation variants audited against the shipped rules."""
-    entries = []
-    for e in printed_rule_diffs(spec, m):
-        entries.append(
-            {
-                "citation": e["provenance"],
-                "instance": e["pattern"],
-                "pass": True,  # audit entries are informational
-                "agrees": e["agrees"],
-                "printed": e["printed"],
-                **({"residual": e["residual"]} if e["residual"] else {}),
-            }
-        )
+    entries = printed_rule_diffs(spec, m)
     disagreements = sum(1 for e in entries if not e["agrees"])
-    entries.append(
-        {
-            "citation": "printed-variant audit summary",
-            "instance": f"{spec} m={m}: {disagreements} of {len(entries)} rules differ",
-            "pass": True,
-        }
-    )
-    return {"name": f"oracle-diff {spec}", "entries": entries}
+    instance = f"{spec} m={m}: {disagreements} of {len(entries)} rules differ"
+    entries.append(check("printed-variant audit summary", instance, True))
+    return suite(f"oracle-diff {spec}", entries)
 
 
 def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
@@ -245,11 +189,7 @@ def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
             for b in range(1, l + 1):
                 rep = is_invariant(handle, psi(handle, (i, b), fuel), fuel=fuel)
                 entries.append(
-                    {
-                        "citation": "pairing generator invariance",
-                        "instance": f"{spec} Psi[{i},{b}]",
-                        "pass": rep.verdict,
-                    }
+                    check("pairing generator invariance", f"{spec} Psi[{i},{b}]", rep.verdict)
                 )
     else:
         handle = build_am(spec, m)
@@ -261,43 +201,28 @@ def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
                     handle, psi(handle, (i, j), fuel), include_sigma=include_sigma, fuel=fuel
                 )
                 entries.append(
-                    {
-                        "citation": "pairing generator invariance",
-                        "instance": f"{spec} Psi[{i},{j}]",
-                        "pass": rep.verdict,
-                    }
+                    check("pairing generator invariance", f"{spec} Psi[{i},{j}]", rep.verdict)
                 )
         _, trep = invariant_pair_vector(spec)
-        for e in trep["entries"]:
-            entries.append(e)
-    return {"name": f"invariance {spec}", "entries": entries}
+        entries.extend(trep["entries"])
+    return suite(f"invariance {spec}", entries)
 
 
 def suite_relations(handle, fuel=None):
-    rep = verify_relation_suite(handle, fuel)
-    return {"name": f"relations {rep['algebra']}", "entries": rep["entries"]}
+    return verify_relation_suite(handle, fuel)
 
 
 def suite_fft(handle, max_total, include_sigma=False, fuel=None):
-    entries = []
     if handle.kind == "Akl":
-        k, l = handle.params["k"], handle.params["l"]
-        for dx in range(max_total + 1):
-            for dy in range(max_total + 1 - dx):
-                for comp_x in _compositions(dx, k):
-                    for comp_y in _compositions(dy, l):
-                        d = tuple(comp_x) + tuple(comp_y)
-                        entries.append(fft_verify(handle, d, include_sigma, fuel))
+        degrees = [d for _, _, ds in _bidegrees(handle, max_total) for d in ds]
     else:
-        for k in range(max_total + 1):
-            for d in handle.degree_compositions(k):
-                entries.append(fft_verify(handle, d, include_sigma, fuel))
-    return {"name": f"fft {handle.kind} {handle.spec} {handle.params}", "entries": entries}
+        degrees = [d for k in range(max_total + 1) for d in handle.degree_compositions(k)]
+    entries = [fft_verify(handle, d, include_sigma, fuel) for d in degrees]
+    return suite(f"fft {handle.kind} {handle.spec} {handle.params}", entries)
 
 
 def suite_skew(m, n, fuel=None):
-    rep = skew_duality_check(m, n, fuel)
-    return {"name": f"skew-duality ({m},{n})", "entries": rep["entries"]}
+    return skew_duality_check(m, n, fuel)
 
 
 def suite_classical(fuel=None):
@@ -312,13 +237,7 @@ def suite_classical(fuel=None):
             instance, ok = f"{spec}: pole at v = 1", False
         else:
             instance, ok = f"{spec}: {qd}", qd == natural_rep(spec).dim_v
-        entries.append(
-            {
-                "citation": "classical limit of the quantum dimension",
-                "instance": instance,
-                "pass": ok,
-            }
-        )
+        entries.append(check("classical limit of the quantum dimension", instance, ok))
     handles.append(("A2(D2)", build_am(LieTypeSpec("D", 2), 2)))
     handles.append(("A2(B1)", build_am(LieTypeSpec("B", 1), 2)))
     handles.append(("A2(C2)", build_am(LieTypeSpec("C", 2), 2)))
@@ -332,13 +251,13 @@ def suite_classical(fuel=None):
             if not _classical_rule_ok(handle, pat, repl):
                 bad += 1
         entries.append(
-            {
-                "citation": "rules degenerate to the (anti)commutative algebra at v=1",
-                "instance": f"{label}: {len(handle.rs.rules)} rules, {bad} defects",
-                "pass": bad == 0,
-            }
+            check(
+                "rules degenerate to the (anti)commutative algebra at v=1",
+                f"{label}: {len(handle.rs.rules)} rules, {bad} defects",
+                bad == 0,
+            )
         )
-    return {"name": "classical-limit", "entries": entries}
+    return suite("classical-limit", entries)
 
 
 def _classical_rule_ok(handle, pattern, replacement):
@@ -569,6 +488,15 @@ def _handle_from(args):
     return build_am(spec, args.copies, strict=args.strict)
 
 
+def _pairing_handle_from(args):
+    """The algebra of a suite over the pairing generators, which a GL slot
+    algebra does not have."""
+    handle = _handle_from(args)
+    if handle.kind == "Am" and handle.spec.family == "GL":
+        raise SystemExit2(f"{args.command} needs --family B, C or D, or GL with --k and --l")
+    return handle
+
+
 def run(argv):
     parser = build_parser()
     if "--grid" in argv and not argv[0:1] == ["grid"]:
@@ -605,10 +533,7 @@ def run(argv):
         elif args.command == "braiding":
             suites = [suite_braiding(_spec_from(args))]
         elif args.command == "relations":
-            handle = _handle_from(args)
-            if handle.kind == "Am" and handle.spec.family == "GL":
-                raise SystemExit2("relations needs --family B, C or D, or GL with --k and --l")
-            suites = [suite_relations(handle, fuel)]
+            suites = [suite_relations(_pairing_handle_from(args), fuel)]
         elif args.command == "invariance":
             spec = _spec_from(args)
             if spec.family == "GL":
@@ -622,7 +547,7 @@ def run(argv):
                     )
                 ]
         elif args.command == "fft":
-            handle = _handle_from(args)
+            handle = _pairing_handle_from(args)
             suites = [suite_fft(handle, args.max_degree, args.sigma, fuel)]
         elif args.command == "skew-duality":
             suites = [suite_skew(args.m or 2, args.n or 2, fuel)]

@@ -22,6 +22,7 @@ from .algebras import (
 from .braiding import pair_eigenvalue_p0, pairing, pairing_terms
 from .linalg import EchelonBasis
 from .ncpoly import NCPolynomial, x_, y_
+from .report import check, suite
 from .rootdata import irrep_dim_gl, natural_rep
 from .scalar import ONE, q_pow
 from .uqaction import act, invariant_basis, span_contained_in
@@ -91,16 +92,9 @@ def phi_partial(handle, kind, indices, t=None, fuel=None):
 # relation suites
 
 def _entry(citation, instance, residual, handle, variant=None):
-    e = {
-        "citation": citation,
-        "instance": instance,
-        "pass": residual.is_zero(),
-    }
-    if variant is not None:
-        e["variant"] = variant
-    if not residual.is_zero():
-        e["residual"] = handle.render(residual)
-    return e
+    ok = residual.is_zero()
+    residual = None if ok else handle.render(residual)
+    return check(citation, instance, ok, variant=variant, residual=residual)
 
 
 def _qq():
@@ -205,12 +199,7 @@ def verify_relation_suite(handle, fuel=None):
         entries = _suite_classical(handle, _FAMILIES[handle.spec.family], fuel)
     else:
         raise ValueError("no relation suite for this handle")
-    return {
-        "suite": "relations",
-        "algebra": f"{handle.kind}({handle.spec}, {handle.params})",
-        "entries": entries,
-        "pass": all(e["pass"] for e in entries),
-    }
+    return suite(f"relations {handle.kind}({handle.spec}, {handle.params})", entries)
 
 
 def _suite_classical(handle, fam, fuel):
@@ -294,94 +283,55 @@ def _suite_gl(handle, fuel):
     k, l, n = handle.params["k"], handle.params["l"], handle.params["n"]
     qq = _qq()
     mul = lambda a, b: handle.multiply(a, b, fuel)
-    P = {}
-    for i in range(1, k + 1):
-        for b in range(1, l + 1):
-            P[(i, b)] = psi(handle, (i, b), fuel)
+    comm = lambda a, b: mul(a, b) - mul(b, a)
+    exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
+    rows, cols, labels = range(1, k + 1), range(1, l + 1), range(1, n + 1)
+    P = {(i, b): psi(handle, (i, b), fuel) for i in rows for b in cols}
+    x = {(i, a): NCPolynomial.from_word((x_(i, a),)) for i in rows for a in labels}
+    y = {(b, a): NCPolynomial.from_word((y_(b, a),)) for b in cols for a in labels}
     entries = []
-    labels = list(range(1, n + 1))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for beta in range(1, l + 1):
-                for a in labels:
-                    xa = NCPolynomial.from_word((x_(i, a),))
-                    xja = NCPolynomial.from_word((x_(j, a),))
-                    res = mul(P[(j, beta)], xa) - mul(xa, P[(j, beta)])
-                    entries.append(
-                        _entry("later-row pairing commutes with X", f"i={i},j={j},b={beta},a={a}", res, handle)
-                    )
-                    res = (
-                        mul(xja, P[(i, beta)])
-                        - mul(P[(i, beta)], xja)
-                        - mul(xa, P[(j, beta)]).scale(qq)
-                    )
-                    entries.append(
-                        _entry("X past an earlier-row pairing", f"i={i},j={j},b={beta},a={a}", res, handle)
-                    )
-    for i in range(1, k + 1):
-        for beta in range(1, l + 1):
+
+    def add(citation, instance, res):
+        entries.append(_entry(citation, instance, res, handle))
+
+    for i, j in combinations(rows, 2):
+        for beta in cols:
             for a in labels:
-                xa = NCPolynomial.from_word((x_(i, a),))
-                res = mul(P[(i, beta)], xa) - mul(xa, P[(i, beta)]).scale(q_pow(-1))
-                entries.append(
-                    _entry("same-row X q-exchange", f"i={i},b={beta},a={a}", res, handle)
-                )
-    for alpha in range(1, l + 1):
-        for beta in range(alpha + 1, l + 1):
-            for j in range(1, k + 1):
-                for b in labels:
-                    ya = NCPolynomial.from_word((y_(alpha, b),))
-                    yb = NCPolynomial.from_word((y_(beta, b),))
-                    res = mul(P[(j, beta)], ya) - mul(ya, P[(j, beta)])
-                    entries.append(
-                        _entry("later-row pairing commutes with Y", f"j={j},alpha={alpha},beta={beta},b={b}", res, handle)
-                    )
-                    res = (
-                        mul(P[(j, alpha)], yb)
-                        - mul(yb, P[(j, alpha)])
-                        - mul(ya, P[(j, beta)]).scale(qq)
-                    )
-                    entries.append(
-                        _entry("Y past an earlier-row pairing", f"j={j},alpha={alpha},beta={beta},b={b}", res, handle)
-                    )
-    for i in range(1, k + 1):
-        for beta in range(1, l + 1):
+                inst = f"i={i},j={j},b={beta},a={a}"
+                add("later-row pairing commutes with X", inst, comm(P[(j, beta)], x[(i, a)]))
+                res = comm(x[(j, a)], P[(i, beta)]) - mul(x[(i, a)], P[(j, beta)]).scale(qq)
+                add("X past an earlier-row pairing", inst, res)
+    for i in rows:
+        for beta in cols:
+            for a in labels:
+                res = exchange(P[(i, beta)], x[(i, a)], q_pow(-1))
+                add("same-row X q-exchange", f"i={i},b={beta},a={a}", res)
+    for alpha, beta in combinations(cols, 2):
+        for j in rows:
             for b in labels:
-                yb = NCPolynomial.from_word((y_(beta, b),))
-                res = mul(P[(i, beta)], yb) - mul(yb, P[(i, beta)]).scale(q_pow(1))
-                entries.append(
-                    _entry("same-row Y q-exchange", f"i={i},b={beta},col={b}", res, handle)
-                )
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for alpha in range(1, l + 1):
-                for beta in range(alpha + 1, l + 1):
-                    res = mul(P[(j, beta)], P[(i, alpha)]) - mul(P[(i, alpha)], P[(j, beta)])
-                    entries.append(
-                        _entry("disjoint pairings commute", f"({i},{alpha}),({j},{beta})", res, handle)
-                    )
-                    res = (
-                        mul(P[(j, alpha)], P[(i, beta)])
-                        - mul(P[(i, beta)], P[(j, alpha)])
-                        - mul(P[(i, alpha)], P[(j, beta)]).scale(qq)
-                    )
-                    entries.append(
-                        _entry("crossed pairings exchange", f"({i},{beta}),({j},{alpha})", res, handle)
-                    )
-    for i in range(1, k + 1):
-        for alpha in range(1, l + 1):
-            for beta in range(alpha + 1, l + 1):
-                res = mul(P[(i, beta)], P[(i, alpha)]) - mul(P[(i, alpha)], P[(i, beta)]).scale(q_pow(-1))
-                entries.append(
-                    _entry("shared X-row pairing q-exchange", f"i={i},{alpha}<{beta}", res, handle)
-                )
-    for beta in range(1, l + 1):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                res = mul(P[(j, beta)], P[(i, beta)]) - mul(P[(i, beta)], P[(j, beta)]).scale(q_pow(1))
-                entries.append(
-                    _entry("shared Y-row pairing q-exchange", f"{i}<{j},beta={beta}", res, handle)
-                )
+                inst = f"j={j},alpha={alpha},beta={beta},b={b}"
+                add("later-row pairing commutes with Y", inst, comm(P[(j, beta)], y[(alpha, b)]))
+                res = comm(P[(j, alpha)], y[(beta, b)]) - mul(y[(alpha, b)], P[(j, beta)]).scale(qq)
+                add("Y past an earlier-row pairing", inst, res)
+    for i in rows:
+        for beta in cols:
+            for b in labels:
+                res = exchange(P[(i, beta)], y[(beta, b)], q_pow(1))
+                add("same-row Y q-exchange", f"i={i},b={beta},col={b}", res)
+    for i, j in combinations(rows, 2):
+        for alpha, beta in combinations(cols, 2):
+            res = comm(P[(j, beta)], P[(i, alpha)])
+            add("disjoint pairings commute", f"({i},{alpha}),({j},{beta})", res)
+            res = comm(P[(j, alpha)], P[(i, beta)]) - mul(P[(i, alpha)], P[(j, beta)]).scale(qq)
+            add("crossed pairings exchange", f"({i},{beta}),({j},{alpha})", res)
+    for i in rows:
+        for alpha, beta in combinations(cols, 2):
+            res = exchange(P[(i, beta)], P[(i, alpha)], q_pow(-1))
+            add("shared X-row pairing q-exchange", f"i={i},{alpha}<{beta}", res)
+    for beta in cols:
+        for i, j in combinations(rows, 2):
+            res = exchange(P[(j, beta)], P[(i, beta)], q_pow(1))
+            add("shared Y-row pairing q-exchange", f"{i}<{j},beta={beta}", res)
     return entries
 
 
@@ -389,28 +339,25 @@ def _suite_gl(handle, fuel):
 # spans of pairing monomials and the invariant-space comparison
 
 def _psi_generators(handle):
+    """The pairing generators' index pairs and their multidegrees."""
     if handle.kind == "Akl":
         k, l = handle.params["k"], handle.params["l"]
         gens = [(i, b) for i in range(1, k + 1) for b in range(1, l + 1)]
-        degs = {}
-        for (i, b) in gens:
-            d = [0] * (k + l)
-            d[i - 1] += 1
-            d[k + b - 1] += 1
-            degs[(i, b)] = tuple(d)
-        return gens, degs
-    m = handle.params["m"]
-    skew = pairing(handle.spec).skew
-    gens = [
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(i + (1 if skew else 0), m + 1)
-    ]
+        size, shift = k + l, k  # Y row b is grading slot k + b
+    else:
+        m = handle.params["m"]
+        skew = pairing(handle.spec).skew
+        gens = [
+            (i, j)
+            for i in range(1, m + 1)
+            for j in range(i + (1 if skew else 0), m + 1)
+        ]
+        size, shift = m, 0
     degs = {}
     for (i, j) in gens:
-        d = [0] * m
+        d = [0] * size
         d[i - 1] += 1
-        d[j - 1] += 1
+        d[shift + j - 1] += 1
         degs[(i, j)] = tuple(d)
     return gens, degs
 
@@ -455,18 +402,18 @@ def fft_verify(handle, degree, include_sigma=False, fuel=None):
     inv = invariant_basis(handle, degree, fuel=fuel)
     span_dim, span_vecs = psi_monomial_span(handle, degree, fuel)
     contained = span_contained_in(span_vecs, inv)
-    entry = {
-        "citation": "invariants generated by the pairings",
-        "instance": f"degree {tuple(degree)}",
-        "invariant_dim": len(inv),
-        "span_dim": span_dim,
-        "contained": contained,
-        "pass": len(inv) == span_dim and contained,
-    }
+    sigma_dim = None
     if include_sigma and handle.spec is not None and handle.spec.family in ("B", "D"):
-        inv_sigma = invariant_basis(handle, degree, include_sigma=True, fuel=fuel)
-        entry["sigma_filtered_dim"] = len(inv_sigma)
-    return entry
+        sigma_dim = len(invariant_basis(handle, degree, include_sigma=True, fuel=fuel))
+    return check(
+        "invariants generated by the pairings",
+        f"degree {tuple(degree)}",
+        len(inv) == span_dim and contained,
+        invariant_dim=len(inv),
+        span_dim=span_dim,
+        contained=contained,
+        sigma_filtered_dim=sigma_dim,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +448,14 @@ def exterior_highest_weight(handle, lam, fuel=None):
     for grp, rng in (("m", m), ("n", n)):
         for a in range(1, rng):
             img = act(handle, GeneratorRef("e", a, grp), pol, fuel)
-            entries.append(
-                {
-                    "citation": f"raising operator annihilates (gl_{grp})",
-                    "instance": f"lambda={lam}, e_{a}",
-                    "pass": img.is_zero(),
-                }
-            )
+            inst = f"lambda={lam}, e_{a}"
+            entries.append(check(f"raising operator annihilates (gl_{grp})", inst, img.is_zero()))
     wt = handle.weight(word)
     lam_padded = lam + (0,) * (m - len(lam))
     conj = _conjugate(lam) + (0,) * (n - len(_conjugate(lam)))
-    entries.append(
-        {
-            "citation": "bi-weight is (lambda, lambda')",
-            "instance": f"lambda={lam}",
-            "pass": wt == tuple(lam_padded) + tuple(conj),
-        }
-    )
-    report = {
-        "suite": "exterior-highest-weight",
-        "entries": entries,
-        "pass": all(e["pass"] for e in entries),
-    }
-    return pol, report
+    ok = wt == tuple(lam_padded) + tuple(conj)
+    entries.append(check("bi-weight is (lambda, lambda')", f"lambda={lam}", ok))
+    return pol, suite(f"highest weight lambda={lam}", entries)
 
 
 def _box_partitions(m, n):
@@ -553,33 +485,18 @@ def skew_duality_check(m, n, fuel=None):
         by_degree[sum(lam)] = by_degree.get(sum(lam), 0) + dim
         _, hw = exterior_highest_weight(handle, lam, fuel)
         entries.append(
-            {
-                "citation": "highest weight vector for the box partition",
-                "instance": f"lambda={lam}",
-                "pass": hw["pass"],
-            }
+            check("highest weight vector for the box partition", f"lambda={lam}", hw["pass"])
         )
-    entries.append(
-        {
-            "citation": "total dimension is 2^(mn)",
-            "instance": f"sum={total}",
-            "pass": total == 2 ** (m * n),
-        }
-    )
+    entries.append(check("total dimension is 2^(mn)", f"sum={total}", total == 2 ** (m * n)))
     for k in range(0, m * n + 1):
         graded = sum(
             handle.graded_dimension(d) for d in handle.degree_compositions(k)
         )
         entries.append(
-            {
-                "citation": "degreewise refinement matches the graded dimension",
-                "instance": f"degree {k}: {by_degree.get(k, 0)} vs {graded}",
-                "pass": by_degree.get(k, 0) == graded,
-            }
+            check(
+                "degreewise refinement matches the graded dimension",
+                f"degree {k}: {by_degree.get(k, 0)} vs {graded}",
+                by_degree.get(k, 0) == graded,
+            )
         )
-    return {
-        "suite": "skew-duality",
-        "instance": f"(m,n)=({m},{n})",
-        "entries": entries,
-        "pass": all(e["pass"] for e in entries),
-    }
+    return suite(f"skew-duality ({m},{n})", entries)

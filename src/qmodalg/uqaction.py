@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .braiding import invariant_vector_t, tensor_generator_ops
 from .linalg import EchelonBasis, nullspace
 from .ncpoly import NCPolynomial
+from .report import check, suite
 from .rootdata import natural_rep, rho_pairing
 from .scalar import ONE, accumulate, q_pow
 
@@ -126,13 +127,7 @@ def invariant_pair_vector(spec):
         img = op.apply(tvec)
         if kind == "k":
             img = accumulate(img, tvec.items(), -ONE)
-        entries.append(
-            {
-                "citation": "invariance of T",
-                "instance": f"{kind}_{i}",
-                "pass": not img,
-            }
-        )
+        entries.append(check("invariance of T", f"{kind}_{i}", not img))
     constants = []
     for i in range(1, spec.rank + 1):
         pi, mi = rep.position(i), rep.position(-i)
@@ -140,28 +135,13 @@ def invariant_pair_vector(spec):
         cmi = tvec[(mi, pi)]
         constants.append(ci / cmi * q_pow(-rho_pairing(spec, pi)))
     const_ok = all(c == constants[0] for c in constants)
-    entries.append(
-        {
-            "citation": "normalisation constant independent of i",
-            "instance": ", ".join(str(c) for c in constants),
-            "pass": const_ok,
-        }
-    )
+    instance = ", ".join(str(c) for c in constants)
+    entries.append(check("normalisation constant independent of i", instance, const_ok))
     if spec.family == "B":
         entries.append(
-            {
-                "citation": "zero weight present forces constant 1",
-                "instance": str(constants[0]),
-                "pass": constants[0] == ONE,
-            }
+            check("zero weight present forces constant 1", str(constants[0]), constants[0] == ONE)
         )
-    report = {
-        "suite": "invariant-pair-vector",
-        "spec": str(spec),
-        "entries": entries,
-        "pass": all(e["pass"] for e in entries),
-    }
-    return tvec, report
+    return tvec, suite(f"invariance {spec}", entries)
 
 
 def span_contained_in(vectors, basis_polys):

@@ -320,6 +320,20 @@ def test_bad_option_values_exit_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["relations", "fft"])
+def test_gl_slot_algebra_has_no_pairing_suites(command, tmp_path, capsys):
+    # without --k and --l a GL family names the slot algebra, which has no
+    # pairing generators: a bad argument, not an internal error
+    out = tmp_path / "report.json"
+    argv = [command, "--family", "GL", "--rank", "2", "--output", str(out)]
+    if command == "fft":
+        argv += ["--max-degree", "2"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {command} needs --family B, C or D, or GL with --k and --l\n"
+    assert not out.exists()
+
+
 def test_malformed_env_fuel_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("QMODALG_FUEL", "abc")
     assert run(["relations", "--family", "D", "--rank", "2"]) == 2

@@ -4,7 +4,8 @@ A reference is any identifier, attribute name or import alias in src/,
 tests/ or perfbench/, or a dotted name the benchmark's tracer looks up by
 string (perfbench/tracing.SPANS).  Dunder methods are called by Python
 itself and are exempt.  Every module-level import of a package module
-other than __init__.py is used by a name in that module.
+other than __init__.py is used by a name in that module.  Report entries
+are built by report.check, never as a dict literal elsewhere.
 """
 
 import ast
@@ -92,3 +93,16 @@ def test_every_module_import_is_used():
             if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_report_entries_are_built_by_check():
+    literals = []
+    for path, tree in _trees("src/qmodalg"):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "citation" for key in node.keys
+            ):
+                literals.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not literals, "report entries written as dict literals:\n" + "\n".join(literals)
