@@ -115,10 +115,8 @@ def suite_dims(handle, max_degree, label):
             total += sum(
                 handle.graded_dimension(d) for d in handle.degree_compositions(k)
             )
-        entries.append(
-            check("exterior total dimension 2^(mn)", f"{label}: {total}", total == 2 ** (m * n))
-        )
-        return suite(f"dims {label}", entries)
+        entry = check("exterior total dimension 2^(mn)", f"{label}: {total}", total == 2 ** (m * n))
+        return suite(f"dims {label}", [entry])
     if handle.kind == "Akl":
         n, k, l = handle.params["n"], handle.params["k"], handle.params["l"]
         for dx, dy, degrees in _bidegrees(handle, max_degree):

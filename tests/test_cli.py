@@ -308,6 +308,7 @@ def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
         "skew-duality --n -1",
         "fft --family B --rank 1 --max-degree -1",
         "relations --family GL --rank 2",
+        "fft --family GL --rank 2 --max-degree 2",
         "relations --exterior",
         "fft --exterior",
         "oracle-diff --family GL --rank 2",
@@ -317,20 +318,6 @@ def test_bad_option_values_exit_two(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(argv.split() + ["--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["relations", "fft"])
-def test_gl_slot_algebra_has_no_pairing_suites(command, tmp_path, capsys):
-    # without --k and --l a GL family names the slot algebra, which has no
-    # pairing generators: a bad argument, not an internal error
-    out = tmp_path / "report.json"
-    argv = [command, "--family", "GL", "--rank", "2", "--output", str(out)]
-    if command == "fft":
-        argv += ["--max-degree", "2"]
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {command} needs --family B, C or D, or GL with --k and --l\n"
     assert not out.exists()
 
 
