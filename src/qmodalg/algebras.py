@@ -126,11 +126,11 @@ class AlgebraHandle:
 
     # -- algebra operations --------------------------------------------------
 
-    def normal_form(self, p, fuel=None):
-        return self.rs.normal_form(p, fuel)
+    def normal_form(self, p):
+        return self.rs.normal_form(p)
 
-    def multiply(self, p, r, fuel=None):
-        return self.rs.multiply(p, r, fuel)
+    def multiply(self, p, r):
+        return self.rs.normal_form(p.concat(r))
 
     def one(self):
         return NCPolynomial.one()
@@ -615,7 +615,7 @@ def printed_rule_diffs(spec, m=2):
 # ---------------------------------------------------------------------------
 # the independent tensor-route product
 
-def _slot_blocks(word, m):
+def _slot_blocks(word):
     blocks = []
     for l in word:
         slot = l[1]
@@ -636,7 +636,7 @@ def _slot_only_system(spec, m):
     return RewriteSystem(rules)
 
 
-def tensor_oracle_product(spec, m, x, y, fuel=None):
+def tensor_oracle_product(spec, m, x, y):
     """Product computed without cross-slot rewrite rules: lift each slot
     monomial to its tensor word, braid whole blocks past each other with
     cabled R-checks, then re-straighten every slot with the one-slot rules."""
@@ -644,13 +644,13 @@ def tensor_oracle_product(spec, m, x, y, fuel=None):
     out = NCPolynomial()
     for wx, cx in x.terms():
         for wy, cy in y.terms():
-            prod = _oracle_word_product(spec, m, wx, wy, rs, fuel)
+            prod = _oracle_word_product(spec, wx, wy, rs)
             out = out + prod.scale(cx * cy)
     return out
 
 
-def _oracle_word_product(spec, m, wx, wy, slot_rs, fuel):
-    blocks = _slot_blocks(wx, m) + _slot_blocks(wy, m)
+def _oracle_word_product(spec, wx, wy, slot_rs):
+    blocks = _slot_blocks(wx) + _slot_blocks(wy)
     slots = [b[0] for b in blocks]
     sizes = [len(b[1]) for b in blocks]
     states = {tuple(b[1] for b in blocks): ONE}
@@ -676,7 +676,5 @@ def _oracle_word_product(spec, m, wx, wy, slot_rs, fuel):
         word = []
         for slot, block in zip(slots, labels):
             word.extend(x_(slot, a) for a in block)
-        out = out + slot_rs.normal_form(
-            NCPolynomial.from_word(tuple(word)), fuel
-        ).scale(coeff)
+        out = out + slot_rs.normal_form(NCPolynomial.from_word(tuple(word))).scale(coeff)
     return out

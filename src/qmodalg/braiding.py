@@ -122,7 +122,7 @@ def invariant_vector_t(spec):
     return vec
 
 
-def _closure(rep, seeds, ops):
+def _closure(seeds, ops):
     """Exact U_q-submodule closure of the seed vectors inside V^(x)r."""
     eb = EchelonBasis()
     queue = []
@@ -140,7 +140,7 @@ def _closure(rep, seeds, ops):
     return basis
 
 
-def _wedge(rep, a, b):
+def _wedge(a, b):
     """v_a (x) v_b - q^-1 v_b (x) v_a in position labels."""
     return {(a, b): ONE, (b, a): -q_pow(-1)}
 
@@ -168,18 +168,18 @@ def spectral_data(spec):
     ops = list(tensor_generator_ops(rep, 2).values())
 
     sym_seed = {(1, 1): ONE}
-    l_s = _closure(rep, [sym_seed], ops)
+    l_s = _closure([sym_seed], ops)
 
     anti_seeds = []
     if spec.family == "GL":
         if n >= 2:
-            anti_seeds.append(_wedge(rep, 1, 2))
+            anti_seeds.append(_wedge(1, 2))
     else:
         if not (spec.family == "C" and n == 1):
-            anti_seeds.append(_wedge(rep, 1, 2))
+            anti_seeds.append(_wedge(1, 2))
         if n >= 2:
-            anti_seeds.append(_wedge(rep, 1, rep.position(-2)))
-    l_a = _closure(rep, anti_seeds, ops) if anti_seeds else []
+            anti_seeds.append(_wedge(1, rep.position(-2)))
+    l_a = _closure(anti_seeds, ops) if anti_seeds else []
 
     summands = [
         ("sym", q_pow(1), tuple(l_s)),

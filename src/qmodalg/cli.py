@@ -1,8 +1,11 @@
 """Batch entry point: build algebras, run verification suites, emit reports.
 
 Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error (a bad
-option or QMODALG_FUEL value, an unsupported subcommand and algebra, or
-exhausted fuel), 3 internal error (any other exception, ValueError included).
+option value, an option the algebra does not read, an unsupported subcommand
+and algebra, or exhausted fuel: a normal form charged more than the fixed
+budget ncpoly.DEFAULT_FUEL = 10^6 expansions, each word being charged what a
+memo-free leftmost reduction of it makes), 3 internal error (any other
+exception, ValueError included).
 Reports are deterministic: entries are emitted in a fixed order and JSON is
 serialised with sorted keys, so identical configurations give identical bytes.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import comb
 
@@ -63,11 +65,6 @@ def _int_at_least(name, value, low):
     if number < low:
         raise SystemExit2(f"{name} must be at least {low}, got {number}")
     return number
-
-
-def _fuel_default():
-    env = os.environ.get("QMODALG_FUEL")
-    return _int_at_least("QMODALG_FUEL", env, 1) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +133,7 @@ def suite_dims(handle, max_degree, label):
     return suite(f"dims {label}", entries)
 
 
-def suite_oracle(spec, m, max_total_degree, fuel=None):
+def suite_oracle(spec, m, max_total_degree):
     """Presented product vs the braided tensor-route product, exhaustively."""
     handle = build_am(spec, m)
     entries = []
@@ -151,8 +148,8 @@ def suite_oracle(spec, m, max_total_degree, fuel=None):
             if len(w1) + len(w2) > max_total_degree:
                 continue
             p1, p2 = NCPolynomial.from_word(w1), NCPolynomial.from_word(w2)
-            presented = handle.multiply(p1, p2, fuel)
-            oracle = tensor_oracle_product(spec, m, p1, p2, fuel)
+            presented = handle.multiply(p1, p2)
+            oracle = tensor_oracle_product(spec, m, p1, p2)
             checked += 1
             if presented != oracle:
                 mismatches += 1
@@ -178,14 +175,14 @@ def suite_oracle_diff(spec, m=2):
     return suite(f"oracle-diff {spec}", entries)
 
 
-def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
+def suite_invariance(spec, m=2, kl=None, include_sigma=False):
     entries = []
     if spec.family == "GL":
         k, l = kl
         handle = build_akl(spec.rank, k, l)
         for i in range(1, k + 1):
             for b in range(1, l + 1):
-                rep = is_invariant(handle, psi(handle, (i, b), fuel), fuel=fuel)
+                rep = is_invariant(handle, psi(handle, (i, b)))
                 entries.append(
                     check("pairing generator invariance", f"{spec} Psi[{i},{b}]", rep.verdict)
                 )
@@ -195,9 +192,7 @@ def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
             for j in range(1, m + 1):
                 if i == j and pairing(spec).skew:
                     continue
-                rep = is_invariant(
-                    handle, psi(handle, (i, j), fuel), include_sigma=include_sigma, fuel=fuel
-                )
+                rep = is_invariant(handle, psi(handle, (i, j)), include_sigma=include_sigma)
                 entries.append(
                     check("pairing generator invariance", f"{spec} Psi[{i},{j}]", rep.verdict)
                 )
@@ -206,24 +201,24 @@ def suite_invariance(spec, m=2, kl=None, include_sigma=False, fuel=None):
     return suite(f"invariance {spec}", entries)
 
 
-def suite_relations(handle, fuel=None):
-    return verify_relation_suite(handle, fuel)
+def suite_relations(handle):
+    return verify_relation_suite(handle)
 
 
-def suite_fft(handle, max_total, include_sigma=False, fuel=None):
+def suite_fft(handle, max_total, include_sigma=False):
     if handle.kind == "Akl":
         degrees = [d for _, _, ds in _bidegrees(handle, max_total) for d in ds]
     else:
         degrees = [d for k in range(max_total + 1) for d in handle.degree_compositions(k)]
-    entries = [fft_verify(handle, d, include_sigma, fuel) for d in degrees]
+    entries = [fft_verify(handle, d, include_sigma) for d in degrees]
     return suite(f"fft {handle.kind} {handle.spec} {handle.params}", entries)
 
 
-def suite_skew(m, n, fuel=None):
-    return skew_duality_check(m, n, fuel)
+def suite_skew(m, n):
+    return skew_duality_check(m, n)
 
 
-def suite_classical(fuel=None):
+def suite_classical():
     """Classical-limit degeneration of every rule of every grid algebra."""
     entries = []
     handles = []
@@ -295,7 +290,7 @@ def _classical_rule_ok(handle, pattern, replacement):
     return all(v == 0 for v in acc.values())
 
 
-def grid_report(fuel=None, include_sigma=False):
+def grid_report(include_sigma=False):
     suites = []
     for fam, r in GRID_SPECS:
         suites.append(suite_braiding(LieTypeSpec(fam, r)))
@@ -308,22 +303,20 @@ def grid_report(fuel=None, include_sigma=False):
     suites.append(suite_dims(build_exterior(2, 2), None, "Ext(2,2)"))
     suites.append(suite_dims(build_exterior(2, 3), None, "Ext(2,3)"))
     for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_oracle(LieTypeSpec(fam, r), 2, 3, fuel))
+        suites.append(suite_oracle(LieTypeSpec(fam, r), 2, 3))
         suites.append(suite_oracle_diff(LieTypeSpec(fam, r)))
     for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(
-            suite_invariance(LieTypeSpec(fam, r), m=2, include_sigma=include_sigma, fuel=fuel)
-        )
-    suites.append(suite_invariance(LieTypeSpec("GL", 2), kl=(2, 2), fuel=fuel))
+        suites.append(suite_invariance(LieTypeSpec(fam, r), m=2, include_sigma=include_sigma))
+    suites.append(suite_invariance(LieTypeSpec("GL", 2), kl=(2, 2)))
     for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_relations(build_am(LieTypeSpec(fam, r), 4), fuel))
-    suites.append(suite_relations(build_akl(2, 2, 2), fuel))
+        suites.append(suite_relations(build_am(LieTypeSpec(fam, r), 4)))
+    suites.append(suite_relations(build_akl(2, 2, 2)))
     for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_fft(build_am(LieTypeSpec(fam, r), 2), 4, include_sigma, fuel))
-    suites.append(suite_fft(build_akl(2, 2, 2), 4, False, fuel))
-    suites.append(suite_skew(2, 2, fuel))
-    suites.append(suite_skew(2, 3, fuel))
-    suites.append(suite_classical(fuel))
+        suites.append(suite_fft(build_am(LieTypeSpec(fam, r), 2), 4, include_sigma))
+    suites.append(suite_fft(build_akl(2, 2, 2), 4, False))
+    suites.append(suite_skew(2, 2))
+    suites.append(suite_skew(2, 3))
+    suites.append(suite_classical())
     return suites
 
 
@@ -410,7 +403,6 @@ OPTIONS = {
     "m": dict(type=int),
     "n": dict(type=int),
     "max-degree": dict(type=int, default=4),
-    "fuel": dict(type=int),
     "strict": dict(action="store_true",
                    help="use the transcribed printed presentation variants"),
     "sigma": dict(action="store_true",
@@ -428,13 +420,13 @@ _REPORT = ("format", "output", "verbose")
 COMMAND_OPTIONS = {
     "dims": _ALGEBRA + ("m", "n", "exterior", "max-degree") + _REPORT,
     "braiding": ("family", "rank") + _REPORT,
-    "relations": _ALGEBRA + ("fuel",) + _REPORT,
-    "invariance": ("family", "rank", "copies", "k", "l", "sigma", "fuel") + _REPORT,
-    "fft": _ALGEBRA + ("max-degree", "sigma", "fuel") + _REPORT,
-    "skew-duality": ("m", "n", "fuel") + _REPORT,
+    "relations": _ALGEBRA + _REPORT,
+    "invariance": ("family", "rank", "copies", "k", "l", "sigma") + _REPORT,
+    "fft": _ALGEBRA + ("max-degree", "sigma") + _REPORT,
+    "skew-duality": ("m", "n") + _REPORT,
     "dump-presentation": _ALGEBRA + ("m", "n", "exterior", "output"),
-    "oracle-diff": ("family", "rank", "copies", "max-degree", "fuel") + _REPORT,
-    "grid": ("fuel", "sigma") + _REPORT,
+    "oracle-diff": ("family", "rank", "copies", "max-degree") + _REPORT,
+    "grid": ("sigma",) + _REPORT,
 }
 
 
@@ -475,13 +467,24 @@ def build_parser():
     return p
 
 
+def _refuse_ignored(args):
+    """--k and --l describe only a GL algebra, --m and --n only an exterior one."""
+    if (args.k or args.l) and args.family != "GL":
+        raise SystemExit2("--k and --l need --family GL")
+    if (args.m or args.n) and not args.exterior:
+        raise SystemExit2("--m and --n need --exterior")
+
+
 def _handle_from(args):
+    _refuse_ignored(args)
     if args.exterior:
         m = args.m or 2
         n = args.n or 2
         return build_exterior(m, n)
     spec = _spec_from(args)
-    if spec.family == "GL" and args.k and args.l:
+    if (args.k is None) != (args.l is None):
+        raise SystemExit2("--k and --l must be given together")
+    if args.k:
         return build_akl(spec.rank, args.k, args.l)
     return build_am(spec, args.copies, strict=args.strict)
 
@@ -519,36 +522,30 @@ def run(argv):
         },
     }
     try:
-        for name in ("copies", "k", "l", "m", "n", "fuel"):
+        for name in ("copies", "k", "l", "m", "n"):
             _int_at_least(f"--{name}", getattr(args, name), 1)
         _int_at_least("--max-degree", args.max_degree, 0)
-        fuel = args.fuel or _fuel_default()
         if args.command == "grid":
-            suites = grid_report(fuel, include_sigma=args.sigma)
+            suites = grid_report(include_sigma=args.sigma)
         elif args.command == "dims":
             handle = _handle_from(args)
             suites = [suite_dims(handle, args.max_degree, "requested")]
         elif args.command == "braiding":
             suites = [suite_braiding(_spec_from(args))]
         elif args.command == "relations":
-            suites = [suite_relations(_pairing_handle_from(args), fuel)]
+            suites = [suite_relations(_pairing_handle_from(args))]
         elif args.command == "invariance":
             spec = _spec_from(args)
+            _refuse_ignored(args)
             if spec.family == "GL":
-                suites = [
-                    suite_invariance(spec, kl=(args.k or 2, args.l or 2), fuel=fuel)
-                ]
+                suites = [suite_invariance(spec, kl=(args.k or 2, args.l or 2))]
             else:
-                suites = [
-                    suite_invariance(
-                        spec, m=args.copies, include_sigma=args.sigma, fuel=fuel
-                    )
-                ]
+                suites = [suite_invariance(spec, m=args.copies, include_sigma=args.sigma)]
         elif args.command == "fft":
             handle = _pairing_handle_from(args)
-            suites = [suite_fft(handle, args.max_degree, args.sigma, fuel)]
+            suites = [suite_fft(handle, args.max_degree, args.sigma)]
         elif args.command == "skew-duality":
-            suites = [suite_skew(args.m or 2, args.n or 2, fuel)]
+            suites = [suite_skew(args.m or 2, args.n or 2)]
         elif args.command == "dump-presentation":
             handle = _handle_from(args)
             manifest = presentation_manifest(handle)
@@ -564,7 +561,7 @@ def run(argv):
             if spec.family == "GL":
                 raise SystemExit2("oracle-diff needs --family B, C or D")
             suites = [
-                suite_oracle(spec, args.copies, min(args.max_degree, 3), fuel),
+                suite_oracle(spec, args.copies, min(args.max_degree, 3)),
                 suite_oracle_diff(spec, args.copies),
             ]
         else:

@@ -32,23 +32,23 @@ class PsiRefError(ValueError):
     pass
 
 
-def psi(handle, ref, fuel=None):
+def psi(handle, ref):
     """The quadratic invariant generator for an index pair, in normal form."""
     i, j = ref
     if handle.kind == "Akl":
         k, l, n = handle.params["k"], handle.params["l"], handle.params["n"]
         if not (1 <= i <= k and 1 <= j <= l):
             raise PsiRefError(f"pair {ref} outside the row ranges")
-        return handle.normal_form(psi_gl_poly(n, i, j), fuel)
+        return handle.normal_form(psi_gl_poly(n, i, j))
     m = handle.params["m"]
     if not (1 <= i <= m and 1 <= j <= m):
         raise PsiRefError(f"pair {ref} outside the slot range")
     if i == j and pairing(handle.spec).skew:
         raise PsiRefError("the symplectic family has no equal-slot generator")
-    return handle.normal_form(psi_pair_poly(handle.spec, i, j), fuel)
+    return handle.normal_form(psi_pair_poly(handle.spec, i, j))
 
 
-def phi_partial(handle, kind, indices, t=None, fuel=None):
+def phi_partial(handle, kind, indices, t=None):
     """Named partial sums of the pairing generators, in normal form."""
     spec = handle.spec
     if handle.kind not in ("Sq", "Am") or spec.family == "GL":
@@ -67,7 +67,7 @@ def phi_partial(handle, kind, indices, t=None, fuel=None):
         if kind == "phi_minus" and spec.family != "D":
             raise PsiRefError("phi_minus is defined for the even family")
         terms = pairing_terms(spec, t, n, barred=(kind == "phi_plus"))
-        return handle.normal_form(slot_pair_poly(terms, i, i), fuel)
+        return handle.normal_form(slot_pair_poly(terms, i, i))
     if kind in ("psi_t", "bar_psi_t"):
         i, j = slots
         if t is None:
@@ -75,16 +75,16 @@ def phi_partial(handle, kind, indices, t=None, fuel=None):
         if not 1 <= t <= n:
             raise PsiRefError("cut index out of range")
         terms = pairing_terms(spec, 1, t, barred=(kind == "bar_psi_t"))
-        return handle.normal_form(slot_pair_poly(terms, i, j), fuel)
+        return handle.normal_form(slot_pair_poly(terms, i, j))
     if kind == "varphi":
         if spec.family != "B":
             raise PsiRefError("varphi is the odd orthogonal correction term")
         (i,) = slots
-        bar = phi_partial(handle, "bar_psi_t", (i, i), n, fuel)
+        bar = phi_partial(handle, "bar_psi_t", (i, i), n)
         corr = NCPolynomial(
             {(x_(i, n + 1), x_(i, n + 1)): (ONE - q_pow(-1)) / (q_pow(1) - q_pow(-1))}
         )
-        return handle.normal_form(bar + corr, fuel)
+        return handle.normal_form(bar + corr)
     raise PsiRefError(f"unknown partial sum kind {kind!r}")
 
 
@@ -111,7 +111,7 @@ class _Family(NamedTuple):
     generator and mirrored pure letter q-exchanges.
     """
 
-    correction: object   # (handle, slot, fuel) -> correction term, or None
+    correction: object   # (handle, slot) -> correction term, or None
     ratio: object        # n -> c with correction = c Psi^(i,i), or None
     corr_first: bool     # right letter exchange reads corr_j x_i, not x_i corr_j
     labels: tuple        # instance prefixes of the twist and of the triples
@@ -145,7 +145,7 @@ _SIGN = "printed second sign +; verified -"
 
 _FAMILIES = {
     "D": _Family(
-        correction=lambda h, i, fuel: phi_partial(h, "bar_psi_t", (i, i), h.spec.rank, fuel),
+        correction=lambda h, i: phi_partial(h, "bar_psi_t", (i, i), h.spec.rank),
         ratio=None,
         corr_first=False,
         labels=("(i,j)=", "(a,b,c)="),
@@ -153,7 +153,7 @@ _FAMILIES = {
         variants={"shared-left": _SORTED, "shared-middle": _SORTED, "shared-right": _SORTED},
     ),
     "B": _Family(
-        correction=lambda h, i, fuel: phi_partial(h, "varphi", (i,), fuel=fuel),
+        correction=lambda h, i: phi_partial(h, "varphi", (i,)),
         ratio=lambda n: (ONE + q_pow(1 - 2 * n)).inverse(),
         corr_first=True,
         labels=("(i,j)=", "(a,b,c)="),
@@ -191,30 +191,30 @@ _FAMILIES = {
 }
 
 
-def verify_relation_suite(handle, fuel=None):
+def verify_relation_suite(handle):
     """All instantiable relation instances for the handle, residual-checked."""
     if handle.kind == "Akl":
-        entries = _suite_gl(handle, fuel)
+        entries = _suite_gl(handle)
     elif handle.spec.family in _FAMILIES:
-        entries = _suite_classical(handle, _FAMILIES[handle.spec.family], fuel)
+        entries = _suite_classical(handle, _FAMILIES[handle.spec.family])
     else:
         raise ValueError("no relation suite for this handle")
     return suite(f"relations {handle.kind}({handle.spec}, {handle.params})", entries)
 
 
-def _suite_classical(handle, fam, fuel):
+def _suite_classical(handle, fam):
     """The B, C and D suites: the shared relation families, instantiated for
     every slot index tuple in a fixed order, with the family's differences
     read from its table row."""
     m, n = handle.params["m"], handle.spec.rank
     skew, kappa = pairing(handle.spec).skew, pair_eigenvalue_p0(handle.spec)
     qq = _qq()
-    mul = lambda a, b: handle.multiply(a, b, fuel)
+    mul = handle.multiply
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     slots = range(1, m + 1)
-    P = {(i, j): psi(handle, (i, j), fuel) for i in slots for j in slots if i != j or not skew}
-    corr = {i: fam.correction(handle, i, fuel) for i in slots} if fam.correction else None
+    P = {(i, j): psi(handle, (i, j)) for i in slots for j in slots if i != j or not skew}
+    corr = {i: fam.correction(handle, i) for i in slots} if fam.correction else None
     letters = range(1, natural_rep(handle.spec).dim_v + 1)
     x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
     entries = []
@@ -279,14 +279,14 @@ def _suite_classical(handle, fam, fuel):
     return entries
 
 
-def _suite_gl(handle, fuel):
+def _suite_gl(handle):
     k, l, n = handle.params["k"], handle.params["l"], handle.params["n"]
     qq = _qq()
-    mul = lambda a, b: handle.multiply(a, b, fuel)
+    mul = handle.multiply
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     rows, cols, labels = range(1, k + 1), range(1, l + 1), range(1, n + 1)
-    P = {(i, b): psi(handle, (i, b), fuel) for i in rows for b in cols}
+    P = {(i, b): psi(handle, (i, b)) for i in rows for b in cols}
     x = {(i, a): NCPolynomial.from_word((x_(i, a),)) for i in rows for a in labels}
     y = {(b, a): NCPolynomial.from_word((y_(b, a),)) for b in cols for a in labels}
     entries = []
@@ -362,7 +362,7 @@ def _psi_generators(handle):
     return gens, degs
 
 
-def psi_monomial_span(handle, degree, fuel=None):
+def psi_monomial_span(handle, degree):
     """Exact dimension (and spanning set) of the span of normal-form products
     of pairing generators with the given multidegree."""
     gens, degs = _psi_generators(handle)
@@ -376,9 +376,7 @@ def psi_monomial_span(handle, degree, fuel=None):
             return
         g = gens[idx]
         d = degs[g]
-        max_mult = min(
-            (r // dd if dd else 10 ** 9) for r, dd in zip(remaining, d) if dd
-        )
+        max_mult = min(r // dd for r, dd in zip(remaining, d) if dd)
         for mult in range(max_mult, -1, -1):
             nxt = tuple(r - mult * dd for r, dd in zip(remaining, d))
             if all(x >= 0 for x in nxt):
@@ -390,21 +388,21 @@ def psi_monomial_span(handle, degree, fuel=None):
     for mono in sorted(monomials):
         prod = NCPolynomial.one()
         for g in mono:
-            prod = handle.multiply(prod, psi(handle, g, fuel), fuel)
+            prod = handle.multiply(prod, psi(handle, g))
         if prod:
             vectors.append(prod)
             eb.add(prod.coeffs)
     return eb.rank(), vectors
 
 
-def fft_verify(handle, degree, include_sigma=False, fuel=None):
+def fft_verify(handle, degree, include_sigma=False):
     """Compare the exact invariant space with the pairing-monomial span."""
-    inv = invariant_basis(handle, degree, fuel=fuel)
-    span_dim, span_vecs = psi_monomial_span(handle, degree, fuel)
+    inv = invariant_basis(handle, degree)
+    span_dim, span_vecs = psi_monomial_span(handle, degree)
     contained = span_contained_in(span_vecs, inv)
     sigma_dim = None
     if include_sigma and handle.spec is not None and handle.spec.family in ("B", "D"):
-        sigma_dim = len(invariant_basis(handle, degree, include_sigma=True, fuel=fuel))
+        sigma_dim = len(invariant_basis(handle, degree, include_sigma=True))
     return check(
         "invariants generated by the pairings",
         f"degree {tuple(degree)}",
@@ -431,7 +429,7 @@ def _conjugate(lam):
     )
 
 
-def exterior_highest_weight(handle, lam, fuel=None):
+def exterior_highest_weight(handle, lam):
     """The ordered product for a partition inside the m x n box, with the
     verification that both families of raising operators annihilate it."""
     m, n = handle.params["m"], handle.params["n"]
@@ -447,7 +445,7 @@ def exterior_highest_weight(handle, lam, fuel=None):
     entries = []
     for grp, rng in (("m", m), ("n", n)):
         for a in range(1, rng):
-            img = act(handle, GeneratorRef("e", a, grp), pol, fuel)
+            img = act(handle, GeneratorRef("e", a, grp), pol)
             inst = f"lambda={lam}, e_{a}"
             entries.append(check(f"raising operator annihilates (gl_{grp})", inst, img.is_zero()))
     wt = handle.weight(word)
@@ -472,7 +470,7 @@ def _box_partitions(m, n):
     return sorted(set(out), key=lambda t: (sum(t), t))
 
 
-def skew_duality_check(m, n, fuel=None):
+def skew_duality_check(m, n):
     """Dimension identity of the multiplicity-free exterior decomposition,
     degreewise, with highest-weight verification for every box partition."""
     handle = build_exterior(m, n)
@@ -483,7 +481,7 @@ def skew_duality_check(m, n, fuel=None):
         dim = irrep_dim_gl(m, lam) * irrep_dim_gl(n, _conjugate(lam))
         total += dim
         by_degree[sum(lam)] = by_degree.get(sum(lam), 0) + dim
-        _, hw = exterior_highest_weight(handle, lam, fuel)
+        _, hw = exterior_highest_weight(handle, lam)
         entries.append(
             check("highest weight vector for the box partition", f"lambda={lam}", hw["pass"])
         )

@@ -7,8 +7,10 @@ an ordered word is one with no adjacent pair matching a rewrite pattern.
 
 Rewriting is leftmost reduction of two-letter redexes with memoised word
 normal forms; every rule strictly decreases the degree-lexicographic order,
-which makes the reduction terminating regardless of strategy, and fuel bounds
-the number of expansions as a safety valve.
+which makes the reduction terminating regardless of strategy.  Fuel is a
+safety valve: a normal form whose words are charged more than DEFAULT_FUEL
+raises FuelExhausted, a word being charged the expansions a memo-free
+leftmost reduction of it makes, so a memo hit costs what a miss does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .scalar import ONE, accumulate
 
-# expansions one normal_form may make when the caller gives no fuel
+# the charge one normal_form may spend when the caller gives no fuel
 DEFAULT_FUEL = 10 ** 6
 
 
@@ -152,6 +154,7 @@ class RewriteSystem:
     def __init__(self, rules):
         self.rules = {}
         self._memo = {}
+        self._cost = {}
         for pat, repl in rules.items():
             self.add_rule(pat, repl)
 
@@ -168,6 +171,7 @@ class RewriteSystem:
                 )
         self.rules[pattern] = replacement
         self._memo.clear()
+        self._cost.clear()
 
     def is_normal_word(self, word):
         rules = self.rules
@@ -175,13 +179,12 @@ class RewriteSystem:
             (word[i], word[i + 1]) in rules for i in range(len(word) - 1)
         )
 
-    def _nf_word(self, word, budget):
-        """Normal form of a single word; memoised; budget is a 1-element list."""
-        memo = self._memo
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        rules = self.rules
+    def _reduce(self, word, left):
+        """Memoise the normal form of word and of each word its reduction
+        reaches, with the charge of each reducible one in _cost: 1 plus the
+        charges of its expansion's words.  Raises FuelExhausted once a word
+        completed here, and so word itself, costs more than left."""
+        memo, cost, rules = self._memo, self._cost, self.rules
         stack = [word]
         while stack:
             top = stack[-1]
@@ -197,8 +200,6 @@ class RewriteSystem:
                 memo[top] = {top: ONE}
                 stack.pop()
                 continue
-            if budget[0] <= 0:
-                raise FuelExhausted(NCPolynomial({word: ONE}))
             repl = rules[(top[redex], top[redex + 1])]
             pre, post = top[:redex], top[redex + 2:]
             # the replacement words are distinct, so no two deps coincide
@@ -207,39 +208,44 @@ class RewriteSystem:
             if missing:
                 stack.extend(missing)
                 continue
-            budget[0] -= 1
+            charge = 1 + sum(cost.get(d, 0) for d in deps)
+            if charge > left:
+                raise FuelExhausted(None)
             out = {}
             for dep, c in deps.items():
                 accumulate(out, memo[dep].items(), c)
             memo[top] = out
+            cost[top] = charge
             stack.pop()
-        return memo[word]
 
     def normal_form(self, poly, fuel=None):
         """Deterministic normal form, linear in the input polynomial.
 
-        On FuelExhausted the partial is the normal form of the terms reduced
-        so far plus the remaining terms as they came, so it equals poly in
-        the algebra.
+        Raises FuelExhausted exactly when the charges of poly's words add up
+        to more than fuel (DEFAULT_FUEL when None), whatever the memo holds.
+        The partial is the normal form of the terms reduced so far plus the
+        remaining terms as they came, so it equals poly in the algebra.
         """
-        budget = [DEFAULT_FUEL if fuel is None else fuel]
-        if budget[0] <= 0:
+        left = DEFAULT_FUEL if fuel is None else fuel
+        if left <= 0:
             raise ValueError("fuel must be positive")
+        memo, cost = self._memo, self._cost
         terms = poly.terms()
         out = {}
         done = 0
         try:
             for word, coeff in terms:
-                accumulate(out, self._nf_word(word, budget).items(), coeff)
+                if word not in memo:
+                    self._reduce(word, left)
+                left -= cost.get(word, 0)
+                if left < 0:
+                    raise FuelExhausted(None)
+                accumulate(out, memo[word].items(), coeff)
                 done += 1
         except FuelExhausted:
             rest = NCPolynomial(dict(terms[done:]))
             raise FuelExhausted(NCPolynomial(out) + rest) from None
         return NCPolynomial(out)
-
-    def multiply(self, p, r, fuel=None):
-        """Normal form of the concatenation product; bilinear."""
-        return self.normal_form(p.concat(r), fuel)
 
 
 def graded_words(slot_letters, degree, strict=False):

@@ -237,7 +237,7 @@ def irrep_dim_gl(k, lam):
 # ---------------------------------------------------------------------------
 # validation
 
-def _cartan_pairing(spec, ai, aj):
+def _cartan_pairing(ai, aj):
     return sum(x * y for x, y in zip(ai, aj))
 
 
@@ -309,7 +309,7 @@ def validate_rep(rep):
     for b in rep.cartan_indices():
         for j in idx:
             lhs = k[b] @ e[j] @ inv_diag(k[b])
-            exp = _cartan_pairing(spec, grading[b - 1], rep.simple_roots[j - 1])
+            exp = _cartan_pairing(grading[b - 1], rep.simple_roots[j - 1])
             check(f"k_{b} e_{j} scaling", lhs - e[j].scale(q_pow(exp)))
 
     # Serre relations, with q_i = v^{(alpha_i, alpha_i)}
@@ -318,8 +318,8 @@ def validate_rep(rep):
             if i == j:
                 continue
             ai, aj = rep.simple_roots[i - 1], rep.simple_roots[j - 1]
-            aii = _cartan_pairing(spec, ai, ai)
-            aij = 2 * _cartan_pairing(spec, ai, aj)
+            aii = _cartan_pairing(ai, ai)
+            aij = 2 * _cartan_pairing(ai, aj)
             if aij % aii:
                 problems.append(f"cartan pairing ({i},{j}) not integral")
                 continue

@@ -20,7 +20,7 @@ from .rootdata import natural_rep, rho_pairing
 from .scalar import ONE, accumulate, q_pow
 
 
-def act(handle, g, p, fuel=None):
+def act(handle, g, p):
     """Normal form of g(p) for a generator reference g."""
     subst, cok = handle.generator_action(g)
     out = {}
@@ -48,7 +48,7 @@ def act(handle, g, p, fuel=None):
                 continue
             pre, post = word[:t], word[t + 1:]
             accumulate(out, ((pre + (nl,) + post, v) for nl, v in subst[word[t]]), scale)
-    return handle.normal_form(NCPolynomial(out), fuel)
+    return handle.normal_form(NCPolynomial(out))
 
 
 def weight(handle, word):
@@ -66,11 +66,11 @@ class InvariantReport:
         return [name for name, r in self.residuals if r]
 
 
-def is_invariant(handle, p, include_sigma=False, fuel=None):
+def is_invariant(handle, p, include_sigma=False):
     """Residuals e_i(p), f_i(p), (k_i - 1)(p); verdict true iff all vanish."""
     residuals = []
     for g in handle.invariance_generators(include_sigma=include_sigma):
-        img = act(handle, g, p, fuel)
+        img = act(handle, g, p)
         if g.kind in ("k", "sigma"):
             img = img - p
         residuals.append((str(g), img))
@@ -81,7 +81,7 @@ def is_invariant(handle, p, include_sigma=False, fuel=None):
     )
 
 
-def invariant_basis(handle, degree, include_sigma=False, fuel=None):
+def invariant_basis(handle, degree, include_sigma=False):
     """Exact basis of the invariants inside the multidegree component.
 
     Words of nonzero weight cannot contribute (the k-conditions), so the
@@ -101,7 +101,7 @@ def invariant_basis(handle, degree, include_sigma=False, fuel=None):
     for w in wz:
         p = NCPolynomial.from_word(w)
         for g in gens:
-            img = act(handle, g, p, fuel)
+            img = act(handle, g, p)
             if g.kind == "sigma":
                 img = img - p
             for tw, c in img.coeffs.items():
@@ -152,12 +152,12 @@ def span_contained_in(vectors, basis_polys):
     return all(eb.contains(v.coeffs) for v in vectors)
 
 
-def invariant_basis_json(handle, degree, include_sigma=False, fuel=None):
+def invariant_basis_json(handle, degree, include_sigma=False):
     """The invariant basis of a graded component as term-list JSON."""
     from .ncpoly import sq_letter_str, terms_json
 
     style = sq_letter_str if handle.kind == "Sq" else None
     return [
         terms_json(p, style)
-        for p in invariant_basis(handle, degree, include_sigma, fuel)
+        for p in invariant_basis(handle, degree, include_sigma)
     ]

@@ -301,7 +301,6 @@ def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        "relations --family D --rank 2 --fuel 0",
         "relations --family D --rank 2 --copies 0",
         "relations --family GL --rank 2 --k 0 --l 2",
         "skew-duality --m 0",
@@ -312,6 +311,15 @@ def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
         "relations --exterior",
         "fft --exterior",
         "oracle-diff --family GL --rank 2",
+        # options the algebra would not read: --k/--l only describe a GL
+        # algebra (and a handle needs both), --m/--n only an exterior one
+        "dims --family D --rank 2 --k 5 --l 7",
+        "dims --family GL --rank 2 --k 3",
+        "relations --family B --rank 1 --k 4",
+        "fft --family D --rank 2 --l 3",
+        "invariance --family D --rank 2 --k 3",
+        "dims --family D --rank 2 --m 3",
+        "dump-presentation --family C --rank 2 --m 3 --n 4",
     ],
 )
 def test_bad_option_values_exit_two(argv, tmp_path, capsys):
@@ -321,42 +329,17 @@ def test_bad_option_values_exit_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_malformed_env_fuel_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("QMODALG_FUEL", "abc")
-    assert run(["relations", "--family", "D", "--rank", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: QMODALG_FUEL must be an integer, got 'abc'\n"
-    monkeypatch.setenv("QMODALG_FUEL", "0")
-    assert run(["relations", "--family", "D", "--rank", "2"]) == 2
+def test_fuel_exhaustion_is_a_config_error(monkeypatch, tmp_path, capsys):
+    # the first run warms the handle's memo; the charge does not depend on it
+    import qmodalg.ncpoly
 
-
-def test_env_fuel_override(monkeypatch):
-    from qmodalg.cli import _fuel_default
-
-    monkeypatch.setenv("QMODALG_FUEL", "123")
-    assert _fuel_default() == 123
-    monkeypatch.delenv("QMODALG_FUEL")
-    assert _fuel_default() is None
-
-
-def test_fuel_exhaustion_is_a_config_error(tmp_path):
-    # a fresh algebra (no memoised normal forms) with a one-step budget
-    code = run(
-        [
-            "relations",
-            "--family",
-            "B",
-            "--rank",
-            "2",
-            "--copies",
-            "2",
-            "--fuel",
-            "1",
-            "--output",
-            str(tmp_path / "x.json"),
-        ]
-    )
-    assert code == 2
+    argv = ["relations", "--family", "D", "--rank", "2", "--output"]
+    assert run(argv + [str(tmp_path / "warm.json")]) == 0
+    monkeypatch.setattr(qmodalg.ncpoly, "DEFAULT_FUEL", 1)
+    out = tmp_path / "x.json"
+    assert run(argv + [str(out)]) == 2
+    assert capsys.readouterr().err == "config error: straightening fuel exhausted\n"
+    assert not out.exists()
 
 
 def test_exterior_dims(tmp_path):
@@ -412,7 +395,7 @@ def test_classical_limit_pole_is_reported(monkeypatch):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        ("dims --family D --fuel 3", "--fuel"),
+        ("dims --family D --sigma", "--sigma"),
         ("braiding --family D --copies 7", "--copies"),
         ("relations --family D --sigma", "--sigma"),
         ("invariance --family D --strict", "--strict"),

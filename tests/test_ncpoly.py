@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from qmodalg.algebras import build_am, build_exterior, build_sq
+from qmodalg.algebras import build_akl, build_am, build_exterior, build_sq
 from qmodalg.ncpoly import (
     FuelExhausted,
     NCPolynomial,
@@ -104,6 +106,86 @@ def test_fuel_exhaustion_carries_partial():
     assert isinstance(info.value.partial, NCPolynomial)
     full = rs.normal_form(hard)
     assert rs.is_normal_word(next(iter(full.coeffs)))
+
+
+def test_fuel_charge_is_the_same_warm_or_cold():
+    # the word is charged 28: a memo-free reduction reaches one word twice
+    rules = build_am(LieTypeSpec("D", 2), 2).rs.rules
+    hard = NCPolynomial.from_word((x_(2, 4), x_(2, 3), x_(1, 2), x_(1, 1)))
+    full = RewriteSystem(rules).normal_form(hard)
+    assert len(full.coeffs) == 9
+    partials = []
+    for warm in (False, True):
+        rs = RewriteSystem(rules)
+        if warm:
+            rs.normal_form(hard)
+        with pytest.raises(FuelExhausted) as info:
+            rs.normal_form(hard, fuel=27)
+        partials.append(info.value.partial)
+        assert rs.normal_form(hard, fuel=28) == full
+    assert partials[0] == partials[1]
+
+
+def _memo_free_expansions(rules, word):
+    """Expansions a leftmost reduction of word makes with no memo."""
+    for i in range(len(word) - 1):
+        repl = rules.get(word[i:i + 2])
+        if repl is not None:
+            pre, post = word[:i], word[i + 2:]
+            return 1 + sum(_memo_free_expansions(rules, pre + w + post) for w in repl.coeffs)
+    return 0
+
+
+def _least_fuel(rules, poly, warm):
+    def succeeds(fuel):
+        rs = RewriteSystem(rules)
+        if warm:
+            rs.normal_form(poly)
+        try:
+            rs.normal_form(poly, fuel=fuel)
+        except FuelExhausted:
+            return False
+        return True
+
+    fuel = 1
+    while not succeeds(fuel):
+        fuel += 1
+    return fuel
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [
+        lambda: build_am(LieTypeSpec("D", 2), 3),
+        lambda: build_am(LieTypeSpec("B", 1), 2),
+        lambda: build_akl(2, 2, 2),
+    ],
+    ids=["A3(D2)", "A2(B1)", "A22(GL2)"],
+)
+def test_fuel_charge_is_the_memo_free_expansion_count(handle):
+    h = handle()
+    rules = h.rs.rules
+    rng = random.Random(20)
+    letters = sorted(h.alphabet)
+    words = {tuple(rng.choice(letters) for _ in range(rng.randint(1, 5))) for _ in range(16)}
+    counts = {w: _memo_free_expansions(rules, w) for w in sorted(words)}
+    assert max(counts.values()) > 1
+    whole = NCPolynomial({w: ONE for w in counts})
+    for warm in (False, True):
+        for w, count in counts.items():
+            assert _least_fuel(rules, NCPolynomial.from_word(w), warm) == max(count, 1)
+        assert _least_fuel(rules, whole, warm) == sum(counts.values())
+
+
+def test_cold_fuel_exhaustion_stops_early():
+    rules = build_am(LieTypeSpec("D", 2), 2).rs.rules
+    hard = NCPolynomial.from_word((x_(2, 4), x_(2, 3), x_(1, 2), x_(1, 1)))
+    full = RewriteSystem(rules)
+    full.normal_form(hard)
+    stopped = RewriteSystem(rules)
+    with pytest.raises(FuelExhausted):
+        stopped.normal_form(hard, fuel=1)
+    assert len(stopped._memo) < len(full._memo)
 
 
 @pytest.mark.parametrize(

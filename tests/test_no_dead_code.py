@@ -106,3 +106,32 @@ def test_report_entries_are_built_by_check():
             ):
                 literals.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not literals, "report entries written as dict literals:\n" + "\n".join(literals)
+
+
+def test_every_parameter_is_read():
+    # a parameter no caller can influence the result through is dead weight;
+    # dunder methods take what Python passes them
+    unread = []
+    for path, tree in _trees("src/qmodalg"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                name, body = node.name, node.body
+            elif isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            else:
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for p in params:
+                if p not in read and p not in ("self", "cls"):
+                    unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}({p})")
+    assert not unread, "parameters never read:\n" + "\n".join(unread)
