@@ -17,7 +17,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .linalg import EchelonBasis, Expresser
-from .linop import LinearOperator, kron, lift_pair_op
+from .linop import LinearOperator, kron, lift_block_op, lift_pair_op
 from .report import check, suite
 from .rootdata import LieTypeSpec, natural_rep
 from .scalar import ONE, accumulate, q_pow
@@ -288,22 +288,30 @@ def rcheck(spec):
 
 @lru_cache(maxsize=None)
 def rcheck_cabled(spec, k, l):
-    """The block braiding P R on V^(x)k (x) V^(x)l as a composite of kl R-checks.
+    """The block braiding P R on V^(x)k (x) V^(x)l.
 
-    The left block of k strands passes over the right block of l strands,
-    rightmost left-strand first; for (1,1) this is rcheck itself.
+    The left block of k strands passes over the right block of l strands;
+    for (1,1) this is rcheck itself.  Every larger cable is one compose of
+    two cached smaller ones: for l > 1, the block passes over l - 1 strands
+    and then over the last,
+        cab(k, l) = lift(cab(k, 1)) o lift(cab(k, l - 1)),
+    and for l = 1 its rightmost strand crosses first,
+        cab(k, 1) = lift(cab(k - 1, 1)) o R_k.
+    tests/test_braiding.py::test_cabling_coherence proves both splits, and
+    tests/test_linop.py::test_rcheck_cabled_matches_reference compares the
+    result with the chain of kl lifted R-checks.
     """
     if k < 1 or l < 1:
         raise ValueError("cable sizes must be positive")
-    rep = natural_rep(spec)
-    rc = rcheck(spec)
+    if (k, l) == (1, 1):
+        return rcheck(spec)
+    labels = natural_rep(spec).labels
     r = k + l
-    words = _tensor_words(rep, r)
-    out = LinearOperator(words, words, {(w, w): ONE for w in words})
-    for i in range(k, 0, -1):
-        for j in range(i, i + l):
-            out = lift_pair_op(rc, rep.labels, r, j) @ out
-    return out
+    if l > 1:
+        over_last = lift_block_op(rcheck_cabled(spec, k, 1), labels, r, l, k + 1)
+        return over_last @ lift_block_op(rcheck_cabled(spec, k, l - 1), labels, r, 1, r - 1)
+    rest = lift_block_op(rcheck_cabled(spec, k - 1, 1), labels, r, 1, k)
+    return rest @ lift_pair_op(rcheck(spec), labels, r, k)
 
 
 def verify_braid_and_skein(spec):

@@ -453,26 +453,38 @@ def build_parser():
     for name, flags in COMMAND_OPTIONS.items():
         sp = sub.add_parser(name)
         sp.set_defaults(unsupported=None)
+        # no option has a parser default, so run() can tell "--rank 2" from
+        # no --rank; it fills the defaults in after parsing
         for flag, kw in OPTIONS.items():
             if flag in flags:
-                sp.add_argument("--" + flag, **kw)
+                sp.add_argument("--" + flag, **{**kw, "default": argparse.SUPPRESS})
             else:
                 sp.add_argument(
                     "--" + flag,
                     action=_Unsupported,
                     nargs=0 if kw.get("action") == "store_true" else None,
-                    default=_default(flag),
+                    default=argparse.SUPPRESS,
                     help=argparse.SUPPRESS,
                 )
     return p
 
 
 def _refuse_ignored(args):
-    """--k and --l describe only a GL algebra, --m and --n only an exterior one."""
+    """Refuse a given option the algebra built would not read: an exterior
+    algebra reads only --m and --n, --k and --l describe only a GL algebra,
+    and that A_{k,l} has no --copies or --strict variant."""
+    if args.exterior:
+        for flag in ("family", "rank", "copies", "strict", "k", "l"):
+            if flag in args.given:
+                raise SystemExit2(f"--{flag} does not describe an exterior algebra")
     if (args.k or args.l) and args.family != "GL":
         raise SystemExit2("--k and --l need --family GL")
     if (args.m or args.n) and not args.exterior:
         raise SystemExit2("--m and --n need --exterior")
+    if args.k or args.l:
+        for flag in ("copies", "strict"):
+            if flag in args.given:
+                raise SystemExit2(f"--{flag} does not describe the GL algebra of --k and --l")
 
 
 def _handle_from(args):
@@ -512,6 +524,9 @@ def run(argv):
     if args.unsupported:
         sys.stderr.write(f"error: {args.unsupported} is not supported by {args.command}\n")
         return 2
+    args.given = {flag for flag in OPTIONS if hasattr(args, flag.replace("-", "_"))}
+    for flag in OPTIONS.keys() - args.given:
+        setattr(args, flag.replace("-", "_"), _default(flag))
     fmt, out, verbose = args.format, args.output, args.verbose
     config = {
         "command": args.command,

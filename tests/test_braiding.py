@@ -199,16 +199,49 @@ def test_cabled_intertwines(family, rank):
         assert cab.commutes_with(op)
 
 
-@pytest.mark.parametrize("family,rank", [("D", 2), ("GL", 2)])
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2), ("GL", 2)])
 def test_cabling_coherence(family, rank):
-    # passing a block over l+1 strands = over l strands, then over the last
     spec = LieTypeSpec(family, rank)
     labels = natural_rep(spec).labels
-    k, l = 1, 2
-    lhs = rcheck_cabled(spec, k, l + 1)
-    step1 = lift_block_op(rcheck_cabled(spec, k, l), labels, k + l + 1, 1, k + l)
-    step2 = lift_block_op(rcheck_cabled(spec, k, 1), labels, k + l + 1, l + 1, k + 1)
-    assert lhs == step2 @ step1
+
+    def cab(k, l):
+        return rcheck_cabled(spec, k, l)
+
+    for k in (1, 2):
+        for l in (1, 2):
+            r = k + l + 1
+            # passing a block over l+1 strands = over l strands, then over the last
+            over_l = lift_block_op(cab(k, l), labels, r, 1, k + l)
+            over_last = lift_block_op(cab(k, 1), labels, r, l + 1, k + 1)
+            assert cab(k, l + 1) == over_last @ over_l
+            # passing k+1 strands over a block = its rightmost strand, then the
+            # other k; at l = 1 the first factor is R-check on slots k+1, k+2
+            rightmost = lift_block_op(cab(1, l), labels, r, k + 1, l + 1)
+            others = lift_block_op(cab(k, l), labels, r, 1, k + l)
+            assert cab(k + 1, l) == others @ rightmost
+
+
+def test_nine_cables_take_eight_composes(monkeypatch):
+    # each cable past (1,1) is one compose of two cached smaller ones; the
+    # chain of kl lifted R-checks took 36 for the same nine
+    spec = LieTypeSpec("D", 2)
+    rcheck(spec)
+    rcheck_cabled.cache_clear()
+    real = LinearOperator.compose
+    calls = []
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(LinearOperator, "compose", counting)
+    try:
+        for k in (1, 2, 3):
+            for l in (1, 2, 3):
+                rcheck_cabled(spec, k, l)
+    finally:
+        rcheck_cabled.cache_clear()
+    assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------

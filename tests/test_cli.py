@@ -320,6 +320,12 @@ def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
         "invariance --family D --rank 2 --k 3",
         "dims --family D --rank 2 --m 3",
         "dump-presentation --family C --rank 2 --m 3 --n 4",
+        # an exterior algebra reads none of the A_m options, even when one is
+        # given at its default, and A_{k,l} has no --copies or --strict variant
+        "dims --exterior --family GL --k 2 --l 3",
+        "dims --exterior --family D --rank 3 --copies 5 --strict",
+        "dims --family GL --rank 2 --k 2 --l 2 --copies 5 --strict --max-degree 1",
+        "dims --exterior --m 2 --n 2 --rank 2",
     ],
 )
 def test_bad_option_values_exit_two(argv, tmp_path, capsys):

@@ -177,9 +177,9 @@ def test_projector_orthogonality_matches_reference():
                 assert assert_matches_reference(projs[a], projs[b]).is_zero()
 
 
-@pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_rcheck_cabled_matches_reference(k, l):
-    spec = LieTypeSpec("D", 2)
+def assert_cable_is_the_chain(spec, k, l):
+    # the cable is built from two smaller cached ones; the reference is the
+    # chain of kl lifted R-checks, rightmost left-strand first
     labels = natural_rep(spec).labels
     rc = rcheck(spec)
     got = rcheck_cabled(spec, k, l)
@@ -189,3 +189,19 @@ def test_rcheck_cabled_matches_reference(k, l):
             want = reference_compose(lift_pair_op(rc, labels, k + l, j), want)
     assert got.entries == want.entries
     assert_canonical_table(got)
+
+
+@pytest.mark.parametrize(
+    "k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]
+)
+def test_rcheck_cabled_matches_reference(k, l):
+    assert_cable_is_the_chain(LieTypeSpec("D", 2), k, l)
+
+
+# the odd dimension with v_0 (B1), the skew pairing (C2) and the R-matrix (GL2)
+@pytest.mark.parametrize(
+    "family,rank,k,l",
+    [("B", 1, 2, 2), ("B", 1, 2, 3), ("C", 2, 2, 2), ("GL", 2, 2, 2), ("GL", 2, 3, 2)],
+)
+def test_rcheck_cabled_matches_reference_in_every_family(family, rank, k, l):
+    assert_cable_is_the_chain(LieTypeSpec(family, rank), k, l)
