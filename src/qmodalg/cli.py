@@ -1,11 +1,11 @@
 """Batch entry point: build algebras, run verification suites, emit reports.
 
 Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error (a bad
-option value, an option the algebra does not read, an unsupported subcommand
-and algebra, or exhausted fuel: a normal form charged more than the fixed
-budget ncpoly.DEFAULT_FUEL = 10^6 expansions, each word being charged what a
-memo-free leftmost reduction of it makes), 3 internal error (any other
-exception, ValueError included).
+option value, an option the subcommand and algebra kind do not read, a
+subcommand with no suite for the kind, or exhausted fuel: a normal form
+charged more than the fixed budget ncpoly.DEFAULT_FUEL = 10^6 expansions,
+each word being charged what a memo-free leftmost reduction of it makes),
+3 internal error (any other exception, ValueError included).
 Reports are deterministic: entries are emitted in a fixed order and JSON is
 serialised with sorted keys, so identical configurations give identical bytes.
 """
@@ -51,20 +51,6 @@ GRID_SPECS = [
     ("GL", 2),
     ("GL", 3),
 ]
-
-
-def _int_at_least(name, value, low):
-    """value as an int no smaller than low (None stays None); a bad value is
-    a usage error."""
-    if value is None:
-        return None
-    try:
-        number = int(value)
-    except ValueError:
-        raise SystemExit2(f"{name} must be an integer, got {value!r}") from None
-    if number < low:
-        raise SystemExit2(f"{name} must be at least {low}, got {number}")
-    return number
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +161,24 @@ def suite_oracle_diff(spec, m=2):
     return suite(f"oracle-diff {spec}", entries)
 
 
-def suite_invariance(spec, m=2, kl=None, include_sigma=False):
-    entries = []
-    if spec.family == "GL":
-        k, l = kl
-        handle = build_akl(spec.rank, k, l)
-        for i in range(1, k + 1):
-            for b in range(1, l + 1):
-                rep = is_invariant(handle, psi(handle, (i, b)))
-                entries.append(
-                    check("pairing generator invariance", f"{spec} Psi[{i},{b}]", rep.verdict)
-                )
+def suite_invariance(handle, include_sigma=False):
+    spec, params = handle.spec, handle.params
+    if handle.kind == "Akl":
+        refs = [(i, b) for i in range(1, params["k"] + 1) for b in range(1, params["l"] + 1)]
+        pair_vector = []
     else:
-        handle = build_am(spec, m)
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j and pairing(spec).skew:
-                    continue
-                rep = is_invariant(handle, psi(handle, (i, j)), include_sigma=include_sigma)
-                entries.append(
-                    check("pairing generator invariance", f"{spec} Psi[{i},{j}]", rep.verdict)
-                )
-        _, trep = invariant_pair_vector(spec)
-        entries.extend(trep["entries"])
-    return suite(f"invariance {spec}", entries)
+        m, skew = params["m"], pairing(spec).skew
+        refs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if not (skew and i == j)]
+        pair_vector = invariant_pair_vector(spec)[1]["entries"]
+    entries = [
+        check(
+            "pairing generator invariance",
+            f"{spec} Psi[{i},{j}]",
+            is_invariant(handle, psi(handle, (i, j)), include_sigma=include_sigma).verdict,
+        )
+        for i, j in refs
+    ]
+    return suite(f"invariance {spec}", entries + pair_vector)
 
 
 def suite_relations(handle):
@@ -306,8 +286,8 @@ def grid_report(include_sigma=False):
         suites.append(suite_oracle(LieTypeSpec(fam, r), 2, 3))
         suites.append(suite_oracle_diff(LieTypeSpec(fam, r)))
     for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_invariance(LieTypeSpec(fam, r), m=2, include_sigma=include_sigma))
-    suites.append(suite_invariance(LieTypeSpec("GL", 2), kl=(2, 2)))
+        suites.append(suite_invariance(build_am(LieTypeSpec(fam, r), 2), include_sigma))
+    suites.append(suite_invariance(build_akl(2, 2, 2)))
     for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
         suites.append(suite_relations(build_am(LieTypeSpec(fam, r), 4)))
     suites.append(suite_relations(build_akl(2, 2, 2)))
@@ -380,8 +360,6 @@ def emit(report, fmt, path):
 
 
 def _spec_from(args):
-    if not args.family:
-        raise SystemExit2("--family is required for this command")
     try:
         return LieTypeSpec(args.family, args.rank)
     except ValueError as exc:
@@ -413,21 +391,60 @@ OPTIONS = {
     "verbose": dict(action="store_true"),
 }
 
+# the smallest value of each integer option
+LEAST = {"copies": 1, "k": 1, "l": 1, "m": 1, "n": 1, "max-degree": 0}
+
+# the algebra kinds and the options each reads; the printed variants exist
+# for B, C and D, and only the orthogonal families have sigma
+_AM = ("family", "rank", "copies", "max-degree")
+KIND_OPTIONS = {
+    "A_m over B/D": _AM + ("strict", "sigma"),
+    "A_m over C": _AM + ("strict",),
+    "A_m over GL": _AM,
+    "A_{k,l}": ("family", "rank", "k", "l", "max-degree"),
+    "exterior": ("exterior", "m", "n"),
+}
+
 _ALGEBRA = ("family", "rank", "copies", "k", "l", "strict")
 _REPORT = ("format", "output", "verbose")
+_FAMILIES = ("A_m over B/D", "A_m over C", "A_m over GL")  # --family alone selects these
+_PAIRED = ("A_m over B/D", "A_m over C", "A_{k,l}")  # the kinds with pairing generators
 
-# the options each subcommand reads; any other known option is an error
-COMMAND_OPTIONS = {
-    "dims": _ALGEBRA + ("m", "n", "exterior", "max-degree") + _REPORT,
-    "braiding": ("family", "rank") + _REPORT,
-    "relations": _ALGEBRA + _REPORT,
-    "invariance": ("family", "rank", "copies", "k", "l", "sigma") + _REPORT,
-    "fft": _ALGEBRA + ("max-degree", "sigma") + _REPORT,
-    "skew-duality": ("m", "n") + _REPORT,
-    "dump-presentation": _ALGEBRA + ("m", "n", "exterior", "output"),
-    "oracle-diff": ("family", "rank", "copies", "max-degree") + _REPORT,
-    "grid": ("sigma",) + _REPORT,
+# subcommand -> (the options it takes, the algebra kinds it has a suite
+# for); a run reads the options its subcommand and its kind share, and a
+# subcommand with no kinds builds no algebra from the options
+COMMANDS = {
+    "dims": (_ALGEBRA + ("m", "n", "exterior", "max-degree") + _REPORT, tuple(KIND_OPTIONS)),
+    "braiding": (("family", "rank") + _REPORT, _FAMILIES),
+    "relations": (_ALGEBRA + _REPORT, _PAIRED),
+    "invariance": (("family", "rank", "copies", "k", "l", "sigma") + _REPORT, _PAIRED),
+    "fft": (_ALGEBRA + ("max-degree", "sigma") + _REPORT, _PAIRED),
+    "skew-duality": (("m", "n") + _REPORT, ()),
+    "dump-presentation": (_ALGEBRA + ("m", "n", "exterior", "output"), tuple(KIND_OPTIONS)),
+    "oracle-diff": (("family", "rank", "copies", "max-degree") + _REPORT,
+                    ("A_m over B/D", "A_m over C")),
+    "grid": (("sigma",) + _REPORT, ()),
 }
+
+
+def reads(command, kind):
+    """The options a run of command on an algebra of this kind reads."""
+    options, _ = COMMANDS[command]
+    if kind is None:
+        return set(options)
+    return set(options).intersection(KIND_OPTIONS[kind] + _REPORT)
+
+
+def _kind(args):
+    """The algebra kind the given options select, before anything is built."""
+    if args.exterior:
+        return "exterior"
+    if not args.family:
+        raise SystemExit2("--family is required for this command")
+    if args.family == "GL" and args.given & {"k", "l"}:
+        return "A_{k,l}"
+    return {"B": "A_m over B/D", "D": "A_m over B/D", "C": "A_m over C",
+            "GL": "A_m over GL"}[args.family]
 
 
 class _Unsupported(argparse.Action):
@@ -450,7 +467,7 @@ def build_parser():
     )
     p.add_argument("--grid", action="store_true", help="run the full verification grid")
     sub = p.add_subparsers(dest="command")
-    for name, flags in COMMAND_OPTIONS.items():
+    for name, (flags, _) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.set_defaults(unsupported=None)
         # no option has a parser default, so run() can tell "--rank 2" from
@@ -469,45 +486,28 @@ def build_parser():
     return p
 
 
-def _refuse_ignored(args):
-    """Refuse a given option the algebra built would not read: an exterior
-    algebra reads only --m and --n, --k and --l describe only a GL algebra,
-    and that A_{k,l} has no --copies or --strict variant."""
-    if args.exterior:
-        for flag in ("family", "rank", "copies", "strict", "k", "l"):
-            if flag in args.given:
-                raise SystemExit2(f"--{flag} does not describe an exterior algebra")
-    if (args.k or args.l) and args.family != "GL":
-        raise SystemExit2("--k and --l need --family GL")
-    if (args.m or args.n) and not args.exterior:
-        raise SystemExit2("--m and --n need --exterior")
-    if args.k or args.l:
-        for flag in ("copies", "strict"):
-            if flag in args.given:
-                raise SystemExit2(f"--{flag} does not describe the GL algebra of --k and --l")
+def _refuse_unread(args):
+    """The run's algebra kind, once every given option is one it reads."""
+    kinds = COMMANDS[args.command][1]
+    kind = _kind(args) if kinds else None
+    if kinds and kind not in kinds:
+        raise SystemExit2(f"{args.command} has no suite for {kind}; it runs on {', '.join(kinds)}")
+    refused = sorted(args.given - reads(args.command, kind))
+    if refused:
+        flags = ", ".join("--" + flag for flag in refused)
+        raise SystemExit2(f"{args.command} on {kind} does not read {flags}")
+    return kind
 
 
-def _handle_from(args):
-    _refuse_ignored(args)
-    if args.exterior:
-        m = args.m or 2
-        n = args.n or 2
-        return build_exterior(m, n)
+def _handle_from(args, kind):
+    if kind == "exterior":
+        return build_exterior(args.m or 2, args.n or 2)
     spec = _spec_from(args)
-    if (args.k is None) != (args.l is None):
-        raise SystemExit2("--k and --l must be given together")
-    if args.k:
+    if kind == "A_{k,l}":
+        if args.k is None or args.l is None:
+            raise SystemExit2("--k and --l must be given together")
         return build_akl(spec.rank, args.k, args.l)
     return build_am(spec, args.copies, strict=args.strict)
-
-
-def _pairing_handle_from(args):
-    """The algebra of a suite over the pairing generators, which a GL slot
-    algebra does not have."""
-    handle = _handle_from(args)
-    if handle.kind == "Am" and handle.spec.family == "GL":
-        raise SystemExit2(f"{args.command} needs --family B, C or D, or GL with --k and --l")
-    return handle
 
 
 def run(argv):
@@ -537,33 +537,27 @@ def run(argv):
         },
     }
     try:
-        for name in ("copies", "k", "l", "m", "n"):
-            _int_at_least(f"--{name}", getattr(args, name), 1)
-        _int_at_least("--max-degree", args.max_degree, 0)
+        kind = _refuse_unread(args)
+        for flag, least in LEAST.items():
+            value = getattr(args, flag.replace("-", "_"))
+            if value is not None and value < least:
+                raise SystemExit2(f"--{flag} must be at least {least}, got {value}")
         if args.command == "grid":
             suites = grid_report(include_sigma=args.sigma)
         elif args.command == "dims":
-            handle = _handle_from(args)
-            suites = [suite_dims(handle, args.max_degree, "requested")]
+            suites = [suite_dims(_handle_from(args, kind), args.max_degree, "requested")]
         elif args.command == "braiding":
             suites = [suite_braiding(_spec_from(args))]
         elif args.command == "relations":
-            suites = [suite_relations(_pairing_handle_from(args))]
+            suites = [suite_relations(_handle_from(args, kind))]
         elif args.command == "invariance":
-            spec = _spec_from(args)
-            _refuse_ignored(args)
-            if spec.family == "GL":
-                suites = [suite_invariance(spec, kl=(args.k or 2, args.l or 2))]
-            else:
-                suites = [suite_invariance(spec, m=args.copies, include_sigma=args.sigma)]
+            suites = [suite_invariance(_handle_from(args, kind), args.sigma)]
         elif args.command == "fft":
-            handle = _pairing_handle_from(args)
-            suites = [suite_fft(handle, args.max_degree, args.sigma)]
+            suites = [suite_fft(_handle_from(args, kind), args.max_degree, args.sigma)]
         elif args.command == "skew-duality":
             suites = [suite_skew(args.m or 2, args.n or 2)]
         elif args.command == "dump-presentation":
-            handle = _handle_from(args)
-            manifest = presentation_manifest(handle)
+            manifest = presentation_manifest(_handle_from(args, kind))
             text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
             if out:
                 with open(out, "w") as fh:
@@ -571,16 +565,12 @@ def run(argv):
             else:
                 sys.stdout.write(text)
             return 0
-        elif args.command == "oracle-diff":
+        else:
             spec = _spec_from(args)
-            if spec.family == "GL":
-                raise SystemExit2("oracle-diff needs --family B, C or D")
             suites = [
-                suite_oracle(spec, args.copies, min(args.max_degree, 3)),
+                suite_oracle(spec, args.copies, args.max_degree),
                 suite_oracle_diff(spec, args.copies),
             ]
-        else:
-            return 2
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

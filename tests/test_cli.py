@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qmodalg.cli import run
+from qmodalg.cli import COMMANDS, OPTIONS, reads, run
 
 
 def test_dims_subcommand_exit_zero(tmp_path, capsys):
@@ -229,11 +229,11 @@ SUBCOMMAND_PINS = [
     ("skew-duality --m 2 --n 3", 0,
      "3b0295e0ca6d97295ec0138322b0ccf06616ef8ae19c2edb884882fd4cca8017"),
     ("oracle-diff --family B --rank 1 --copies 2", 0,
-     "e52b466b8dc4611b79eea5543753b684341d0e7ae69c43c570613513b734ad0c"),
+     "805c11ed114c53b35e3f25c1184b285487cd72aa91c7f2d1fa4d010d3ea6d4bd"),
     ("oracle-diff --family D --rank 2 --verbose", 0,
-     "484572cf92a1da40d09f96f0db075240a509708d9f1cd82845256e3022985255"),
+     "5b12327cb60b6d900f46cd54c53a5e93b28c0a43d6c3a4752a1d5fd2967ff613"),
     ("oracle-diff --family D --rank 2 --verbose --format text", 0,
-     "2ad378a2c69a0a2bf920b17252523c4a59b2b3d929844659583e22f591233bd1"),
+     "4eaec9c581fac6bc1353a30ea537accae928b6122b25c7b701e2f312e4e94738"),
 ]
 
 
@@ -326,6 +326,18 @@ def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
         "dims --exterior --family D --rank 3 --copies 5 --strict",
         "dims --family GL --rank 2 --k 2 --l 2 --copies 5 --strict --max-degree 1",
         "dims --exterior --m 2 --n 2 --rank 2",
+        # options only another algebra kind reads: the GL suite of invariance
+        # is A_{k,l}, sigma extends only B and D, the printed variants exist
+        # only for B, C and D, and an exterior algebra has all its degrees
+        "invariance --family GL --rank 2",
+        "invariance --family GL --rank 2 --copies 5",
+        "invariance --family C --rank 2 --sigma",
+        "fft --family C --rank 2 --sigma",
+        "invariance --family GL --rank 2 --k 1 --l 1 --sigma",
+        "fft --family GL --rank 2 --k 1 --l 1 --sigma",
+        "dims --exterior --max-degree 3",
+        "dims --family GL --rank 2 --strict",
+        "dump-presentation --family GL --rank 2 --strict",
     ],
 )
 def test_bad_option_values_exit_two(argv, tmp_path, capsys):
@@ -419,3 +431,104 @@ def test_unhonoured_option_exits_two(argv, flag, tmp_path, capsys):
     command = argv.split()[0]
     assert capsys.readouterr().err == f"error: {flag} is not supported by {command}\n"
     assert not out.exists()
+
+
+# one small instance per algebra kind: the options that select it (rank 2 is
+# the default), and the none kind of a subcommand that builds no algebra
+KIND_ARGV = {
+    "A_m over B/D": ["--family", "D"],
+    "A_m over C": ["--family", "C"],
+    "A_m over GL": ["--family", "GL"],
+    "A_{k,l}": ["--family", "GL", "--k", "1", "--l", "1"],
+    "exterior": ["--exterior"],
+    None: [],
+}
+# a small value other than the instance's for each option (a flag is given bare)
+VARIED = {"rank": "3", "copies": "1", "k": "2", "l": "2", "m": "1", "n": "1",
+          "max-degree": "2"}
+# a legal value for each option, given where the table refuses it
+GIVEN = {"family": "B", "rank": "2", "copies": "2", "k": "1", "l": "1", "m": "2",
+         "n": "2", "max-degree": "1", "format": "json"}
+UNCHECKED = {
+    # they choose the instance's kind, so every run of a row gives them
+    "family", "exterior",
+    # they choose the report's form and file, not what it checks
+    "format", "output", "verbose",
+}
+UNCHANGED = {
+    # the entries are verdicts, and every generator also passes under sigma
+    ("invariance", "A_m over B/D", "sigma"),
+    # the count is the same whatever the rules, until an overlap suite checks them
+    ("dims", "A_m over B/D", "strict"),
+    ("dims", "A_m over C", "strict"),
+}
+
+
+def _flag(option, values):
+    flag = ["--" + option]
+    return flag + [values[option]] if option in values else flag
+
+
+def _table_rows():
+    for command, (_, kinds) in COMMANDS.items():
+        for kind in kinds or (None,):
+            yield command, kind
+
+
+@pytest.mark.parametrize("command,kind", list(_table_rows()))
+def test_every_option_is_read_or_refused(command, kind, tmp_path, capsys):
+    # each option the table gives a run changes its report outside config,
+    # and each other option exits 2: no option is recorded and then ignored
+    reports = {}
+
+    def report(argv):
+        if tuple(argv) not in reports:
+            out = tmp_path / f"{len(reports)}.json"
+            assert run(argv + ["--output", str(out)]) in (0, 1), argv
+            reports[tuple(argv)] = json.loads(out.read_text())
+        return reports[tuple(argv)]
+
+    def checked(argv):
+        return {key: value for key, value in report(argv).items() if key != "config"}
+
+    accepted = reads(command, kind)
+    base = [command] + KIND_ARGV[kind]
+    if "max-degree" in accepted:
+        base += ["--max-degree", "1"]
+    for option in OPTIONS:
+        if option not in accepted:
+            out = tmp_path / "refused.json"
+            assert run(base + _flag(option, GIVEN) + ["--output", str(out)]) == 2, option
+            assert capsys.readouterr().err.startswith("error: "), option
+            assert not out.exists(), option
+        elif option not in UNCHECKED:
+            argv = base
+            if (command, option) == ("fft", "strict"):
+                argv = base[:-1] + ["4"]  # the printed variants differ from degree 4
+            varied = argv + _flag(option, VARIED)
+            if command == "grid":
+                # the default grid report is pinned: with its one option set
+                # back in config, the varied report's bytes stand in for a run
+                default = dict(report(varied), config={**report(varied)["config"], "sigma": False})
+                text = json.dumps(default, indent=1, sort_keys=True) + "\n"
+                changed = hashlib.sha256(text.encode()).hexdigest() != GRID_SHA256
+            else:
+                changed = checked(varied) != checked(argv)
+            assert changed == ((command, kind, option) not in UNCHANGED), option
+
+
+def test_readme_option_table_is_the_code_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| subcommand | algebra kind | options read |"):].splitlines()
+    rows = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        command, kind, options = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows[command, None if kind == "—" else kind] = {o.removeprefix("--") for o in options.split()}
+    report = {"format", "output", "verbose"}
+    assert rows == {(c, k): reads(c, k) - report for c, k in _table_rows()}
+    # README: every subcommand reads the report options, dump-presentation only --output
+    for command, (options, _) in COMMANDS.items():
+        want = {"output"} if command == "dump-presentation" else report
+        assert report.intersection(options) == want, command
