@@ -1,9 +1,11 @@
 """Construction of the presented algebras as rewrite systems.
 
 Each handle owns an alphabet, a per-slot grading, and a straightening rewrite
-system.  Shipped rule sets are derived from the braiding itself: same-slot
-rules are solved exactly from the degree-2 relation subspace of V (x) V, and
-cross-slot rules read off the entries of R-check (block exchange).  The
+system, built once from its builder's ordered rule groups; the same groups
+render the presentation manifest on demand.  Shipped rule sets are derived
+from the braiding itself: same-slot rules are solved exactly from the
+degree-2 relation subspace of V (x) V, and cross-slot rules read off the
+entries of R-check (block exchange).  The
 transcribed textbook presentation variants are available behind strict=True
 and compared rule-by-rule by the oracle-diff machinery; the independent
 tensor-route product (lift, braid blocks with cabled R-checks, re-straighten
@@ -70,14 +72,16 @@ def _compositions(total, parts):
 class AlgebraHandle:
     """A presented algebra: alphabet, grading, rewrite system, letter actions."""
 
-    def __init__(self, kind, spec, params, slots, rs, manifest, strict=False):
+    def __init__(self, kind, spec, params, slots, groups, strict=False):
         self.kind = kind          # Sq | Am | Akl | Exterior
         self.spec = spec          # LieTypeSpec (None for Exterior)
         self.params = params      # {'m': ...} | {'k':..,'l':..,'n':..} | {'m':..,'n':..}
         self.slots = slots        # list of (slot_name, tuple of letters)
-        self.rs = rs
-        self.manifest = manifest  # list of {pattern, replacement, provenance}
+        # (provenance, {pattern: replacement}) groups in order, patterns sorted
+        self.groups = tuple((prov, tuple(sorted(rules.items()))) for prov, rules in groups)
+        self.rs = RewriteSystem({pat: repl for _, rules in self.groups for pat, repl in rules})
         self.strict = strict
+        self.letter_str = sq_letter_str if kind == "Sq" else default_letter_str
         self.alphabet = tuple(l for _, block in slots for l in block)
         self._slot_index = {}
         for idx, (_, block) in enumerate(slots):
@@ -136,8 +140,7 @@ class AlgebraHandle:
         return NCPolynomial.one()
 
     def render(self, p):
-        style = sq_letter_str if self.kind == "Sq" else default_letter_str
-        return p.render(style)
+        return p.render(self.letter_str)
 
     # -- quantum group action ------------------------------------------------
 
@@ -350,18 +353,6 @@ def _exchange_rules(columns, slot_pairs, labels):
 # ---------------------------------------------------------------------------
 # handle builders
 
-def _add_rules(rs, manifest, rules, provenance, render=default_letter_str):
-    for pat, repl in sorted(rules.items()):
-        rs.add_rule(pat, repl)
-        manifest.append(
-            {
-                "pattern": "".join(render(l) for l in pat),
-                "replacement": repl.render(render),
-                "provenance": provenance,
-            }
-        )
-
-
 def _family_pair_provenance(spec):
     return {
         "D": "even orthogonal degree-2 ideal solve (antisymmetric summand)",
@@ -391,27 +382,21 @@ def _build_am(spec, m, kind, strict=False):
     slots = [
         (f"slot{i}", tuple(x_(i, a) for a in labels)) for i in range(1, m + 1)
     ]
-    rs = RewriteSystem({})
-    manifest = []
-    render = sq_letter_str if kind == "Sq" else default_letter_str
     pair, prov = _pair_rules_solved(spec), _family_pair_provenance(spec)
-    for x in _slots(x_, m):
-        _add_rules(rs, manifest, _on_slot(pair, x), prov, render)
+    groups = [(prov, _on_slot(pair, x)) for x in _slots(x_, m)]
     if m > 1:
         if strict and spec.family in ("B", "C", "D"):
-            cross, prov = _printed_cross_rules(spec, m)
+            groups.append(_printed_cross_rules(spec, m))
         else:
             pairs = combinations(_slots(x_, m), 2)
             cross = _exchange_rules(rcheck(spec).by_col(), pairs, labels)
-            prov = "cross-slot exchange from R-check entries"
-        _add_rules(rs, manifest, cross, prov, render)
+            groups.append(("cross-slot exchange from R-check entries", cross))
     return AlgebraHandle(
         kind=kind,
         spec=spec,
         params={"m": m},
         slots=slots,
-        rs=rs,
-        manifest=manifest,
+        groups=groups,
         strict=strict,
     )
 
@@ -425,20 +410,9 @@ def build_akl(n, k, l):
     labels = natural_rep(spec).labels
     slots = [(f"x{i}", tuple(x_(i, a) for a in labels)) for i in range(1, k + 1)]
     slots += [(f"y{b}", tuple(y_(b, a) for a in labels)) for b in range(1, l + 1)]
-    rs = RewriteSystem({})
-    manifest = []
     xs, ys = _slots(x_, k), _slots(y_, l)
-
-    pair = _pair_rules_solved(spec)
-    for x in xs:
-        _add_rules(rs, manifest, _on_slot(pair, x), "quantum matrix row relations")
+    pair, dual_pair = _pair_rules_solved(spec), _pair_rules_dual_row(n)
     cross = _exchange_rules(rcheck(spec).by_col(), combinations(xs, 2), labels)
-    _add_rules(rs, manifest, cross, "cross-row exchange from R-check entries")
-
-    dual_pair = _pair_rules_dual_row(n)
-    for y in ys:
-        rules = _on_slot(dual_pair, y)
-        _add_rules(rs, manifest, rules, "dual quantum matrix row relations")
 
     # inverse-R entries ((r1, r2), (c1, c2)): Y rows exchange along row
     # (r1, r2) read under (r2, r1); Y passes X pairing r1 with c2
@@ -447,17 +421,19 @@ def build_akl(n, k, l):
         ycols.setdefault((r2, r1), []).append(((c1, c2), v))
         mixed.setdefault((r1, c2), []).append(((r2, c1), v))
     ycross = _exchange_rules(ycols, combinations(ys, 2), labels)
-    _add_rules(rs, manifest, ycross, "dual cross-row exchange from inverse R entries")
     xy = _exchange_rules(mixed, product(xs, ys), labels)
-    _add_rules(rs, manifest, xy, "mixed exchange from inverse R pairing")
 
+    groups = [("quantum matrix row relations", _on_slot(pair, x)) for x in xs]
+    groups.append(("cross-row exchange from R-check entries", cross))
+    groups += [("dual quantum matrix row relations", _on_slot(dual_pair, y)) for y in ys]
+    groups.append(("dual cross-row exchange from inverse R entries", ycross))
+    groups.append(("mixed exchange from inverse R pairing", xy))
     return AlgebraHandle(
         kind="Akl",
         spec=spec,
         params={"n": n, "k": k, "l": l},
         slots=slots,
-        rs=rs,
-        manifest=manifest,
+        groups=groups,
     )
 
 
@@ -470,28 +446,34 @@ def build_exterior(m, n):
         (f"row{i}", tuple((0, i, j) for j in range(1, n + 1)))
         for i in range(1, m + 1)
     ]
-    rs = RewriteSystem({})
-    manifest = []
     rules = _on_slot(_pair_rules_exterior(m, n), lambda p: (0,) + p)
-    _add_rules(rs, manifest, rules, "exterior degree-2 ideal solve (symmetric part)")
     return ExteriorHandle(
         kind="Exterior",
         spec=None,
         params={"m": m, "n": n},
         slots=slots,
-        rs=rs,
-        manifest=manifest,
+        groups=[("exterior degree-2 ideal solve (symmetric part)", rules)],
     )
 
 
 def presentation_manifest(handle):
     """The audited rule manifest for dump-presentation."""
+    style = handle.letter_str
+    rules = [
+        {
+            "pattern": "".join(style(l) for l in pat),
+            "replacement": repl.render(style),
+            "provenance": prov,
+        }
+        for prov, group in handle.groups
+        for pat, repl in group
+    ]
     return {
         "kind": handle.kind,
         "spec": str(handle.spec) if handle.spec else None,
         "params": dict(handle.params),
         "strict": handle.strict,
-        "rules": list(handle.manifest),
+        "rules": rules,
     }
 
 
@@ -542,7 +524,7 @@ def psi_gl_poly(n, i, beta):
 
 
 def _printed_cross_rules(spec, m):
-    """Cross rules exactly as the source presentation prints them."""
+    """(provenance, cross rules) exactly as the source presentation prints them."""
     if spec.family not in _PRINTED:
         raise ValueError("printed cross rules exist for B, C, D only")
     fam = _PRINTED[spec.family]
@@ -587,7 +569,7 @@ def _printed_cross_rules(spec, m):
                 rules[(x_(j, u), x_(i, t))] = NCPolynomial(
                     {w(t, u): q_pow(fam.second), w(u, t): fam.middle * qq}
                 ) + tail.scale(qq * q_pow(t - n + fam.tail))
-    return rules, f"printed presentation: {fam.name} cross rules"
+    return f"printed presentation: {fam.name} cross rules", rules
 
 
 def printed_rule_diffs(spec, m=2):
@@ -598,16 +580,16 @@ def printed_rule_diffs(spec, m=2):
     shipped system.
     """
     shipped = build_am(spec, m)
-    printed, prov = _printed_cross_rules(spec, m)
+    prov, printed = _printed_cross_rules(spec, m)
     entries = []
     for pat, repl in sorted(printed.items()):
         lhs = shipped.normal_form(NCPolynomial.from_word(pat))
         rhs = shipped.normal_form(repl)
         diff = lhs - rhs
         agrees = diff.is_zero()
-        pattern = "".join(default_letter_str(l) for l in pat)
+        pattern = "".join(shipped.letter_str(l) for l in pat)
         residual = None if agrees else shipped.render(diff)
-        text = repl.render(default_letter_str)
+        text = repl.render(shipped.letter_str)
         entries.append(check(prov, pattern, True, printed=text, agrees=agrees, residual=residual))
     return entries
 

@@ -123,16 +123,16 @@ def suite_oracle(spec, m, max_total_degree):
     """Presented product vs the braided tensor-route product, exhaustively."""
     handle = build_am(spec, m)
     entries = []
-    words = []
+    # words by ascending total degree; upto[k] counts those of degree <= k
+    words, upto = [], []
     for k in range(max_total_degree + 1):
         for d in handle.degree_compositions(k):
             words.extend(handle.graded_words(d))
+        upto.append(len(words))
     mismatches = 0
     checked = 0
     for w1 in words:
-        for w2 in words:
-            if len(w1) + len(w2) > max_total_degree:
-                continue
+        for w2 in words[:upto[max_total_degree - len(w1)]]:
             p1, p2 = NCPolynomial.from_word(w1), NCPolynomial.from_word(w2)
             presented = handle.multiply(p1, p2)
             oracle = tensor_oracle_product(spec, m, p1, p2)

@@ -81,16 +81,19 @@ def rank(vectors):
 
 
 class Expresser:
-    """Writes target vectors as exact combinations of a fixed column list."""
+    """Writes target vectors as exact combinations of a fixed column list.
+
+    The rows are kept as in ``EchelonBasis``, pivot on the smallest entry,
+    each with its coordinates over the columns, so one insertion-order pass
+    reduces a vector.
+    """
 
     def __init__(self, columns):
-        self.ncols = len(columns)
-        # rows: (reduced vector, coordinate vector over original columns)
-        self.rows = {}  # pivot key -> (vec, coords dict col_index -> Scalar)
+        self.rows = {}  # pivot key -> (row, pivot scaled to 1; coords col index -> Scalar)
         for idx, col in enumerate(columns):
             vec, coords = self._reduce(col, {idx: ONE})
             if vec:
-                p = min(vec.keys())
+                p = min(vec, key=lambda k: (_size(vec[k]), k))
                 inv = vec[p].inverse()
                 self.rows[p] = (
                     {k: inv * c for k, c in vec.items()},
@@ -98,18 +101,11 @@ class Expresser:
                 )
 
     def _reduce(self, vec, coords):
-        vec = dict(vec)
-        coords = dict(coords)
-        while vec:
-            hits = sorted(k for k in vec if k in self.rows)
-            if not hits:
-                break
-            for k in hits:
-                c = vec.get(k)
-                if c:
-                    rv, rc = self.rows[k]
-                    vec = vec_axpy(vec, -c, rv)
-                    coords = vec_axpy(coords, -c, rc)
+        for p, (rv, rc) in self.rows.items():
+            c = vec.get(p)
+            if c:
+                vec = vec_axpy(vec, -c, rv)
+                coords = vec_axpy(coords, -c, rc)
         return vec, coords
 
     def rank(self):

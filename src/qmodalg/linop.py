@@ -217,14 +217,6 @@ class LinearOperator:
     def commutes_with(self, other):
         return (self @ other) == (other @ self)
 
-    def to_json_triplets(self):
-        """Sorted (row, col, scalar-string) triplets for cross-implementation diffs."""
-        def norm(label):
-            return list(label) if isinstance(label, tuple) else label
-
-        items = sorted(self.entries.items())
-        return [[norm(r), norm(c), str(v)] for (r, c), v in items]
-
 
 def kron(ops):
     """Tensor product of operators on V; labels become tuples of V-labels."""

@@ -152,26 +152,22 @@ class RewriteSystem:
     leftmost reduction to ordered-word normal form."""
 
     def __init__(self, rules):
+        """rules: {pattern: replacement}, checked here and fixed from then on."""
         self.rules = {}
+        for pattern, replacement in rules.items():
+            pattern = tuple(pattern)
+            if len(pattern) != 2:
+                raise RuleValidationError("patterns are two-letter words")
+            for w in replacement.coeffs:
+                if len(w) != 2:
+                    raise RuleValidationError("replacements must be degree-homogeneous")
+                if not w < pattern:
+                    raise RuleValidationError(
+                        f"replacement word {w} not below pattern {pattern}"
+                    )
+            self.rules[pattern] = replacement
         self._memo = {}
         self._cost = {}
-        for pat, repl in rules.items():
-            self.add_rule(pat, repl)
-
-    def add_rule(self, pattern, replacement):
-        pattern = tuple(pattern)
-        if len(pattern) != 2:
-            raise RuleValidationError("patterns are two-letter words")
-        for w in replacement.coeffs:
-            if len(w) != 2:
-                raise RuleValidationError("replacements must be degree-homogeneous")
-            if not w < pattern:
-                raise RuleValidationError(
-                    f"replacement word {w} not below pattern {pattern}"
-                )
-        self.rules[pattern] = replacement
-        self._memo.clear()
-        self._cost.clear()
 
     def is_normal_word(self, word):
         rules = self.rules

@@ -352,10 +352,6 @@ def q_pow(k):
     return Scalar({2 * k: 1})
 
 
-Q = q_pow(1)
-V = v_pow(1)
-
-
 def gauss_int(n, step=2):
     """Quantum integer [n] in q_i = v^step: v^(step(n-1)) + v^(step(n-3)) + ...
 
@@ -366,11 +362,6 @@ def gauss_int(n, step=2):
     return Scalar({step * (n - 1 - 2 * j): 1 for j in range(n)})
 
 
-def q_int(n):
-    """[n]_q = (q^n - q^-n)/(q - q^-1)."""
-    return gauss_int(n, 2)
-
-
 def gauss_binom(n, k, step=2):
     """Quantum binomial coefficient [n choose k] in v^step, exact."""
     if k < 0 or k > n:
@@ -379,24 +370,6 @@ def gauss_binom(n, k, step=2):
     for t in range(1, k + 1):
         out = out * gauss_int(n - k + t, step) / gauss_int(t, step)
     return out
-
-
-def scalar_arith(a, b, op):
-    """Dispatch form of the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def classical_limit(a):
-    """Module-level alias for Scalar.classical_limit."""
-    return a.classical_limit()
 
 
 # ---------------------------------------------------------------------------

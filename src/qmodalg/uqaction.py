@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .braiding import invariant_vector_t, tensor_generator_ops
 from .linalg import EchelonBasis, nullspace
-from .ncpoly import NCPolynomial
+from .ncpoly import NCPolynomial, terms_json
 from .report import check, suite
 from .rootdata import natural_rep, rho_pairing
 from .scalar import ONE, accumulate, q_pow
@@ -154,10 +154,7 @@ def span_contained_in(vectors, basis_polys):
 
 def invariant_basis_json(handle, degree, include_sigma=False):
     """The invariant basis of a graded component as term-list JSON."""
-    from .ncpoly import sq_letter_str, terms_json
-
-    style = sq_letter_str if handle.kind == "Sq" else None
     return [
-        terms_json(p, style)
+        terms_json(p, handle.letter_str)
         for p in invariant_basis(handle, degree, include_sigma)
     ]

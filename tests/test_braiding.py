@@ -503,11 +503,3 @@ def test_gl_lists_span_the_summands():
             for v in listed:
                 assert eb.contains(v)
             assert spanset(listed).rank() == len(basis)
-
-
-def test_operator_json_triplets():
-    rc = rcheck(LieTypeSpec("GL", 2))
-    trips = rc.to_json_triplets()
-    assert [[1, 2], [2, 1], "1"] in trips
-    assert all(len(t) == 3 and isinstance(t[2], str) for t in trips)
-    assert trips == sorted(trips)

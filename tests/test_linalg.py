@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmodalg.linalg import EchelonBasis, nullspace, rank, vec_axpy
+from qmodalg.linalg import EchelonBasis, Expresser, nullspace, rank, vec_axpy
 from qmodalg.scalar import ONE, ZERO, Scalar
 
 
@@ -173,6 +173,30 @@ def test_echelon_basis_matches_smallest_key_pivoting(shape):
         probes = [_combination(rng, nonzero), _sparse_row(rng, keys, shape[3]), {}]
         for p in probes:
             assert eb.contains(p) == ref.contains(p), (seed, p)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d-rank%d" % s[:3])
+def test_expresser_coordinates_recombine_to_the_target(shape):
+    for seed in SEEDS:
+        rng, vectors, keys = _case(shape, seed, [("w", i) for i in range(10)])
+        columns = [v for v in vectors if v]
+        columns.insert(rng.randint(1, len(columns)), _combination(rng, columns))
+        expr = Expresser(columns)
+        assert expr.rank() == rank(columns) < len(columns), seed
+        inside = _combination(rng, columns)
+        coords = expr.express(inside)
+        recombined = {}
+        for j, c in coords.items():
+            recombined = vec_axpy(recombined, c, columns[j])
+        assert recombined == inside, seed
+        assert expr.express({}) == {}
+        assert expr.express(vec_axpy(inside, ONE, {("w", 99): ONE})) is None  # a key no column has
+        eb = EchelonBasis()
+        for v in columns:
+            eb.add(v)
+        for _ in range(3):
+            probe = _sparse_row(rng, keys, shape[3])
+            assert (expr.express(probe) is None) == (not eb.contains(probe)), seed
 
 
 def test_draws_cover_duplicates_zero_rows_and_both_rank_cases():

@@ -209,12 +209,13 @@ def test_fuel_partial_equals_the_input_in_the_algebra(words):
 
 
 def test_rule_validation_rejects_nondecreasing():
-    rs = RewriteSystem({})
     good = NCPolynomial({(x_(1, 1), x_(1, 2)): ONE})
     with pytest.raises(RuleValidationError):
-        rs.add_rule((x_(1, 1), x_(1, 2)), good)  # pattern not above replacement
+        RewriteSystem({(x_(1, 1), x_(1, 2)): good})  # pattern not above replacement
     with pytest.raises(RuleValidationError):
-        rs.add_rule((x_(1, 2), x_(1, 1)), NCPolynomial({(x_(1, 2), x_(1, 3), x_(1, 1)): ONE}))
+        RewriteSystem({(x_(1, 2), x_(1, 1)): NCPolynomial({(x_(1, 2), x_(1, 3), x_(1, 1)): ONE})})
+    with pytest.raises(RuleValidationError):
+        RewriteSystem({(x_(1, 2),): good})  # pattern of one letter
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
-"""Every function and class in the package is exported or referenced somewhere.
+"""Every function, class and constant in the package is exported or referenced.
 
-A reference is any identifier, attribute name or import alias in src/,
-tests/ or perfbench/, or a dotted name the benchmark's tracer looks up by
-string (perfbench/tracing.SPANS).  Dunder methods are called by Python
-itself and are exempt.  Every module-level import of a package module
-other than __init__.py is used by a name in that module.  Report entries
-are built by report.check, never as a dict literal elsewhere.
+A module-level function, class or constant is referenced by a name read
+in src/, tests/ or perfbench/, an import alias, __all__, or a dotted name
+the benchmark's tracer looks up by string (perfbench/tracing.SPANS); an
+attribute that happens to share its name does not count.  A method or a
+nested definition may also be referenced by an attribute name.  Dunder
+names are called or read by Python itself and are exempt.  Every
+module-level import of a package module other than __init__.py is used by
+a name in that module.  Report entries are built by report.check, never as
+a dict literal elsewhere.
 """
 
 import ast
@@ -47,31 +50,53 @@ def _traced_names():
 
 
 def _references():
-    names = _traced_names()
+    """(names read or imported, attribute names) over src, tests, perfbench."""
+    names, attrs = _traced_names(), set()
     for _, tree in _trees("src", "tests", "perfbench"):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.split(".")[-1])
                 if node.asname:
                     names.add(node.asname)
-    return names
+    return names, attrs
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(name, line, module level?) of every function and class, and of every
+    name a module-level assignment binds."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    top = set()
+    for node in tree.body:
+        if isinstance(node, defs):
+            top.add(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, node.lineno, True
+    for node in ast.walk(tree):
+        if isinstance(node, defs):
+            yield node.name, node.lineno, node in top
 
 
 def test_every_definition_is_exported_or_referenced():
-    keep = _exported() | _references()
+    names, attrs = _references()
+    names |= _exported()
+    anywhere = names | attrs
     unused = []
     for path, tree in _trees("src/qmodalg"):
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if name.startswith("__") and name.endswith("__"):
-                    continue
-                if name not in keep:
-                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+        for name, line, module_level in _definitions(tree):
+            if name not in (names if module_level else anywhere) and not _is_dunder(name):
+                unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not unused, "defined but never used:\n" + "\n".join(unused)
 
 
@@ -115,7 +140,7 @@ def test_every_parameter_is_read():
     for path, tree in _trees("src/qmodalg"):
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("__") and node.name.endswith("__"):
+                if _is_dunder(node.name):
                     continue
                 name, body = node.name, node.body
             elif isinstance(node, ast.Lambda):

@@ -12,23 +12,9 @@ from qmodalg.scalar import (
     gauss_binom,
     gauss_int,
     parse_scalar,
-    q_int,
     q_pow,
-    scalar_arith,
     v_pow,
 )
-
-
-def test_scalar_arith_dispatch():
-    a, b = q_pow(1) - q_pow(-1), q_pow(1) + q_pow(-1)
-    assert scalar_arith(a, b, "mul") == q_pow(2) - q_pow(-2)
-    assert scalar_arith(a, b, "add") == 2 * q_pow(1)
-    assert scalar_arith(a, b, "sub") == -2 * q_pow(-1)
-    assert scalar_arith(q_pow(3) - q_pow(-3), a, "div") == q_pow(2) + 1 + q_pow(-2)
-    with pytest.raises(ScalarDivisionError):
-        scalar_arith(a, ZERO, "div")
-    with pytest.raises(ValueError):
-        scalar_arith(a, b, "pow")
 
 
 def test_product_of_conjugates():
@@ -37,7 +23,7 @@ def test_product_of_conjugates():
 
 def test_quantum_integer_division():
     assert (q_pow(3) - q_pow(-3)) / (q_pow(1) - q_pow(-1)) == q_pow(2) + 1 + q_pow(-2)
-    assert q_int(3) == q_pow(2) + 1 + q_pow(-2)
+    assert gauss_int(3) == q_pow(2) + 1 + q_pow(-2)
 
 
 def test_additive_expansion():
@@ -271,7 +257,7 @@ def test_operations_commute_with_evaluation():
 def test_classical_limit_is_an_exact_fraction():
     lim = parse_scalar("(q+1)/(q+2)").classical_limit()
     assert lim == Fraction(2, 3) and type(lim) is Fraction
-    lim = q_int(3).classical_limit()
+    lim = gauss_int(3).classical_limit()
     assert lim == 3 and type(lim) is Fraction
     lim = Scalar({0: Fraction(1, 2), 2: Fraction(1, 2)}).classical_limit()
     assert lim == 1 and type(lim) is Fraction
