@@ -35,7 +35,6 @@ from .uqaction import (
     invariant_basis_json,
     invariant_pair_vector,
     is_invariant,
-    weight,
 )
 
 __all__ = [
@@ -72,6 +71,5 @@ __all__ = [
     "tensor_oracle_product",
     "verify_braid_and_skein",
     "verify_relation_suite",
-    "weight",
 ]
 __version__ = "0.1.0"

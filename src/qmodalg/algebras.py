@@ -29,7 +29,6 @@ from .braiding import (
     spectral_data,
 )
 from .linalg import EchelonBasis, Expresser
-from .linop import LinearOperator
 from .ncpoly import (
     NCPolynomial,
     RewriteSystem,
@@ -181,7 +180,7 @@ class AlgebraHandle:
         return tuple(acc)
 
     def generator_action(self, g):
-        """subst/cok tables for the Leibniz evaluation of a generator."""
+        """images/cok tables for rootdata.coproduct_image of a generator."""
         if g not in self._action_cache:
             self._action_cache[g] = self._build_action(g)
         return self._action_cache[g]
@@ -191,45 +190,25 @@ class AlgebraHandle:
         group on its label l[2]; a letter with l[0] == 1 is dual."""
         if g.kind == "sigma":
             cols = sigma_candidate(self.spec).by_col()
-            subst = {
+            images = {
                 l: tuple((l[:2] + (r,), v) for r, v in cols.get(l[2], ()))
                 for l in self.alphabet
             }
-            return subst, None
+            return images, None
         rep = self.reps()[g.group]
         pos = 1 if g.group == "m" else 2
-        subst, cok = {}, {}
         if g.kind in ("k", "k_inv"):
-            for l in self.alphabet:
-                ev = rep.k_diag(g.index, l[pos])
-                invert = (l[0] == 1) != (g.kind == "k_inv")
-                subst[l] = ((l, ev.inverse() if invert else ev),)
-            return subst, cok
-        duals = {l[0] == 1 for l in self.alphabet}
-        cols = {dual: self._pi_matrix(rep, g, dual).by_col() for dual in duals}
-        k = rep.coproduct_k(g.index)
-        for l in self.alphabet:
-            dual, label = l[0] == 1, l[pos]
-            images = cols[dual].get(label, ())
-            subst[l] = tuple((l[:pos] + (r,) + l[pos + 1:], v) for r, v in images)
-            cok[l] = k[label].inverse() if dual else k[label]
-        return subst, cok
-
-    def _pi_matrix(self, rep, g, dual):
-        labels = rep.labels
-        base = rep.e_mats[g.index] if g.kind == "e" else rep.f_mats[g.index]
-        pi = LinearOperator(labels, labels, base)
-        if not dual:
-            return pi
-        # dual coefficient action: pi'(x) = pi(S(x))^T, S(e) = -e k^-1, S(f) = -k f
-        k = rep.coproduct_k(g.index)
-        if g.kind == "e":
-            kinv = {(a, a): v.inverse() for a, v in k.items()}
-            m = pi @ LinearOperator(labels, labels, kinv)
+            # k^-1 acts on V as k does on V*, and the other way round
+            kind, flip, cok = "k", g.kind == "k_inv", None
         else:
-            m = LinearOperator(labels, labels, {(a, a): v for a, v in k.items()}) @ pi
-        dual_entries = {(c, r): -v for (r, c), v in m.entries.items()}
-        return LinearOperator(labels, labels, dual_entries)
+            kind, flip, k = g.kind, False, rep.coproduct_k(g.index)
+            cok = {l: k[l[pos]].inverse() if l[0] == 1 else k[l[pos]] for l in self.alphabet}
+        on = {dual: rep.images(kind, g.index, dual != flip) for dual in (False, True)}
+        images = {
+            l: tuple((l[:pos] + (r,) + l[pos + 1:], v) for r, v in on[l[0] == 1].get(l[pos], ()))
+            for l in self.alphabet
+        }
+        return images, cok
 
 
 class ExteriorHandle(AlgebraHandle):

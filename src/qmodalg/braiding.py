@@ -4,7 +4,8 @@ For B, C, D the operator is assembled from the spectral form
 R-check = q P_s - q^-1 P_a + kappa P_0 where the three submodules are built
 as exact U_q-closures of seed vectors and validated to be a direct-sum
 decomposition of V (x) V.  For GL the operator comes from the explicit
-R-matrix of the natural representation composed with the flip.
+R-matrix of the natural representation composed with the flip.  The
+coproduct action on V^(x)r is rootdata.coproduct_image on tensor words.
 
 Labels of tensor-power operators are tuples of V-positions.
 """
@@ -17,9 +18,9 @@ from itertools import product
 from typing import NamedTuple
 
 from .linalg import EchelonBasis, Expresser
-from .linop import LinearOperator, kron, lift_block_op, lift_pair_op
+from .linop import LinearOperator, lift_block_op
 from .report import check, suite
-from .rootdata import LieTypeSpec, natural_rep
+from .rootdata import LieTypeSpec, coproduct_image, natural_rep
 from .scalar import ONE, accumulate, q_pow
 
 
@@ -75,10 +76,6 @@ def pair_eigenvalue_p0(spec):
     return -kappa if row.skew else kappa
 
 
-def _rep_op(rep, mat):
-    return LinearOperator(rep.labels, rep.labels, mat)
-
-
 def _tensor_words(rep, r):
     return [tuple(w) for w in product(rep.labels, repeat=r)]
 
@@ -86,28 +83,20 @@ def _tensor_words(rep, r):
 def tensor_generator_ops(rep, r):
     """Coproduct action on V^(x)r of every e_i, f_i and k/K, as operators.
 
-    Delta(e) = e (x) k + 1 (x) e and Delta(f) = f (x) 1 + k^-1 (x) f iterate to
-    "e at slot t, k after" and "f at slot t, k^-1 before".
+    The column of a tensor word is its rootdata.coproduct_image, the word's
+    letters being V-labels.
     """
-    ident = {(a, a): ONE for a in rep.labels}
+    words = _tensor_words(rep, r)
+    gens = [(kind, i, rep.coproduct_k(i)) for i in rep.chevalley_indices() for kind in "ef"]
+    gens += [("k", b, None) for b in rep.cartan_indices()]
     ops = {}
-    for i in rep.chevalley_indices():
-        k = rep.coproduct_k(i)
-        kmat = {(a, a): v for a, v in k.items()}
-        kinv = {(a, a): v.inverse() for a, v in k.items()}
-        for kind, mat, before, after in (
-            ("e", rep.e_mats[i], ident, kmat),
-            ("f", rep.f_mats[i], kinv, ident),
-        ):
-            total = None
-            for t in range(r):
-                slots = [before] * t + [mat] + [after] * (r - t - 1)
-                term = kron([_rep_op(rep, m) for m in slots])
-                total = term if total is None else total + term
-            ops[(kind, i)] = total
-    for b in rep.cartan_indices():
-        kb = rep.k_mats[b]
-        ops[("k", b)] = kron([_rep_op(rep, kb)] * r)
+    for kind, i, cok in gens:
+        images = rep.images(kind, i)
+        entries = {}
+        for w in words:
+            for row, v in coproduct_image({}, w, ONE, kind, images, cok).items():
+                entries[(row, w)] = v
+        ops[(kind, i)] = LinearOperator(words, words, entries)
     return ops
 
 
@@ -311,7 +300,7 @@ def rcheck_cabled(spec, k, l):
         over_last = lift_block_op(rcheck_cabled(spec, k, 1), labels, r, l, k + 1)
         return over_last @ lift_block_op(rcheck_cabled(spec, k, l - 1), labels, r, 1, r - 1)
     rest = lift_block_op(rcheck_cabled(spec, k - 1, 1), labels, r, 1, k)
-    return rest @ lift_pair_op(rcheck(spec), labels, r, k)
+    return rest @ lift_block_op(rcheck(spec), labels, r, k, 2)
 
 
 def verify_braid_and_skein(spec):
@@ -320,8 +309,8 @@ def verify_braid_and_skein(spec):
     rc = rcheck(spec)
     entries = []
 
-    r1 = lift_pair_op(rc, rep.labels, 3, 1)
-    r2 = lift_pair_op(rc, rep.labels, 3, 2)
+    r1 = lift_block_op(rc, rep.labels, 3, 1, 2)
+    r2 = lift_block_op(rc, rep.labels, 3, 2, 2)
     braid_ok = (r1 @ r2 @ r1) == (r2 @ r1 @ r2)
     entries.append(check("YB braid relation on V^3", str(spec), braid_ok))
 

@@ -218,22 +218,6 @@ class LinearOperator:
         return (self @ other) == (other @ self)
 
 
-def kron(ops):
-    """Tensor product of operators on V; labels become tuples of V-labels."""
-    domain = [tuple(w) for w in product(*[op.domain for op in ops])]
-    codomain = [tuple(w) for w in product(*[op.codomain for op in ops])]
-    entries = {}
-    for pairs in product(*[list(op.entries.items()) for op in ops]):
-        # distinct entry tuples give distinct keys, so nothing is summed
-        row = tuple(p[0][0] for p in pairs)
-        col = tuple(p[0][1] for p in pairs)
-        val = pairs[0][1]
-        for p in pairs[1:]:
-            val = val * p[1]
-        entries[(row, col)] = val
-    return LinearOperator(domain, codomain, entries)
-
-
 def lift_block_op(op, labels, r, start, width):
     """Embed an operator on V^(x)width at slots start..start+width-1 of V^(x)r."""
     words = [tuple(w) for w in product(labels, repeat=r)]
@@ -243,8 +227,3 @@ def lift_block_op(op, labels, r, start, width):
         for (rw, cw), val in op.entries.items():
             entries[(pre + rw + post, pre + cw + post)] = val
     return LinearOperator(words, words, entries)
-
-
-def lift_pair_op(op2, labels, r, i):
-    """id^(i-1) (x) op2 (x) id^(r-i-1) on V^(x)r, for op2 acting on V(x)V."""
-    return lift_block_op(op2, labels, r, i, 2)

@@ -16,6 +16,7 @@ leftmost reduction of it makes, so a memo hit costs what a miss does.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
+from types import MappingProxyType
 
 from .scalar import ONE, accumulate
 
@@ -152,8 +153,9 @@ class RewriteSystem:
     leftmost reduction to ordered-word normal form."""
 
     def __init__(self, rules):
-        """rules: {pattern: replacement}, checked here and fixed from then on."""
-        self.rules = {}
+        """rules: {pattern: replacement}, checked here and fixed from then on:
+        self.rules is a read-only view."""
+        checked = {}
         for pattern, replacement in rules.items():
             pattern = tuple(pattern)
             if len(pattern) != 2:
@@ -165,7 +167,8 @@ class RewriteSystem:
                     raise RuleValidationError(
                         f"replacement word {w} not below pattern {pattern}"
                     )
-            self.rules[pattern] = replacement
+            checked[pattern] = replacement
+        self.rules = MappingProxyType(checked)
         self._memo = {}
         self._cost = {}
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linop import LinearOperator
-from .scalar import ONE, ZERO, gauss_binom, q_pow
+from .scalar import ONE, ZERO, accumulate, gauss_binom, q_pow
 
 FAMILIES = ("GL", "B", "C", "D")
 
@@ -86,6 +86,60 @@ class RepData:
         return {
             a: self.k_diag(i, a) / self.k_diag(i + 1, a) for a in self.labels
         }
+
+    def images(self, kind, i, dual=False):
+        """Images of e_i, f_i or k_i (GL: K_i) on V, or on V* when dual is
+        set, as {label: ((label, Scalar), ...)}; a label sent to 0 is absent.
+
+        V* is acted on by pi(S(x))^T, with the antipode S(e) = -e k^-1,
+        S(f) = -k f and S(k) = k^-1, k the group-like of coproduct_k(i).
+        """
+        if kind == "k":
+            return {
+                a: ((a, self.k_diag(i, a).inverse() if dual else self.k_diag(i, a)),)
+                for a in self.labels
+            }
+        out = {}
+        k = self.coproduct_k(i)
+        for (r, c), v in (self.e_mats if kind == "e" else self.f_mats)[i].items():
+            if not dual:
+                out.setdefault(c, []).append((r, v))
+            elif kind == "e":
+                out.setdefault(r, []).append((c, -v * k[c].inverse()))
+            else:
+                out.setdefault(r, []).append((c, -k[r] * v))
+        return {a: tuple(terms) for a, terms in out.items()}
+
+
+def coproduct_image(out, word, c, kind, images, cok):
+    """Add c * g(word) to out, in place, for g acting through its coproduct.
+
+    images[l] lists the (letter, Scalar) terms of g on the letter l.  A
+    group-like g (cok None: k, k_inv, sigma) acts on every letter.  For g = e
+    or f, Delta(e) = e (x) k + 1 (x) e and Delta(f) = f (x) 1 + k^-1 (x) f
+    iterate to "e at position t, k on every later letter" and "f at position
+    t, k^-1 on every earlier one", with cok[l] the eigenvalue of k on l; a
+    position whose letter g kills is skipped before any k is multiplied in.
+    """
+    if cok is None:
+        branches = [((), c)]
+        for l in word:
+            branches = [(w + (nl,), cc * v) for w, cc in branches for nl, v in images[l]]
+        return accumulate(out, branches)
+    for t, l in enumerate(word):
+        terms = images.get(l)
+        if not terms:
+            continue
+        scale = c
+        if kind == "e":
+            for s in word[t + 1:]:
+                scale = scale * cok[s]
+        else:
+            for s in word[:t]:
+                scale = scale * cok[s].inverse()
+        pre, post = word[:t], word[t + 1:]
+        accumulate(out, ((pre + (nl,) + post, v) for nl, v in terms), scale)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -281,26 +335,14 @@ def validate_rep(rep):
             if tuple(y - x for x, y in zip(wr, wc)) != ai:
                 problems.append(f"f_{i} not lowering by alpha_{i}")
 
-    # k/K relations and [e, f]; GL pairs e_i with K_i K_{i+1}^-1
-    def check_ef(i):
-        ki = k[i] @ inv_diag(k[i + 1]) if spec.family == "GL" else k[i]
-        rhs = (ki - inv_diag(ki)).scale(_ef_denominator(spec, i).inverse())
+    # [e_i, f_i] = (k - k^-1)/(q_i - q_i^-1), k from Delta(e_i); [e_i, f_j] = 0
+    for i in idx:
+        den = _ef_denominator(spec, i).inverse()
+        rhs = op({(a, a): (v - v.inverse()) * den for a, v in rep.coproduct_k(i).items()})
         check(f"[e,f]_{i}", e[i] @ f[i] - f[i] @ e[i] - rhs)
-
-    def check_cross(i):
         for j in idx:
             if i != j:
                 check(f"[e_{i},f_{j}]", e[i] @ f[j] - f[j] @ e[i])
-
-    if spec.family == "GL":
-        for i in idx:
-            check_ef(i)
-        for i in idx:
-            check_cross(i)
-    else:
-        for i in idx:
-            check_ef(i)
-            check_cross(i)
 
     # k e k^-1 scaling (k diagonal with weight eigenvalues)
     grading = rep.simple_roots if spec.family != "GL" else tuple(

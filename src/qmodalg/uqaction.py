@@ -3,9 +3,10 @@
 Generators act on normal forms through the coproduct Leibniz rules
     e(ab) = e(a) k(b) + a e(b),   f(ab) = f(a) b + k^-1(a) f(b),
     k(ab) = k(a) k(b),
-with the letter-level action read off the natural representation (dual
-coefficient action for Y letters).  Invariant subspaces of graded components
-are exact nullspaces of the stacked generator actions.
+written once in rootdata.coproduct_image, with the letter-level action read
+off the natural representation (RepData.images; the dual action for Y
+letters).  Invariant subspaces of graded components are exact nullspaces of
+the stacked generator actions.
 """
 
 from __future__ import annotations
@@ -16,44 +17,17 @@ from .braiding import invariant_vector_t, tensor_generator_ops
 from .linalg import EchelonBasis, nullspace
 from .ncpoly import NCPolynomial, terms_json
 from .report import check, suite
-from .rootdata import natural_rep, rho_pairing
+from .rootdata import coproduct_image, natural_rep, rho_pairing
 from .scalar import ONE, accumulate, q_pow
 
 
 def act(handle, g, p):
     """Normal form of g(p) for a generator reference g."""
-    subst, cok = handle.generator_action(g)
+    images, cok = handle.generator_action(g)
     out = {}
     for word, c in p.coeffs.items():
-        if g.kind in ("k", "k_inv", "sigma"):
-            # group-like: substitute every letter (each image is monomial
-            # for k; sigma images stay single-term as a signed permutation)
-            branches = [((), c)]
-            for l in word:
-                branches = [
-                    (w + (nl,), cc * v) for (w, cc) in branches for nl, v in subst[l]
-                ]
-            accumulate(out, branches)
-            continue
-        r = len(word)
-        for t in range(r):
-            scale = c
-            if g.kind == "e":
-                for s in range(t + 1, r):
-                    scale = scale * cok[word[s]]
-            else:
-                for s in range(t):
-                    scale = scale * cok[word[s]].inverse()
-            if not scale:
-                continue
-            pre, post = word[:t], word[t + 1:]
-            accumulate(out, ((pre + (nl,) + post, v) for nl, v in subst[word[t]]), scale)
+        coproduct_image(out, word, c, g.kind, images, cok)
     return handle.normal_form(NCPolynomial(out))
-
-
-def weight(handle, word):
-    """Sum of letter weights in the epsilon basis."""
-    return handle.weight(word)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qmodalg.algebras import psi_pair_poly
@@ -188,6 +190,52 @@ def _act_on_slots(op2, labels, r, slots):
                 key = (tuple(row), w)
                 entries[key] = entries.get(key, None) or val
     return LinearOperator(words, words, entries)
+
+
+def kron(ops):
+    """Reference tensor product of operators on V; labels become tuples."""
+    entries = {}
+    for pairs in product(*[op.entries.items() for op in ops]):
+        val = ONE
+        for _, v in pairs:
+            val = val * v
+        entries[(tuple(k[0] for k, _ in pairs), tuple(k[1] for k, _ in pairs))] = val
+    words = [tuple(w) for w in product(ops[0].domain, repeat=len(ops))]
+    return LinearOperator(words, words, entries)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2), ("GL", 2)])
+def test_tensor_generator_ops_are_the_kron_sums(family, rank, r):
+    # Delta(e) = e (x) k + 1 (x) e and Delta(f) = f (x) 1 + k^-1 (x) f iterate
+    # to sums over t of e at slot t, k after it, and f at slot t, k^-1 before
+    rep = natural_rep(LieTypeSpec(family, rank))
+    labels = rep.labels
+
+    def op(mat):
+        return LinearOperator(labels, labels, mat)
+
+    ident = LinearOperator.identity(labels)
+    want = {}
+    for i in rep.chevalley_indices():
+        k = rep.coproduct_k(i)
+        kop = op({(a, a): v for a, v in k.items()})
+        kinv = op({(a, a): v.inverse() for a, v in k.items()})
+        for kind, x, before, after in (
+            ("e", op(rep.e_mats[i]), ident, kop),
+            ("f", op(rep.f_mats[i]), kinv, ident),
+        ):
+            terms = [kron([before] * t + [x] + [after] * (r - t - 1)) for t in range(r)]
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            want[(kind, i)] = total
+    for b in rep.cartan_indices():
+        want[("k", b)] = kron([op(rep.k_mats[b])] * r)
+    got = tensor_generator_ops(rep, r)
+    assert list(got) == list(want)
+    for key, total in want.items():
+        assert got[key] == total, key
 
 
 @pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("GL", 2)])

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qmodalg.braiding import projectors, rcheck, rcheck_cabled
-from qmodalg.linop import LinearOperator, _over_one_denominator, lift_pair_op
+from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op
 from qmodalg.rootdata import LieTypeSpec, natural_rep
 from qmodalg.scalar import ONE, Scalar
 
@@ -186,7 +186,7 @@ def assert_cable_is_the_chain(spec, k, l):
     want = LinearOperator.identity(got.domain)
     for i in range(k, 0, -1):
         for j in range(i, i + l):
-            want = reference_compose(lift_pair_op(rc, labels, k + l, j), want)
+            want = reference_compose(lift_block_op(rc, labels, k + l, j, 2), want)
     assert got.entries == want.entries
     assert_canonical_table(got)
 

@@ -97,6 +97,17 @@ def test_graded_words_validates_length():
         graded_words([tuple(h.alphabet)], (1, 2))
 
 
+def test_rules_are_read_only():
+    # every caller shares the cached handle, so none may change its rules
+    h = build_am(LieTypeSpec("D", 2), 2)
+    pat = next(iter(h.rs.rules))
+    with pytest.raises(TypeError):
+        h.rs.rules[pat] = NCPolynomial({})
+    with pytest.raises(TypeError):
+        del h.rs.rules[pat]
+    assert RewriteSystem(h.rs.rules).rules == h.rs.rules
+
+
 def test_fuel_exhaustion_carries_partial():
     # a fresh system has a cold memo, whatever ran before in this process
     rs = RewriteSystem(build_am(LieTypeSpec("D", 2), 2).rs.rules)

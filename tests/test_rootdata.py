@@ -4,6 +4,7 @@ import pytest
 
 from qmodalg.rootdata import (
     LieTypeSpec,
+    coproduct_image,
     irrep_dim_gl,
     natural_rep,
     positive_roots,
@@ -57,6 +58,35 @@ def _perturbed(rep, field, index):
 def test_validate_rep_names_the_broken_relations(family, rank, field, want):
     rep = natural_rep(LieTypeSpec(family, rank))
     assert validate_rep(_perturbed(rep, field, 1)) == want
+
+
+@pytest.mark.parametrize("family,rank", GRID)
+def test_dual_images_fix_the_coevaluation(family, rank):
+    # sum_a v_a (x) v*_a spans a trivial submodule of V (x) V* when V* carries
+    # pi(S(x))^T: e and f kill it and k fixes it.  Letters are (dual, label).
+    rep = natural_rep(LieTypeSpec(family, rank))
+    coev = [((0, a), (1, a)) for a in rep.labels]
+
+    def on_letters(kind, i):
+        return {
+            (d, a): tuple(((d, b), v) for b, v in terms)
+            for d in (0, 1)
+            for a, terms in rep.images(kind, i, dual=d == 1).items()
+        }
+
+    for i in rep.chevalley_indices():
+        k = rep.coproduct_k(i)
+        cok = {(d, a): v.inverse() if d else v for a, v in k.items() for d in (0, 1)}
+        for kind in "ef":
+            out = {}
+            for w in coev:
+                coproduct_image(out, w, ONE, kind, on_letters(kind, i), cok)
+            assert out == {}, (kind, i)
+    for b in rep.cartan_indices():
+        out = {}
+        for w in coev:
+            coproduct_image(out, w, ONE, "k", on_letters("k", b), None)
+        assert out == {w: ONE for w in coev}
 
 
 def test_d2_raising_generator_entries():

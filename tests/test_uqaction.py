@@ -23,7 +23,6 @@ from qmodalg.uqaction import (
     invariant_basis,
     invariant_pair_vector,
     is_invariant,
-    weight,
 )
 
 
@@ -59,12 +58,12 @@ def test_k_action_is_diagonal_by_weight():
 def test_weights():
     h = build_am(LieTypeSpec("D", 2), 2)
     # eps_1 + (-eps_1) = 0
-    assert weight(h, (x_(1, 1), x_(1, 4))) == (0, 0)
+    assert h.weight((x_(1, 1), x_(1, 4))) == (0, 0)
     hb = build_sq(LieTypeSpec("B", 1))
-    assert weight(hb, (x_(1, 2),)) == (0,)
+    assert hb.weight((x_(1, 2),)) == (0,)
     ha = build_akl(2, 1, 1)
-    assert weight(ha, (x_(1, 2),)) == (0, 1)
-    assert weight(ha, (y_(1, 2),)) == (0, -1)
+    assert ha.weight((x_(1, 2),)) == (0, 1)
+    assert ha.weight((y_(1, 2),)) == (0, -1)
 
 
 def test_weight_additivity_through_normal_form():
@@ -75,11 +74,11 @@ def test_weight_additivity_through_normal_form():
         w1 = tuple(sorted(rng.sample(letters, 2)))
         w2 = tuple(sorted(rng.sample(letters, 2)))
         total = tuple(
-            a + b for a, b in zip(weight(h, w1), weight(h, w2))
+            a + b for a, b in zip(h.weight(w1), h.weight(w2))
         )
         prod = h.multiply(NCPolynomial.from_word(w1), NCPolynomial.from_word(w2))
         for w in prod.coeffs:
-            assert weight(h, w) == total
+            assert h.weight(w) == total
 
 
 @pytest.mark.parametrize(
@@ -256,7 +255,7 @@ def test_exterior_action_both_groups():
     p = NCPolynomial.from_word(((0, 1, 2),))
     got = act(h, GeneratorRef("e", 1, "n"), p)
     assert got == NCPolynomial.from_word(((0, 1, 1),))
-    assert weight(h, ((0, 1, 2),)) == (1, 0, 0, 1)
+    assert h.weight(((0, 1, 2),)) == (1, 0, 0, 1)
 
 
 def test_invariant_basis_bytes_do_not_depend_on_the_hash_seed():
