@@ -25,7 +25,6 @@ from .braiding import (
     pairing_terms,
     rcheck,
     rcheck_cabled,
-    rmatrix_natural_gl_inverse,
     spectral_data,
 )
 from .linalg import EchelonBasis, Expresser
@@ -262,15 +261,20 @@ def _pair_rules_solved(spec):
 
 @lru_cache(maxsize=None)
 def _pair_rules_dual_row(n):
-    """Same-row straightening for the dual quantum matrix rows."""
-    rinv = rmatrix_natural_gl_inverse(n)
+    """Same-row straightening for the dual quantum matrix rows.
+
+    Row (a, b) of R^-1 = R-check^-1 o P has the entry at column (c1, c2)
+    that R-check^-1 has at column (c2, c1).
+    """
+    rinv = rcheck(LieTypeSpec("GL", n), inverse=True)
     labels = tuple(range(1, n + 1))
     eb = EchelonBasis()
     ideal = []
     for a in labels:
         for b in labels:
             rel = {(b, a): q_pow(-1)}
-            accumulate(rel, ((c, -v) for (r, c), v in rinv.entries.items() if r == (a, b)))
+            accumulate(rel, (((c1, c2), -v) for (r, (c2, c1)), v in rinv.entries.items()
+                             if r == (a, b)))
             if rel and eb.add(rel):
                 ideal.append(rel)
     normal = [(a, b) for a in labels for b in labels if a <= b]
@@ -393,10 +397,11 @@ def build_akl(n, k, l):
     pair, dual_pair = _pair_rules_solved(spec), _pair_rules_dual_row(n)
     cross = _exchange_rules(rcheck(spec).by_col(), combinations(xs, 2), labels)
 
-    # inverse-R entries ((r1, r2), (c1, c2)): Y rows exchange along row
+    # inverse-R entries ((r1, r2), (c1, c2)), read from R-check^-1 at column
+    # (c2, c1) since R^-1 = R-check^-1 o P: Y rows exchange along row
     # (r1, r2) read under (r2, r1); Y passes X pairing r1 with c2
     ycols, mixed = {}, {}
-    for ((r1, r2), (c1, c2)), v in rmatrix_natural_gl_inverse(n).entries.items():
+    for ((r1, r2), (c2, c1)), v in rcheck(spec, inverse=True).entries.items():
         ycols.setdefault((r2, r1), []).append(((c1, c2), v))
         mixed.setdefault((r1, c2), []).append(((r2, c1), v))
     ycross = _exchange_rules(ycols, combinations(ys, 2), labels)
@@ -589,12 +594,10 @@ def _slot_blocks(word):
 
 @lru_cache(maxsize=None)
 def _slot_only_system(spec, m):
-    """Rewrite system with only the per-slot straightening rules."""
-    pair = _pair_rules_solved(spec)
-    rules = {}
-    for x in _slots(x_, m):
-        rules.update(_on_slot(pair, x))
-    return RewriteSystem(rules)
+    """Rewrite system with only the per-slot straightening rules: the first
+    m rule groups of A_m."""
+    slot_groups = build_am(spec, m).groups[:m]
+    return RewriteSystem({pat: repl for _, rules in slot_groups for pat, repl in rules})
 
 
 def tensor_oracle_product(spec, m, x, y):
@@ -602,19 +605,19 @@ def tensor_oracle_product(spec, m, x, y):
     monomial to its tensor word, braid whole blocks past each other with
     cabled R-checks, then re-straighten every slot with the one-slot rules."""
     rs = _slot_only_system(spec, m)
-    out = NCPolynomial()
+    out = {}
     for wx, cx in x.terms():
         for wy, cy in y.terms():
-            prod = _oracle_word_product(spec, wx, wy, rs)
-            out = out + prod.scale(cx * cy)
-    return out
+            _oracle_word_product(out, spec, wx, wy, cx * cy, rs)
+    return NCPolynomial(out)
 
 
-def _oracle_word_product(spec, wx, wy, slot_rs):
+def _oracle_word_product(out, spec, wx, wy, coeff, slot_rs):
+    """Add coeff times the tensor-route product of two words to out."""
     blocks = _slot_blocks(wx) + _slot_blocks(wy)
     slots = [b[0] for b in blocks]
     sizes = [len(b[1]) for b in blocks]
-    states = {tuple(b[1] for b in blocks): ONE}
+    states = {tuple(b[1] for b in blocks): coeff}
     while True:
         pos = next(
             (t for t in range(len(slots) - 1) if slots[t] > slots[t + 1]), None
@@ -624,18 +627,16 @@ def _oracle_word_product(spec, wx, wy, slot_rs):
         kk, ll = sizes[pos], sizes[pos + 1]
         cab = rcheck_cabled(spec, kk, ll)
         nxt = {}
-        for labels, coeff in states.items():
+        for labels, c in states.items():
             pre, post = labels[:pos], labels[pos + 2:]
             col = cab.column(labels[pos] + labels[pos + 1])
             images = ((pre + (w[:ll], w[ll:]) + post, v) for w, v in col.items())
-            accumulate(nxt, images, coeff)
+            accumulate(nxt, images, c)
         states = nxt
         slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
         sizes[pos], sizes[pos + 1] = sizes[pos + 1], sizes[pos]
-    out = NCPolynomial()
-    for labels, coeff in states.items():
+    for labels, c in states.items():
         word = []
         for slot, block in zip(slots, labels):
             word.extend(x_(slot, a) for a in block)
-        out = out + slot_rs.normal_form(NCPolynomial.from_word(tuple(word))).scale(coeff)
-    return out
+        accumulate(out, slot_rs.normal_form(NCPolynomial.from_word(tuple(word))).coeffs.items(), c)

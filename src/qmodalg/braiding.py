@@ -1,10 +1,9 @@
 """The braiding R-check on V (x) V, its projectors, and cabled powers.
 
-For B, C, D the operator is assembled from the spectral form
-R-check = q P_s - q^-1 P_a + kappa P_0 where the three submodules are built
-as exact U_q-closures of seed vectors and validated to be a direct-sum
-decomposition of V (x) V.  For GL the operator comes from the explicit
-R-matrix of the natural representation composed with the flip.  The
+The operator is assembled from the spectral form
+R-check = q P_s - q^-1 P_a (+ kappa P_0 for B, C, D) where the submodules are
+built as exact U_q-closures of seed vectors and validated to be a direct-sum
+decomposition of V (x) V; its inverse has the inverted eigenvalues.  The
 coproduct action on V^(x)r is rootdata.coproduct_image on tensor words.
 
 Labels of tensor-power operators are tuples of V-positions.
@@ -192,85 +191,35 @@ def spectral_data(spec):
 
 
 @lru_cache(maxsize=None)
-def _decomposer(spec):
-    """Expresser over the concatenated summand bases, plus block slices."""
-    sd = spectral_data(spec)
-    columns = []
-    blocks = []
-    start = 0
-    for name, ev, basis in sd.summands:
-        columns.extend(basis)
-        blocks.append((name, ev, start, start + len(basis)))
-        start += len(basis)
-    return Expresser(columns), tuple(blocks), tuple(columns)
-
-
-@lru_cache(maxsize=None)
 def projectors(spec):
     """Idempotent projections onto the summands, keyed by summand name."""
-    rep = natural_rep(spec)
-    words = _tensor_words(rep, 2)
-    expr, blocks, columns = _decomposer(spec)
-    mats = {name: {} for name, _, _, _ in blocks}
+    sd = spectral_data(spec)
+    columns = [v for _, _, basis in sd.summands for v in basis]
+    owner = [name for name, _, basis in sd.summands for _ in basis]
+    expr = Expresser(columns)
+    words = _tensor_words(natural_rep(spec), 2)
+    mats = {name: {} for name, _, _ in sd.summands}
     for w in words:
         coords = expr.express({w: ONE})
         if coords is None:
             raise SpectralConsistencyError("decomposition failed")
-        for name, _, lo, hi in blocks:
-            img = {}
-            for j, c in coords.items():
-                if lo <= j < hi:
-                    accumulate(img, columns[j].items(), c)
+        imgs = {name: {} for name in mats}
+        for j, c in coords.items():
+            accumulate(imgs[owner[j]], columns[j].items(), c)
+        for name, img in imgs.items():
             for key, val in img.items():
                 mats[name][(key, w)] = val
-    return {
-        name: LinearOperator(words, words, mats[name]) for name, _, _, _ in blocks
-    }
-
-
-def _rmatrix_gl(n, e):
-    """R = 1(x)1 + (q^e-1) sum E_aa (x) E_aa + (q^e-q^-e) sum_{a<b} E_ab (x) E_ba."""
-    labels = tuple(range(1, n + 1))
-    words = [tuple(w) for w in product(labels, repeat=2)]
-    entries = {}
-    qq = q_pow(e) - q_pow(-e)
-    for a, b in words:
-        entries[((a, b), (a, b))] = q_pow(e) if a == b else ONE
-    for a in labels:
-        for b in labels:
-            if a < b:
-                entries[((a, b), (b, a))] = qq
-    return LinearOperator(words, words, entries)
-
-
-def rmatrix_natural_gl(n):
-    """The R-matrix of the natural GL_n module."""
-    return _rmatrix_gl(n, 1)
-
-
-def rmatrix_natural_gl_inverse(n):
-    """Its inverse: the same matrix with q replaced by q^-1."""
-    return _rmatrix_gl(n, -1)
-
-
-def _flip(labels):
-    words = [tuple(w) for w in product(labels, repeat=2)]
-    return LinearOperator(
-        words, words, {((b, a), (a, b)): ONE for a, b in words}
-    )
+    return {name: LinearOperator(words, words, mat) for name, mat in mats.items()}
 
 
 @lru_cache(maxsize=None)
-def rcheck(spec):
-    """The braiding P R on V (x) V."""
-    rep = natural_rep(spec)
-    if spec.family == "GL":
-        return _flip(rep.labels) @ rmatrix_natural_gl(spec.rank)
+def rcheck(spec, inverse=False):
+    """The braiding P R on V (x) V: the sum of ev P over the summands, or of
+    ev^-1 P for its inverse."""
     projs = projectors(spec)
-    sd = spectral_data(spec)
     out = None
-    for name, ev, _ in sd.summands:
-        term = projs[name].scale(ev)
+    for name, ev, _ in spectral_data(spec).summands:
+        term = projs[name].scale(ev.inverse() if inverse else ev)
         out = term if out is None else out + term
     return out
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error (a bad
 option value, an option the subcommand and algebra kind do not read, a
-subcommand with no suite for the kind, or exhausted fuel: a normal form
+subcommand with no suite for the kind, an --output path that cannot be
+written, or exhausted fuel: a normal form
 charged more than the fixed budget ncpoly.DEFAULT_FUEL = 10^6 expansions,
 each word being charged what a memo-free leftmost reduction of it makes),
 3 internal error (any other exception, ValueError included).
@@ -330,6 +331,7 @@ def assemble(config, suites, verbose=False):
 
 
 def emit(report, fmt, path):
+    """Write a report (or, as json, any manifest) to path, or to stdout."""
     if fmt == "json":
         text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     else:
@@ -352,11 +354,14 @@ def emit(report, fmt, path):
             + ("" if s["all_pass"] else f", {s['failed']} FAILED")
         )
         text = "\n".join(lines) + "\n"
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SystemExit2(f"cannot write --output {path}: {exc.strerror or exc}")
 
 
 def _spec_from(args):
@@ -557,13 +562,7 @@ def run(argv):
         elif args.command == "skew-duality":
             suites = [suite_skew(args.m or 2, args.n or 2)]
         elif args.command == "dump-presentation":
-            manifest = presentation_manifest(_handle_from(args, kind))
-            text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-            if out:
-                with open(out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            emit(presentation_manifest(_handle_from(args, kind)), "json", out)
             return 0
         else:
             spec = _spec_from(args)
@@ -571,6 +570,8 @@ def run(argv):
                 suite_oracle(spec, args.copies, args.max_degree),
                 suite_oracle_diff(spec, args.copies),
             ]
+        report = assemble(config, suites, verbose)
+        emit(report, fmt, out)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -584,8 +585,6 @@ def run(argv):
         traceback.print_exc()
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
-    report = assemble(config, suites, verbose)
-    emit(report, fmt, out)
     return 0 if report["summary"]["all_pass"] else 1
 
 

@@ -434,7 +434,7 @@ def exterior_highest_weight(handle, lam):
     verification that both families of raising operators annihilate it."""
     m, n = handle.params["m"], handle.params["n"]
     lam = tuple(x for x in lam if x)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(x < 0 for x in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise PartitionError("not a partition")
     if len(lam) > m or (lam and lam[0] > n):
         raise PartitionError("partition leaves the box")

@@ -392,21 +392,19 @@ class SigmaValidationError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def sigma_candidate(spec, sign_on_hwv=None):
+def sigma_candidate(spec):
     """The extra generator of U_q(o_N) acting on V; involutive by construction.
 
-    For D it swaps v_n and v_{-n} (fixing everything else) scaled by the sign
-    on the highest weight vector; for B it is a global +-1.  The candidate is
-    validated against sigma e_{n-1} sigma^-1 = e_n (etc.) for D and against
-    centrality for B.
+    For D it swaps v_n and v_{-n} (fixing everything else) scaled by (-1)^n,
+    its sign on the highest weight vector; for B it is the global (-1)^n.
+    The candidate is validated against sigma e_{n-1} sigma^-1 = e_n (etc.)
+    for D and against centrality for B.
     """
     if spec.family not in ("B", "D"):
         raise ValueError("sigma exists for the orthogonal families only")
     rep = natural_rep(spec)
     n = spec.rank
-    if sign_on_hwv is None:
-        sign_on_hwv = -1 if n % 2 else 1  # default keyed to rank parity
-    s = ONE if sign_on_hwv == 1 else -ONE
+    s = -ONE if n % 2 else ONE
     labels = rep.labels
     if spec.family == "B":
         op = LinearOperator(labels, labels, {(a, a): s for a in labels})

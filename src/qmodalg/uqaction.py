@@ -32,7 +32,6 @@ def act(handle, g, p):
 
 @dataclass
 class InvariantReport:
-    element: str
     residuals: list  # (generator name, NCPolynomial)
     verdict: bool
 
@@ -49,7 +48,6 @@ def is_invariant(handle, p, include_sigma=False):
             img = img - p
         residuals.append((str(g), img))
     return InvariantReport(
-        element=handle.render(p),
         residuals=residuals,
         verdict=all(r.is_zero() for _, r in residuals),
     )

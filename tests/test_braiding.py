@@ -9,8 +9,6 @@ from qmodalg.braiding import (
     projectors,
     rcheck,
     rcheck_cabled,
-    rmatrix_natural_gl,
-    rmatrix_natural_gl_inverse,
     spectral_data,
     tensor_generator_ops,
     verify_braid_and_skein,
@@ -89,21 +87,40 @@ def test_gl_rcheck_entries():
     assert rc.column((1, 2)) == {(2, 1): ONE}
 
 
-def test_gl_r_inverse_is_inverse():
-    for n in (2, 3):
-        r = rmatrix_natural_gl(n)
-        rinv = rmatrix_natural_gl_inverse(n)
-        assert (r @ rinv) == LinearOperator.identity(r.domain)
+def _rmatrix_gl(n, e):
+    """Reference: the textbook R-matrix of the natural GL_n module (Jimbo),
+    R = 1(x)1 + (q^e-1) sum E_aa (x) E_aa + (q^e-q^-e) sum_{a<b} E_ab (x) E_ba
+    with e = 1; e = -1 (q replaced by q^-1) gives its inverse."""
+    labels = tuple(range(1, n + 1))
+    words = [tuple(w) for w in product(labels, repeat=2)]
+    entries = {}
+    qq = q_pow(e) - q_pow(-e)
+    for a, b in words:
+        entries[((a, b), (a, b))] = q_pow(e) if a == b else ONE
+        if a < b:
+            entries[((a, b), (b, a))] = qq
+    return LinearOperator(words, words, entries)
+
+
+def _flip(n):
+    words = [tuple(w) for w in product(range(1, n + 1), repeat=2)]
+    return LinearOperator(words, words, {((b, a), (a, b)): ONE for a, b in words})
+
+
+@pytest.mark.parametrize("family,rank", GRID)
+def test_rcheck_inverse_is_inverse(family, rank):
+    spec = LieTypeSpec(family, rank)
+    rc = rcheck(spec)
+    assert rc @ rcheck(spec, inverse=True) == LinearOperator.identity(rc.domain)
 
 
 def test_gl_rcheck_matches_closure_projectors():
-    # the explicit R-matrix route and the closure-built projectors must give
-    # the same spectral decomposition: R-check = q P_s - q^-1 P_a
+    # the spectral form built from the closure projectors is the textbook
+    # braiding flip o R, and its inverse composed with the flip is R^-1
     for n in (2, 3):
         spec = LieTypeSpec("GL", n)
-        rc = rcheck(spec)
-        projs = projectors(spec)
-        assert rc == projs["sym"].scale(q_pow(1)) - projs["anti"].scale(q_pow(-1))
+        assert rcheck(spec) == _flip(n) @ _rmatrix_gl(n, 1)
+        assert rcheck(spec, inverse=True) @ _flip(n) == _rmatrix_gl(n, -1)
 
 
 def test_t_vector_eigen_relation():
@@ -164,7 +181,7 @@ def test_cabled_is_r13_r23_with_flip_gl2():
     spec = LieTypeSpec("GL", 2)
     rep = natural_rep(spec)
     labels = rep.labels
-    r = rmatrix_natural_gl(2)
+    r = _rmatrix_gl(2, 1)
     r13 = _act_on_slots(r, labels, 3, (1, 3))
     r23 = _act_on_slots(r, labels, 3, (2, 3))
     words = [w for w in r13.domain]

@@ -298,6 +298,15 @@ def test_internal_value_and_key_errors_exit_three(exc, monkeypatch, capsys):
     assert f"internal error: {exc.__name__}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", ["skew-duality --m 1 --n 1", "dump-presentation --family D --rank 2"])
+def test_unwritable_output_exits_two(argv, tmp_path, capsys):
+    # a report that cannot be written is neither a failed check nor a crash
+    out = tmp_path / "missing" / "r.json"
+    assert run(argv.split() + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --output ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

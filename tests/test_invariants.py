@@ -296,6 +296,10 @@ def test_exterior_highest_weight_examples():
         exterior_highest_weight(h, (3,))
     with pytest.raises(PartitionError):
         exterior_highest_weight(h, (1, 2))
+    with pytest.raises(PartitionError):
+        exterior_highest_weight(h, (2, -1))
+    with pytest.raises(PartitionError):
+        exterior_highest_weight(h, (-1,))
 
 
 def test_skew_duality_small():

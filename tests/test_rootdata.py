@@ -212,12 +212,11 @@ def test_sigma_odd_family_is_scalar():
 
 
 def test_sigma_sign_parameter():
-    spec = LieTypeSpec("D", 3)
-    plus = sigma_candidate(spec, sign_on_hwv=1)
-    minus = sigma_candidate(spec, sign_on_hwv=-1)
-    assert plus == minus.scale(-ONE)
-    # default follows rank parity
-    assert sigma_candidate(spec) == minus
+    # sigma scales the highest weight vector v_1 by the rank-parity sign
+    for rank, sign in ((2, ONE), (3, -ONE)):
+        spec = LieTypeSpec("D", rank)
+        hw = natural_rep(spec).position(1)
+        assert sigma_candidate(spec).column(hw) == {hw: sign}
 
 
 def test_sigma_rejected_for_gl():
