@@ -1,15 +1,16 @@
 """Construction of the presented algebras as rewrite systems.
 
-Each handle owns an alphabet, a per-slot grading, and a straightening rewrite
-system, built once from its builder's ordered rule groups; the same groups
-render the presentation manifest on demand.  Shipped rule sets are derived
-from the braiding itself: same-slot rules are solved exactly from the
-degree-2 relation subspace of V (x) V, and cross-slot rules read off the
-entries of R-check (block exchange).  The
-transcribed textbook presentation variants are available behind strict=True
-and compared rule-by-rule by the oracle-diff machinery; the independent
-tensor-route product (lift, braid blocks with cabled R-checks, re-straighten
-slotwise) lives in tensor_oracle_product.
+Each handle owns an alphabet, a per-slot grading, a straightening rewrite
+system built once from its builder's ordered rule groups, and the quadratic
+pairing generators Psi its builder decides; the same groups render the
+presentation manifest on demand.  Shipped rule sets are derived from the
+braiding itself: same-slot rules are solved exactly from the degree-2
+relation subspace of V (x) V, and cross-slot rules read off the entries of
+R-check (block exchange).  The transcribed textbook presentation variants
+are available behind strict=True and compared rule-by-rule by the
+oracle-diff machinery; the independent tensor-route product (lift, braid
+blocks with cabled R-checks, re-straighten slotwise) lives in
+tensor_oracle_product.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .braiding import (
@@ -67,10 +69,24 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-class AlgebraHandle:
-    """A presented algebra: alphabet, grading, rewrite system, letter actions."""
+def _letter_pos(group):
+    """Where a letter keeps its index for a group: group m acts on the row
+    l[1], any other group on the label l[2]."""
+    return 1 if group == "m" else 2
 
-    def __init__(self, kind, spec, params, slots, groups, strict=False):
+
+def _letter_weight(reps, l):
+    """Weight of a letter in the epsilon basis, concatenated over the sorted
+    groups; a dual letter (l[0] == 1) has the negated weight."""
+    sign = -1 if l[0] == 1 else 1
+    return tuple(sign * x for grp, rep in reps for x in rep.weights[l[_letter_pos(grp)] - 1])
+
+
+class AlgebraHandle:
+    """A presented algebra: alphabet, grading, rewrite system, letter actions
+    and pairing generators."""
+
+    def __init__(self, kind, spec, params, slots, groups, strict=False, pairings=None):
         self.kind = kind          # Sq | Am | Akl | Exterior
         self.spec = spec          # LieTypeSpec (None for Exterior)
         self.params = params      # {'m': ...} | {'k':..,'l':..,'n':..} | {'m':..,'n':..}
@@ -79,12 +95,18 @@ class AlgebraHandle:
         self.groups = tuple((prov, tuple(sorted(rules.items()))) for prov, rules in groups)
         self.rs = RewriteSystem({pat: repl for _, rules in self.groups for pat, repl in rules})
         self.strict = strict
+        # {ref: Psi^ref before normalisation} in ref order; empty when the
+        # algebra has no pairing generators (exterior, A_m over GL)
+        self.pairings = MappingProxyType(dict(pairings or {}))
         self.letter_str = sq_letter_str if kind == "Sq" else default_letter_str
         self.alphabet = tuple(l for _, block in slots for l in block)
         self._slot_index = {}
         for idx, (_, block) in enumerate(slots):
             for l in block:
                 self._slot_index[l] = idx
+        reps = sorted(self.reps().items())
+        self._weights = {l: _letter_weight(reps, l) for l in self.alphabet}
+        self._zero_weight = (0,) * len(self._weights[self.alphabet[0]])
         self._action_cache = {}
         self._validate()
 
@@ -134,9 +156,6 @@ class AlgebraHandle:
     def multiply(self, p, r):
         return self.rs.normal_form(p.concat(r))
 
-    def one(self):
-        return NCPolynomial.one()
-
     def render(self, p):
         return p.render(self.letter_str)
 
@@ -162,21 +181,9 @@ class AlgebraHandle:
             out.append(GeneratorRef("sigma"))
         return out
 
-    def letter_weight(self, l):
-        """Weight in the epsilon basis."""
-        rep = natural_rep(self.spec)
-        w = rep.weights[l[2] - 1]
-        if l[0] == 1:
-            w = tuple(-x for x in w)
-        return w
-
     def weight(self, word):
-        dim = len(self.letter_weight(self.alphabet[0]))
-        acc = [0] * dim
-        for l in word:
-            for i, x in enumerate(self.letter_weight(l)):
-                acc[i] += x
-        return tuple(acc)
+        """Weight in the epsilon basis, concatenated over the groups."""
+        return tuple(map(sum, zip(self._zero_weight, *(self._weights[l] for l in word))))
 
     def generator_action(self, g):
         """images/cok tables for rootdata.coproduct_image of a generator."""
@@ -185,8 +192,8 @@ class AlgebraHandle:
         return self._action_cache[g]
 
     def _build_action(self, g):
-        """Letter images of g: group m acts on a letter's row l[1], any other
-        group on its label l[2]; a letter with l[0] == 1 is dual."""
+        """Letter images of g, read at the letter's _letter_pos for the group;
+        a letter with l[0] == 1 is dual."""
         if g.kind == "sigma":
             cols = sigma_candidate(self.spec).by_col()
             images = {
@@ -195,7 +202,7 @@ class AlgebraHandle:
             }
             return images, None
         rep = self.reps()[g.group]
-        pos = 1 if g.group == "m" else 2
+        pos = _letter_pos(g.group)
         if g.kind in ("k", "k_inv"):
             # k^-1 acts on V as k does on V*, and the other way round
             kind, flip, cok = "k", g.kind == "k_inv", None
@@ -208,15 +215,6 @@ class AlgebraHandle:
             for l in self.alphabet
         }
         return images, cok
-
-
-class ExteriorHandle(AlgebraHandle):
-    """Letters (0, i, j) = row i of gl_m, column j of gl_n."""
-
-    def letter_weight(self, l):
-        """Weight in the epsilon basis, concatenated over the two groups."""
-        reps = self.reps()
-        return reps["m"].weights[l[1] - 1] + reps["n"].weights[l[2] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +372,16 @@ def _build_am(spec, m, kind, strict=False):
             pairs = combinations(_slots(x_, m), 2)
             cross = _exchange_rules(rcheck(spec).by_col(), pairs, labels)
             groups.append(("cross-slot exchange from R-check entries", cross))
+    pairings = {}
+    if spec.family != "GL":
+        # a skew pairing has no equal-slot generator
+        skew, slot_range = pairing(spec).skew, range(1, m + 1)
+        pairings = {
+            (i, j): psi_pair_poly(spec, i, j)
+            for i in slot_range
+            for j in slot_range
+            if i != j or not skew
+        }
     return AlgebraHandle(
         kind=kind,
         spec=spec,
@@ -381,6 +389,7 @@ def _build_am(spec, m, kind, strict=False):
         slots=slots,
         groups=groups,
         strict=strict,
+        pairings=pairings,
     )
 
 
@@ -412,12 +421,19 @@ def build_akl(n, k, l):
     groups += [("dual quantum matrix row relations", _on_slot(dual_pair, y)) for y in ys]
     groups.append(("dual cross-row exchange from inverse R entries", ycross))
     groups.append(("mixed exchange from inverse R pairing", xy))
+    # Psi^(i,beta) = sum_a X[i,a] Y[beta,a]
+    pairings = {
+        (i, beta): NCPolynomial({(x_(i, a), y_(beta, a)): ONE for a in labels})
+        for i in range(1, k + 1)
+        for beta in range(1, l + 1)
+    }
     return AlgebraHandle(
         kind="Akl",
         spec=spec,
         params={"n": n, "k": k, "l": l},
         slots=slots,
         groups=groups,
+        pairings=pairings,
     )
 
 
@@ -431,7 +447,7 @@ def build_exterior(m, n):
         for i in range(1, m + 1)
     ]
     rules = _on_slot(_pair_rules_exterior(m, n), lambda p: (0,) + p)
-    return ExteriorHandle(
+    return AlgebraHandle(
         kind="Exterior",
         spec=None,
         params={"m": m, "n": n},
@@ -501,10 +517,6 @@ def psi_pair_poly(spec, i, j):
     """The quadratic pairing element Psi^(i,j) before normalisation: T on
     slots (i, j)."""
     return slot_pair_poly(invariant_vector_t(spec), i, j)
-
-
-def psi_gl_poly(n, i, beta):
-    return NCPolynomial({(x_(i, a), y_(beta, a)): ONE for a in range(1, n + 1)})
 
 
 def _printed_cross_rules(spec, m):

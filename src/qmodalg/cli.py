@@ -27,7 +27,7 @@ from .algebras import (
     printed_rule_diffs,
     tensor_oracle_product,
 )
-from .braiding import pairing, projectors, verify_braid_and_skein
+from .braiding import projectors, verify_braid_and_skein
 from .invariants import (
     fft_verify,
     psi,
@@ -163,21 +163,15 @@ def suite_oracle_diff(spec, m=2):
 
 
 def suite_invariance(handle, include_sigma=False):
-    spec, params = handle.spec, handle.params
-    if handle.kind == "Akl":
-        refs = [(i, b) for i in range(1, params["k"] + 1) for b in range(1, params["l"] + 1)]
-        pair_vector = []
-    else:
-        m, skew = params["m"], pairing(spec).skew
-        refs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if not (skew and i == j)]
-        pair_vector = invariant_pair_vector(spec)[1]["entries"]
+    spec = handle.spec
+    pair_vector = [] if spec.family == "GL" else invariant_pair_vector(spec)[1]["entries"]
     entries = [
         check(
             "pairing generator invariance",
             f"{spec} Psi[{i},{j}]",
             is_invariant(handle, psi(handle, (i, j)), include_sigma=include_sigma).verdict,
         )
-        for i, j in refs
+        for i, j in handle.pairings
     ]
     return suite(f"invariance {spec}", entries + pair_vector)
 

@@ -12,13 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebras import (
-    GeneratorRef,
-    build_exterior,
-    psi_gl_poly,
-    psi_pair_poly,
-    slot_pair_poly,
-)
+from .algebras import GeneratorRef, build_exterior, slot_pair_poly
 from .braiding import pair_eigenvalue_p0, pairing, pairing_terms
 from .linalg import EchelonBasis
 from .ncpoly import NCPolynomial, x_, y_
@@ -33,19 +27,11 @@ class PsiRefError(ValueError):
 
 
 def psi(handle, ref):
-    """The quadratic invariant generator for an index pair, in normal form."""
-    i, j = ref
-    if handle.kind == "Akl":
-        k, l, n = handle.params["k"], handle.params["l"], handle.params["n"]
-        if not (1 <= i <= k and 1 <= j <= l):
-            raise PsiRefError(f"pair {ref} outside the row ranges")
-        return handle.normal_form(psi_gl_poly(n, i, j))
-    m = handle.params["m"]
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise PsiRefError(f"pair {ref} outside the slot range")
-    if i == j and pairing(handle.spec).skew:
-        raise PsiRefError("the symplectic family has no equal-slot generator")
-    return handle.normal_form(psi_pair_poly(handle.spec, i, j))
+    """The pairing generator Psi^ref of the handle, in normal form."""
+    gen = handle.pairings.get(ref)
+    if gen is None:
+        raise PsiRefError(f"{handle.kind} has no pairing generator {ref}")
+    return handle.normal_form(gen)
 
 
 def phi_partial(handle, kind, indices, t=None):
@@ -213,7 +199,7 @@ def _suite_classical(handle, fam):
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     slots = range(1, m + 1)
-    P = {(i, j): psi(handle, (i, j)) for i in slots for j in slots if i != j or not skew}
+    P = {ref: psi(handle, ref) for ref in handle.pairings}
     corr = {i: fam.correction(handle, i) for i in slots} if fam.correction else None
     letters = range(1, natural_rep(handle.spec).dim_v + 1)
     x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
@@ -286,7 +272,7 @@ def _suite_gl(handle):
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     rows, cols, labels = range(1, k + 1), range(1, l + 1), range(1, n + 1)
-    P = {(i, b): psi(handle, (i, b)) for i in rows for b in cols}
+    P = {ref: psi(handle, ref) for ref in handle.pairings}
     x = {(i, a): NCPolynomial.from_word((x_(i, a),)) for i in rows for a in labels}
     y = {(b, a): NCPolynomial.from_word((y_(b, a),)) for b in cols for a in labels}
     entries = []
@@ -338,34 +324,21 @@ def _suite_gl(handle):
 # ---------------------------------------------------------------------------
 # spans of pairing monomials and the invariant-space comparison
 
-def _psi_generators(handle):
-    """The pairing generators' index pairs and their multidegrees."""
-    if handle.kind == "Akl":
-        k, l = handle.params["k"], handle.params["l"]
-        gens = [(i, b) for i in range(1, k + 1) for b in range(1, l + 1)]
-        size, shift = k + l, k  # Y row b is grading slot k + b
-    else:
-        m = handle.params["m"]
-        skew = pairing(handle.spec).skew
-        gens = [
-            (i, j)
-            for i in range(1, m + 1)
-            for j in range(i + (1 if skew else 0), m + 1)
-        ]
-        size, shift = m, 0
-    degs = {}
-    for (i, j) in gens:
-        d = [0] * size
-        d[i - 1] += 1
-        d[shift + j - 1] += 1
-        degs[(i, j)] = tuple(d)
-    return gens, degs
-
-
 def psi_monomial_span(handle, degree):
     """Exact dimension (and spanning set) of the span of normal-form products
-    of pairing generators with the given multidegree."""
-    gens, degs = _psi_generators(handle)
+    of pairing generators with the given multidegree.
+
+    Only the first generator of each multidegree enters: two generators
+    share one only as Psi^(i,j) and Psi^(j,i) on A_m, and the twist entries
+    of the relation suites show Psi^(j,i) = kappa Psi^(i,j).
+    """
+    if len(degree) != len(handle.slots):
+        raise ValueError("degree length must match the slot count")
+    first = {}  # multidegree -> its first ref
+    for ref, gen in handle.pairings.items():
+        first.setdefault(handle.grading(next(iter(gen.coeffs))), ref)
+    gens = list(first.items())
+    normal = {g: psi(handle, g) for _, g in gens}
     monomials = []
 
     def rec(idx, remaining, stack):
@@ -374,8 +347,7 @@ def psi_monomial_span(handle, degree):
             return
         if idx == len(gens):
             return
-        g = gens[idx]
-        d = degs[g]
+        d, g = gens[idx]
         max_mult = min(r // dd for r, dd in zip(remaining, d) if dd)
         for mult in range(max_mult, -1, -1):
             nxt = tuple(r - mult * dd for r, dd in zip(remaining, d))
@@ -388,7 +360,7 @@ def psi_monomial_span(handle, degree):
     for mono in sorted(monomials):
         prod = NCPolynomial.one()
         for g in mono:
-            prod = handle.multiply(prod, psi(handle, g))
+            prod = handle.multiply(prod, normal[g])
         if prod:
             vectors.append(prod)
             eb.add(prod.coeffs)
@@ -401,7 +373,7 @@ def fft_verify(handle, degree, include_sigma=False):
     span_dim, span_vecs = psi_monomial_span(handle, degree)
     contained = span_contained_in(span_vecs, inv)
     sigma_dim = None
-    if include_sigma and handle.spec is not None and handle.spec.family in ("B", "D"):
+    if include_sigma and GeneratorRef("sigma") in handle.invariance_generators(True):
         sigma_dim = len(invariant_basis(handle, degree, include_sigma=True))
     return check(
         "invariants generated by the pairings",

@@ -59,9 +59,8 @@ def invariant_basis(handle, degree, include_sigma=False):
     Words of nonzero weight cannot contribute (the k-conditions), so the
     nullspace is stacked over the weight-zero block only.
     """
-    words = handle.graded_words(degree)
-    zero = tuple([0] * len(handle.weight(words[0]))) if words else ()
-    wz = [w for w in words if handle.weight(w) == zero]
+    zero = handle.weight(())
+    wz = [w for w in handle.graded_words(degree) if handle.weight(w) == zero]
     if not wz:
         return []
     gens = [

@@ -100,6 +100,21 @@ def test_symplectic_equal_slot_rejected():
         psi(h, (1, 1))
     with pytest.raises(PsiRefError):
         psi(h, (0, 1))
+    # handles without pairing generators, and a row outside A_{2,2}
+    exterior, gl = build_exterior(2, 2), build_am(LieTypeSpec("GL", 2), 2)
+    for handle, ref in [(exterior, (1, 1)), (gl, (1, 2)), (build_akl(2, 2, 2), (3, 1))]:
+        with pytest.raises(PsiRefError):
+            psi(handle, ref)
+    for handle in (exterior, gl):
+        assert psi_monomial_span(handle, (1, 1))[0] == 0
+        assert psi_monomial_span(handle, (0, 0))[0] == 1
+
+
+@pytest.mark.parametrize("degree", [(2, 2, 2), (1, 1, 0), (2,)])
+def test_span_rejects_wrong_length_degree(degree):
+    h = build_am(LieTypeSpec("D", 2), 2)
+    with pytest.raises(ValueError, match="degree length must match the slot count"):
+        psi_monomial_span(h, degree)
 
 
 @pytest.mark.parametrize(
