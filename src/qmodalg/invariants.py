@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .algebras import GeneratorRef, build_exterior, slot_pair_poly
 from .braiding import pair_eigenvalue_p0, pairing, pairing_terms
 from .linalg import EchelonBasis
-from .ncpoly import NCPolynomial, x_, y_
+from .ncpoly import NCPolynomial, check_degree, x_, y_
 from .report import check, suite
 from .rootdata import irrep_dim_gl, natural_rep
 from .scalar import ONE, q_pow
@@ -332,8 +332,7 @@ def psi_monomial_span(handle, degree):
     share one only as Psi^(i,j) and Psi^(j,i) on A_m, and the twist entries
     of the relation suites show Psi^(j,i) = kappa Psi^(i,j).
     """
-    if len(degree) != len(handle.slots):
-        raise ValueError("degree length must match the slot count")
+    check_degree(degree, len(handle.slots))
     first = {}  # multidegree -> its first ref
     for ref, gen in handle.pairings.items():
         first.setdefault(handle.grading(next(iter(gen.coeffs))), ref)
@@ -368,17 +367,24 @@ def psi_monomial_span(handle, degree):
 
 
 def fft_verify(handle, degree, include_sigma=False):
-    """Compare the exact invariant space with the pairing-monomial span."""
+    """Compare the exact invariant space with the pairing-monomial span.
+
+    With include_sigma on an algebra with a sigma generator (B, D) the claim
+    is about O_N: the span is compared with the sigma-fixed invariants, and
+    invariant_dim (all U_q invariants, SO_N's count) is reported beside it.
+    """
     inv = invariant_basis(handle, degree)
     span_dim, span_vecs = psi_monomial_span(handle, degree)
-    contained = span_contained_in(span_vecs, inv)
+    target = inv
     sigma_dim = None
     if include_sigma and GeneratorRef("sigma") in handle.invariance_generators(True):
-        sigma_dim = len(invariant_basis(handle, degree, include_sigma=True))
+        target = invariant_basis(handle, degree, include_sigma=True)
+        sigma_dim = len(target)
+    contained = span_contained_in(span_vecs, target)
     return check(
         "invariants generated by the pairings",
         f"degree {tuple(degree)}",
-        len(inv) == span_dim and contained,
+        len(target) == span_dim and contained,
         invariant_dim=len(inv),
         span_dim=span_dim,
         contained=contained,

@@ -25,6 +25,7 @@ from math import lcm
 from .scalar import (
     ONE,
     Scalar,
+    _DEN_ONE,
     _div,
     _lp_fma,
     _lp_mul,
@@ -141,7 +142,8 @@ class LinearOperator:
         is divided by L1*L2 (taken as is when that is 1) and, when D1*D2 is
         not 1, canonicalised once over D1*D2.  Cancelled entries are dropped
         here.  The canonical form is unique, so the result equals the sum of
-        Scalar products, entry for entry.
+        Scalar products, entry for entry.  Equal output entries share one
+        Scalar, built (and canonicalised) once per distinct value.
         """
         if other.codomain != self.domain:
             raise ValueError("composition dimension mismatch")
@@ -169,13 +171,19 @@ class LinearOperator:
         scale = scale1 * scale2
         quotient = lru_cache(maxsize=None)(lambda c: _div(c, scale))
         den = _lp_mul(den1, den2)
+        shared = {}  # frozenset of an accumulated dict -> its output Scalar
         cancelled = []
         for key, a in acc.items():
             if not a:
                 cancelled.append(key)
                 continue
-            num = a if scale == 1 else {e: quotient(c) for e, c in a.items()}
-            acc[key] = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, den)
+            k = frozenset(a.items())
+            s = shared.get(k)
+            if s is None:
+                num = a if scale == 1 else {e: quotient(c) for e, c in a.items()}
+                s = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, _DEN_ONE)
+                shared[k] = s
+            acc[key] = s
         for key in cancelled:
             del acc[key]
         return LinearOperator._raw(other.domain, self.codomain, acc)

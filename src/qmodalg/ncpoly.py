@@ -150,7 +150,11 @@ class RuleValidationError(ValueError):
 
 class RewriteSystem:
     """Two-letter patterns with polynomial replacements, plus a memoised
-    leftmost reduction to ordered-word normal form."""
+    leftmost reduction to ordered-word normal form.
+
+    _memo maps each word met to its normal form {word: Scalar}; _values,
+    with the same lifetime, maps each coefficient value stored there to the
+    one Scalar object that every memo entry of that value holds."""
 
     def __init__(self, rules):
         """rules: {pattern: replacement}, checked here and fixed from then on:
@@ -170,6 +174,7 @@ class RewriteSystem:
             checked[pattern] = replacement
         self.rules = MappingProxyType(checked)
         self._memo = {}
+        self._values = {ONE: ONE}
         self._cost = {}
 
     def is_normal_word(self, word):
@@ -184,6 +189,7 @@ class RewriteSystem:
         charges of its expansion's words.  Raises FuelExhausted once a word
         completed here, and so word itself, costs more than left."""
         memo, cost, rules = self._memo, self._cost, self.rules
+        values = self._values
         stack = [word]
         while stack:
             top = stack[-1]
@@ -213,6 +219,8 @@ class RewriteSystem:
             out = {}
             for dep, c in deps.items():
                 accumulate(out, memo[dep].items(), c)
+            for w, c in out.items():
+                out[w] = values.setdefault(c, c)
             memo[top] = out
             cost[top] = charge
             stack.pop()
@@ -247,6 +255,14 @@ class RewriteSystem:
         return NCPolynomial(out)
 
 
+def check_degree(degree, slots):
+    """Refuse a multidegree that is not `slots` non-negative parts."""
+    if len(degree) != slots:
+        raise ValueError("degree length must match the slot count")
+    if any(d < 0 for d in degree):
+        raise ValueError("degree parts must be non-negative")
+
+
 def graded_words(slot_letters, degree, strict=False):
     """All ordered words of the given multidegree, lexicographically.
 
@@ -254,8 +270,7 @@ def graded_words(slot_letters, degree, strict=False):
     per-slot word lengths.  strict=True enumerates square-free strictly
     increasing picks (exterior-algebra normal form).
     """
-    if len(degree) != len(slot_letters):
-        raise ValueError("degree length must match the slot count")
+    check_degree(degree, len(slot_letters))
     chooser = combinations if strict else combinations_with_replacement
     blocks = [sorted(chooser(block, d)) for block, d in zip(slot_letters, degree)]
     return [sum(parts, ()) for parts in product(*blocks)]

@@ -14,6 +14,12 @@ arithmetic skips the gcd a Fraction takes per operation.  For integral values
 int and Fraction agree on ==, hash and str, so the stored form changes no
 comparison, dict or set behaviour and no printed byte.  Every coefficient
 division goes through _div, which keeps results exact and in stored form.
+
+A Scalar is immutable, and so are its parts: num and den are shared between
+scalars and by the tables that hold them (LinearOperator.compose and the
+rewrite memos keep one Scalar per distinct value), so no code may mutate
+either dict.  Every Laurent scalar, the denominator-1 case, has as den the
+one object _DEN_ONE; in canonical form len(den) == 1 means den == {0: 1}.
 """
 
 from __future__ import annotations
@@ -41,9 +47,13 @@ def _div(a, b):
     return f.numerator if f.denominator == 1 else f
 
 
+def _has_fraction(p):
+    return Fraction in map(type, p.values())
+
+
 def _as_stored(p):
     """p with its integral Fraction coefficients stored as int."""
-    if Fraction in map(type, p.values()):
+    if _has_fraction(p):
         return {e: c.numerator if c.denominator == 1 else c for e, c in p.items()}
     return p
 
@@ -132,7 +142,8 @@ def _poly_gcd(a, b):
     return a
 
 
-_DEN_ONE = {0: 1}
+_DEN_ONE = {0: 1}  # shared by every Laurent scalar; never mutated
+_DEN_ONE_KEY = frozenset(_DEN_ONE.items())
 
 
 def _canonize(num, den):
@@ -141,13 +152,13 @@ def _canonize(num, den):
     if not den:
         raise ScalarDivisionError("zero denominator")
     if not num:
-        return {}, dict(_DEN_ONE)
+        return {}, _DEN_ONE
     if len(den) == 1:
         # monomial denominator c*v^e divides through exactly
         ((e, c),) = den.items()
         if e or c != 1:
             num = {en - e: _div(cn, c) for en, cn in num.items()}
-        return num, dict(_DEN_ONE)
+        return num, _DEN_ONE
     na, da = min(num), min(den)
     n0 = {e - na: c for e, c in num.items()}
     d0 = {e - da: c for e, c in den.items()}
@@ -157,7 +168,7 @@ def _canonize(num, den):
         d0 = _poly_divmod(d0, g)[0]
     if len(d0) == 1:
         ((e, c),) = d0.items()
-        return {en + na - da - e: _div(cn, c) for en, cn in n0.items()}, dict(_DEN_ONE)
+        return {en + na - da - e: _div(cn, c) for en, cn in n0.items()}, _DEN_ONE
     lc = d0[max(d0)]
     if lc != 1:
         d0 = {e: _div(c, lc) for e, c in d0.items()}
@@ -177,7 +188,7 @@ class Scalar:
         if isinstance(num, (int, Fraction)):
             num = {0: num} if num else {}
         if den is None:
-            den = dict(_DEN_ONE)
+            den = _DEN_ONE
         elif isinstance(den, (int, Fraction)):
             if not den:
                 raise ScalarDivisionError("zero denominator")
@@ -213,7 +224,9 @@ class Scalar:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((frozenset(self.num.items()), frozenset(self.den.items())))
+            den = self.den
+            den_key = _DEN_ONE_KEY if len(den) == 1 else frozenset(den.items())
+            h = hash((frozenset(self.num.items()), den_key))
             self._hash = h
         return h
 
@@ -226,11 +239,14 @@ class Scalar:
                 other = Scalar(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
-        if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            num = _as_stored(accumulate(dict(self.num), other.num.items()))
-            return Scalar._raw(num, dict(_DEN_ONE))
-        num = _lp_mul(self.num, other.den)
-        accumulate(num, _lp_mul(other.num, self.den).items())
+        a, b = self.num, other.num
+        if len(self.den) == 1 and len(other.den) == 1:
+            num = accumulate(dict(a), b.items())
+            if _has_fraction(a) or _has_fraction(b):
+                num = _as_stored(num)
+            return Scalar._raw(num, _DEN_ONE)
+        num = _lp_mul(a, other.den)
+        accumulate(num, _lp_mul(b, self.den).items())
         return Scalar(num, _lp_mul(self.den, other.den))
 
     __radd__ = __add__
@@ -252,10 +268,20 @@ class Scalar:
                 other = Scalar(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
-        if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            num = _as_stored(_lp_mul(self.num, other.num))
-            return Scalar._raw(num, dict(_DEN_ONE))
-        return Scalar(_lp_mul(self.num, other.num), _lp_mul(self.den, other.den))
+        a, b = self.num, other.num
+        if len(self.den) == 1 and len(other.den) == 1:
+            if len(a) == 1 and len(b) == 1:
+                ((ea, ca),) = a.items()
+                ((eb, cb),) = b.items()
+                c = ca * cb
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                return Scalar._raw({ea + eb: c}, _DEN_ONE)
+            num = _lp_mul(a, b)
+            if _has_fraction(a) or _has_fraction(b):
+                num = _as_stored(num)
+            return Scalar._raw(num, _DEN_ONE)
+        return Scalar(_lp_mul(a, b), _lp_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -307,7 +333,7 @@ class Scalar:
         even = all(e % 2 == 0 for e in self.num) and all(e % 2 == 0 for e in self.den)
         var, unit = ("q", 2) if even else ("v", 1)
         ns = _poly_str(self.num, var, unit)
-        if self.den == _DEN_ONE:
+        if len(self.den) == 1:
             return ns
         return "(%s)/(%s)" % (ns, _poly_str(self.den, var, unit))
 

@@ -85,6 +85,17 @@ def test_fft_subcommand_gl(tmp_path):
         assert e["invariant_dim"] == e["span_dim"]
 
 
+def test_fft_sigma_from_m_equal_n(tmp_path):
+    # at degree (1,1,1) U_q(so_3) has an invariant the pairings miss; the
+    # --sigma verdict compares the span with the O_3 invariants instead
+    out = tmp_path / "fft.json"
+    argv = "fft --family B --rank 1 --copies 3 --max-degree 3 --sigma"
+    assert run(argv.split() + ["--output", str(out)]) == 0
+    entries = json.loads(out.read_text())["suites"][0]["entries"]
+    odd = [e for e in entries if e["instance"] == "degree (1, 1, 1)"]
+    assert [(e["invariant_dim"], e["span_dim"], e["sigma_filtered_dim"]) for e in odd] == [(1, 0, 0)]
+
+
 def test_skew_duality_subcommand(tmp_path):
     out = tmp_path / "skew.json"
     assert run(["skew-duality", "--m", "2", "--n", "2", "--output", str(out)]) == 0

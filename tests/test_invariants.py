@@ -117,6 +117,14 @@ def test_span_rejects_wrong_length_degree(degree):
         psi_monomial_span(h, degree)
 
 
+@pytest.mark.parametrize("verify", [psi_monomial_span, fft_verify])
+@pytest.mark.parametrize("degree", [(-1, 3), (2, -2)])
+def test_negative_degree_parts_are_refused(verify, degree):
+    h = build_am(LieTypeSpec("D", 2), 2)
+    with pytest.raises(ValueError, match="degree parts must be non-negative"):
+        verify(h, degree)
+
+
 @pytest.mark.parametrize(
     "family,rank,m",
     [("D", 2, 3), ("B", 1, 3), ("C", 2, 3)],
@@ -125,6 +133,9 @@ def test_relation_suites_smaller_grid(family, rank, m):
     h = build_am(LieTypeSpec(family, rank), m)
     rep = verify_relation_suite(h)
     assert rep["pass"], [e for e in rep["entries"] if not e["pass"]][:3]
+    # the rewrite memo holds one Scalar object per distinct coefficient value
+    values = [c for nf in h.rs._memo.values() for c in nf.values()]
+    assert len({id(c) for c in values}) == len(set(values)) < len(values)
 
 
 # sha256 (suite_sha below) of the GL relation suites on build_akl(n, k, l)
@@ -295,6 +306,22 @@ def test_sigma_filtered_dimension_reported():
     entry = fft_verify(hb, (2, 2), include_sigma=True)
     assert entry["pass"]
     assert entry["sigma_filtered_dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "family,rank,degree,inv_dim,span_dim",
+    [("B", 1, (1, 1, 1), 1, 0), ("D", 2, (1, 1, 1, 1), 4, 3)],
+)
+def test_sigma_verdict_from_m_equal_n(family, rank, degree, inv_dim, span_dim):
+    # from m = N on, U_q (SO_N) has invariants beyond the pairings; with
+    # sigma the claim is about O_N, whose invariants the pairings span
+    h = build_am(LieTypeSpec(family, rank), len(degree))
+    entry = fft_verify(h, degree, include_sigma=True)
+    assert entry["pass"], entry
+    assert entry["invariant_dim"] == inv_dim
+    assert entry["span_dim"] == entry["sigma_filtered_dim"] == span_dim
+    assert entry["contained"]
+    assert not fft_verify(h, degree)["pass"]
 
 
 def test_exterior_highest_weight_examples():

@@ -198,6 +198,12 @@ def test_rcheck_cabled_matches_reference(k, l):
     assert_cable_is_the_chain(LieTypeSpec("D", 2), k, l)
 
 
+def test_compose_shares_equal_entries():
+    # a composed table holds one Scalar object per distinct value
+    values = rcheck_cabled(LieTypeSpec("D", 2), 3, 3).entries.values()
+    assert len({id(c) for c in values}) == len(set(values)) < len(values)
+
+
 # the odd dimension with v_0 (B1), the skew pairing (C2) and the R-matrix (GL2)
 @pytest.mark.parametrize(
     "family,rank,k,l",

@@ -9,6 +9,8 @@ from qmodalg.scalar import (
     Scalar,
     ScalarDivisionError,
     ZERO,
+    _DEN_ONE,
+    _lp_mul,
     gauss_binom,
     gauss_int,
     parse_scalar,
@@ -261,3 +263,90 @@ def test_classical_limit_is_an_exact_fraction():
     assert lim == 3 and type(lim) is Fraction
     lim = Scalar({0: Fraction(1, 2), 2: Fraction(1, 2)}).classical_limit()
     assert lim == 1 and type(lim) is Fraction
+
+
+# -- the Laurent fast paths and shared parts ------------------------------------
+#
+# Sums and products of two Laurent scalars skip _canonize, and a monomial
+# times a monomial is one coefficient product.  Each result must be the
+# scalar the general route builds, coefficient types included.
+
+_LAURENT = [
+    {3: 2},
+    {-5: -7},
+    {0: 1},
+    {1: 1, -1: 1},
+    {2: 3, 0: -1, -4: 5},
+    {-2: Fraction(2, 3)},
+    {1: Fraction(3, 2)},
+    {4: Fraction(1, 2), 0: 3},
+    {0: Fraction(-3, 4), 2: Fraction(4, 3)},
+]
+_RATIONAL = [({0: 1}, {0: 1, 2: 1}), ({1: Fraction(1, 2)}, {0: -1, 2: 1})]
+
+
+def _same(got, want):
+    assert got.num == want.num and got.den == want.den, (got, want)
+    for part in ("num", "den"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert [type(g[e]) for e in sorted(g)] == [type(w[e]) for e in sorted(w)]
+
+
+def _operands():
+    laurent = [Scalar(p) for p in _LAURENT] + [ZERO]
+    return laurent + [Scalar(n, d) for n, d in _RATIONAL]
+
+
+def test_fast_paths_match_the_general_route():
+    for a in _operands():
+        for b in _operands():
+            _same(a * b, Scalar(_lp_mul(a.num, b.num), _lp_mul(a.den, b.den)))
+            num = _lp_mul(a.num, b.den)
+            for e, c in _lp_mul(b.num, a.den).items():
+                num[e] = num.get(e, 0) + c
+            _same(a + b, Scalar(num, _lp_mul(a.den, b.den)))
+
+
+def test_integral_product_of_fractions_is_stored_as_int():
+    for a, b, want in [
+        ({1: Fraction(2, 3)}, {2: Fraction(3, 2)}, {3: 1}),
+        ({-1: Fraction(1, 2)}, {1: 2}, {0: 1}),
+        ({0: Fraction(5, 2), 1: 1}, {0: Fraction(2, 5)}, {0: 1, 1: Fraction(2, 5)}),
+    ]:
+        got = Scalar(a) * Scalar(b)
+        assert got.num == want
+        assert_stored_form(got)
+        assert type(next(iter(got.num.values()))) is int
+    s = Scalar({0: Fraction(1, 2)}) + Scalar({0: Fraction(1, 2), 1: 1})
+    assert s.num == {0: 1, 1: 1} and type(s.num[0]) is int
+
+
+def test_laurent_scalars_share_the_unit_denominator():
+    made = [ZERO, ONE, q_pow(3), gauss_int(3), Scalar(Fraction(1, 2)), Scalar({2: 4}, {0: 2})]
+    a, b = gauss_int(2), q_pow(-1)
+    made += [a + b, a * b, a - b, -a, a * a, b * b, (a * b) / b, a ** 3]
+    made.append(parse_scalar("(q^2 - 1)/(q - q^-1)"))
+    for s in made:
+        assert s.den is _DEN_ONE, s
+
+
+def test_hash_reads_both_parts():
+    # the unit denominator's key is built once; the hash value is unchanged
+    for s in _operands():
+        assert hash(s) == hash((frozenset(s.num.items()), frozenset(s.den.items())))
+
+
+def test_operations_leave_operands_unchanged():
+    ops = _operands()
+    for a in ops:
+        for b in ops:
+            before = [(dict(x.num), dict(x.den)) for x in (a, b)]
+            a + b, a - b, a * b, -a, a ** 2
+            if b:
+                a / b, b.inverse()
+            assert [(x.num, x.den) for x in (a, b)] == before
+
+
+def test_unit_denominator_survives_the_module():
+    # runs last in this module: no operation above wrote to the shared object
+    assert _DEN_ONE == {0: 1}
