@@ -113,23 +113,18 @@ class AlgebraHandle:
     # -- structure ---------------------------------------------------------
 
     def _validate(self):
-        rules = self.rs.rules
+        rules, slot = self.rs.rules, self._slot_index.__getitem__
+        for pat, repl in rules.items():
+            slots = sorted(map(slot, pat))
+            for w in repl.coeffs:
+                if sorted(map(slot, w)) != slots:
+                    raise PresentationError(f"rule {pat} is not degree-homogeneous")
         for l1 in self.alphabet:
             for l2 in self.alphabet:
-                pat = (l1, l2)
-                if pat in rules:
-                    repl = rules[pat]
-                    pd = self.grading(pat)
-                    for w in repl.coeffs:
-                        if self.grading(w) != pd:
-                            raise PresentationError(
-                                f"rule {pat} is not degree-homogeneous"
-                            )
-                else:
-                    if l1 > l2 or (l1 == l2 and self.kind == "Exterior"):
-                        raise PresentationError(
-                            f"non-normal pair {pat} has no straightening rule"
-                        )
+                if (l1 > l2 or (l1 == l2 and self.kind == "Exterior")) and (l1, l2) not in rules:
+                    raise PresentationError(
+                        f"non-normal pair {(l1, l2)} has no straightening rule"
+                    )
 
     def grading(self, word):
         d = [0] * len(self.slots)
@@ -376,8 +371,9 @@ def _build_am(spec, m, kind, strict=False):
     if spec.family != "GL":
         # a skew pairing has no equal-slot generator
         skew, slot_range = pairing(spec).skew, range(1, m + 1)
+        tvec = invariant_vector_t(spec)  # psi_pair_poly's T, built once
         pairings = {
-            (i, j): psi_pair_poly(spec, i, j)
+            (i, j): slot_pair_poly(tvec, i, j)
             for i in slot_range
             for j in slot_range
             if i != j or not skew

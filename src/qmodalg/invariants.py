@@ -14,11 +14,11 @@ from typing import NamedTuple
 
 from .algebras import GeneratorRef, build_exterior, slot_pair_poly
 from .braiding import pair_eigenvalue_p0, pairing, pairing_terms
-from .linalg import EchelonBasis
+from .linalg import EchelonBasis, nullspace
 from .ncpoly import NCPolynomial, check_degree, x_, y_
 from .report import check, suite
 from .rootdata import irrep_dim_gl, natural_rep
-from .scalar import ONE, q_pow
+from .scalar import ONE, accumulate, q_pow
 from .uqaction import act, invariant_basis, span_contained_in
 
 
@@ -366,19 +366,38 @@ def psi_monomial_span(handle, degree):
     return eb.rank(), vectors
 
 
+def _sigma_fixed(handle, basis):
+    """A basis of the sigma-fixed part of span(basis): the kernel of
+    sigma - 1 on it, which is the sigma-fixed invariants when basis spans
+    the invariants."""
+    sigma = GeneratorRef("sigma")
+    rows = {}  # word -> {basis index: coefficient of word in (sigma - 1) b}
+    for i, b in enumerate(basis):
+        for w, c in (act(handle, sigma, b) - b).coeffs.items():
+            rows.setdefault(w, {})[i] = c
+    fixed = []
+    for v in nullspace([rows[w] for w in sorted(rows)], list(range(len(basis)))):
+        out = {}
+        for i, c in v.items():
+            accumulate(out, basis[i].coeffs.items(), c)
+        fixed.append(NCPolynomial(out))
+    return fixed
+
+
 def fft_verify(handle, degree, include_sigma=False):
     """Compare the exact invariant space with the pairing-monomial span.
 
     With include_sigma on an algebra with a sigma generator (B, D) the claim
-    is about O_N: the span is compared with the sigma-fixed invariants, and
-    invariant_dim (all U_q invariants, SO_N's count) is reported beside it.
+    is about O_N: the span is compared with the sigma-fixed invariants, cut
+    out of the one invariant basis by sigma, and invariant_dim (all U_q
+    invariants, SO_N's count) is reported beside it.
     """
     inv = invariant_basis(handle, degree)
     span_dim, span_vecs = psi_monomial_span(handle, degree)
     target = inv
     sigma_dim = None
     if include_sigma and GeneratorRef("sigma") in handle.invariance_generators(True):
-        target = invariant_basis(handle, degree, include_sigma=True)
+        target = _sigma_fixed(handle, inv)
         sigma_dim = len(target)
     contained = span_contained_in(span_vecs, target)
     return check(

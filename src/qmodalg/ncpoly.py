@@ -11,6 +11,17 @@ which makes the reduction terminating regardless of strategy.  Fuel is a
 safety valve: a normal form whose words are charged more than DEFAULT_FUEL
 raises FuelExhausted, a word being charged the expansions a memo-free
 leftmost reduction of it makes, so a memo hit costs what a miss does.
+
+The memo holds slot-compressed words when the rule table is slot-local.  A
+word's compressed image renumbers the slots it uses onto 1..s, keeping their
+order, separately for each letter kind (X slots and Y rows).  The table is
+slot-local when its letters are closed under moving a letter to a lower slot
+of the same kind and label, and a letter pair is a pattern exactly when its
+own compressed image is, with the replacement that image's replacement
+relabelled back, and no replacement leaves its pattern's slots;
+RewriteSystem checks this once when it is built.  Leftmost reduction then
+commutes with relabelling: a word is reduced once as its image, and its
+charge is its image's charge, so fuel is spent as before.
 """
 
 from __future__ import annotations
@@ -148,13 +159,76 @@ class RuleValidationError(ValueError):
     pass
 
 
+def _slot_map(letters, slots):
+    """{letter: image} for the letters on a set of (kind, slot) pairs; the
+    image renumbers each kind's slots onto 1..s, keeping their order."""
+    ranks, kind, rank = {}, None, 0
+    for key in sorted(slots):
+        rank = rank + 1 if key[0] == kind else 1
+        kind = key[0]
+        ranks[key] = rank
+    return {l: (l[0], ranks[l[:2]], l[2]) for l in letters if l[:2] in ranks}
+
+
+def _pair_lifts(image, top):
+    """How many letter pairs with every slot at most top[kind, label]
+    compress to the compressed pair image."""
+    (k1, s1, a1), (k2, s2, a2) = image
+    t1, t2 = top[k1, a1], top[k2, a2]
+    if k1 != k2:
+        return t1 * t2
+    if s1 == s2:
+        return min(t1, t2)
+    low, high = (t1, t2) if s1 < s2 else (t2, t1)
+    return sum(min(j - 1, low) for j in range(2, high + 1))
+
+
+def _slot_bits(rules):
+    """{letter: bit} over the letters of a slot-local rule table (see the
+    module docstring), one bit per (kind, slot), so that a word's bits OR to
+    a key of its slot set; None when the table is not slot-local.
+
+    Each rule is checked against its compressed image.  Closure fixes the
+    letters as every (kind, slot, label) with slot at most the label's top
+    slot, and every rule is a lift of its image, so the rules are all the
+    lifts of the images exactly when their counts agree."""
+    letters = {l for pat in rules for l in pat}
+    if any(s != 1 and (k, s - 1, a) not in letters for k, s, a in letters):
+        return None
+    top = {}
+    for k, s, a in letters:
+        top[k, a] = max(s, top.get((k, a), 0))
+    images, maps = set(), {}
+    for pat, repl in rules.items():
+        (k1, s1, _), (k2, s2, _) = pat
+        down = maps.get((k1, s1, k2, s2))
+        if down is None:
+            down = maps[k1, s1, k2, s2] = _slot_map(letters, {(k1, s1), (k2, s2)})
+        image = (down[pat[0]], down[pat[1]])
+        try:
+            image_repl = {(down[x], down[y]): c for (x, y), c in repl.coeffs.items()}
+        except KeyError:  # a replacement letter is off the pattern's slots or letters
+            return None
+        if image not in rules or rules[image].coeffs != image_repl:
+            return None
+        images.add(image)
+    if sum(_pair_lifts(image, top) for image in images) != len(rules):
+        return None
+    kinds = sorted({k for k, _, _ in letters})
+    return {l: 1 << (len(kinds) * l[1] + kinds.index(l[0])) for l in letters}
+
+
 class RewriteSystem:
     """Two-letter patterns with polynomial replacements, plus a memoised
     leftmost reduction to ordered-word normal form.
 
-    _memo maps each word met to its normal form {word: Scalar}; _values,
+    _memo maps each word reduced to its normal form {word: Scalar}; _values,
     with the same lifetime, maps each coefficient value stored there to the
-    one Scalar object that every memo entry of that value holds."""
+    one Scalar object that every memo entry of that value holds.  When the
+    rules are slot-local (slot_local; see the module docstring) the words
+    reduced are slot-compressed images, so a word on s slots of A_m shares
+    its memo entry with every order-preserving relabelling of it; otherwise
+    every word is its own image.  A word's fuel charge is its image's."""
 
     def __init__(self, rules):
         """rules: {pattern: replacement}, checked here and fixed from then on:
@@ -173,15 +247,46 @@ class RewriteSystem:
                     )
             checked[pattern] = replacement
         self.rules = MappingProxyType(checked)
+        bits = _slot_bits(checked)
+        self.slot_local = bits is not None
+        self._slot_bit = bits or {}
         self._memo = {}
         self._values = {ONE: ONE}
         self._cost = {}
+        # slot bits -> None when a word on those slots is its own image, else
+        # the (down, up) letter maps between such a word and its image
+        self._slot_maps = {}
 
     def is_normal_word(self, word):
         rules = self.rules
         return not any(
             (word[i], word[i + 1]) in rules for i in range(len(word) - 1)
         )
+
+    def _compress(self, word):
+        """(image, slots): word's compressed image and the key of its slot
+        maps, or (word, None) when word is its own image or has a letter
+        outside the rules (every letter is, when the rules are not
+        slot-local)."""
+        bits, slots = self._slot_bit, 0
+        try:
+            for l in word:
+                slots |= bits[l]
+        except KeyError:
+            return word, None
+        if slots not in self._slot_maps:
+            self._slot_maps[slots] = self._build_maps(slots)
+        maps = self._slot_maps[slots]
+        if maps is None:
+            return word, None
+        return tuple(map(maps[0].__getitem__, word)), slots
+
+    def _build_maps(self, slots):
+        on = {l[:2] for l, bit in self._slot_bit.items() if bit & slots}
+        down = _slot_map(self._slot_bit, on)
+        if all(image == l for l, image in down.items()):
+            return None
+        return down, {image: l for l, image in down.items()}
 
     def _reduce(self, word, left):
         """Memoise the normal form of word and of each word its reduction
@@ -191,28 +296,33 @@ class RewriteSystem:
         memo, cost, rules = self._memo, self._cost, self.rules
         values = self._values
         stack = [word]
+        pending = {}  # word -> its expansion, while the expansion's words reduce
         while stack:
             top = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            redex = -1
-            for i in range(len(top) - 1):
-                if (top[i], top[i + 1]) in rules:
-                    redex = i
-                    break
-            if redex < 0:
-                memo[top] = {top: ONE}
-                stack.pop()
-                continue
-            repl = rules[(top[redex], top[redex + 1])]
-            pre, post = top[:redex], top[redex + 2:]
-            # the replacement words are distinct, so no two deps coincide
-            deps = {pre + w + post: c for w, c in repl.coeffs.items()}
-            missing = [d for d in deps if d not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
+            deps = pending.pop(top, None)
+            if deps is None:
+                redex = -1
+                for i in range(len(top) - 1):
+                    if (top[i], top[i + 1]) in rules:
+                        redex = i
+                        break
+                if redex < 0:
+                    memo[top] = {top: ONE}
+                    stack.pop()
+                    continue
+                repl = rules[(top[redex], top[redex + 1])]
+                pre, post = top[:redex], top[redex + 2:]
+                # the replacement words are distinct, so no two deps coincide
+                deps = {pre + w + post: c for w, c in repl.coeffs.items()}
+                missing = [d for d in deps if d not in memo]
+                if missing:
+                    # they sit above top, so each is memoised when top is next
+                    pending[top] = deps
+                    stack.extend(missing)
+                    continue
             charge = 1 + sum(cost.get(d, 0) for d in deps)
             if charge > left:
                 raise FuelExhausted(None)
@@ -225,9 +335,18 @@ class RewriteSystem:
             cost[top] = charge
             stack.pop()
 
+    def _lift(self, out, compressed):
+        """Add each slot set's normal form, relabelled back, to out."""
+        for slots, nf in compressed.items():
+            up = self._slot_maps[slots][1]
+            accumulate(out, ((tuple(map(up.__getitem__, w)), c) for w, c in nf.items()))
+        return NCPolynomial(out)
+
     def normal_form(self, poly, fuel=None):
         """Deterministic normal form, linear in the input polynomial.
 
+        Each word not in the memo is reduced as its compressed image; the
+        images' normal forms are summed per slot set and relabelled once.
         Raises FuelExhausted exactly when the charges of poly's words add up
         to more than fuel (DEFAULT_FUEL when None), whatever the memo holds.
         The partial is the normal form of the terms reduced so far plus the
@@ -239,20 +358,26 @@ class RewriteSystem:
         memo, cost = self._memo, self._cost
         terms = poly.terms()
         out = {}
+        compressed = {}  # slots -> normal form of their images' sum
         done = 0
         try:
             for word, coeff in terms:
+                acc = out
                 if word not in memo:
-                    self._reduce(word, left)
+                    word, slots = self._compress(word)
+                    if slots is not None:
+                        acc = compressed.setdefault(slots, {})
+                    if word not in memo:
+                        self._reduce(word, left)
                 left -= cost.get(word, 0)
                 if left < 0:
                     raise FuelExhausted(None)
-                accumulate(out, memo[word].items(), coeff)
+                accumulate(acc, memo[word].items(), coeff)
                 done += 1
         except FuelExhausted:
             rest = NCPolynomial(dict(terms[done:]))
-            raise FuelExhausted(NCPolynomial(out) + rest) from None
-        return NCPolynomial(out)
+            raise FuelExhausted(self._lift(out, compressed) + rest) from None
+        return self._lift(out, compressed)
 
 
 def check_degree(degree, slots):

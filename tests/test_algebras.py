@@ -4,6 +4,8 @@ import json
 import pytest
 
 from qmodalg.algebras import (
+    AlgebraHandle,
+    PresentationError,
     build_akl,
     build_am,
     build_exterior,
@@ -292,3 +294,20 @@ def test_rule_degree_homogeneity():
             d = handle.grading(pat)
             for w in repl.coeffs:
                 assert handle.grading(w) == d
+
+
+def test_handles_refuse_broken_rule_tables():
+    h = build_am(LieTypeSpec("D", 2), 2)
+    rules = dict(h.rs.rules)
+    pat = min(p for p in rules if p[0][1] == 2 and p[1][1] == 1)
+
+    def handle(table):
+        return AlgebraHandle(h.kind, h.spec, h.params, h.slots, [("test", table)])
+
+    assert handle(rules).rs.rules == h.rs.rules
+    with pytest.raises(PresentationError, match="has no straightening rule"):
+        handle({p: r for p, r in rules.items() if p != pat})
+    # a cross rule whose replacement sits on one slot
+    one_slot = {(x_(1, w[0][2]), x_(1, w[1][2])): c for w, c in rules[pat].coeffs.items()}
+    with pytest.raises(PresentationError, match="is not degree-homogeneous"):
+        handle({**rules, pat: NCPolynomial(one_slot)})

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qmodalg import invariants
 from qmodalg.algebras import build_akl, build_am, build_exterior, build_sq
 from qmodalg.invariants import (
     PartitionError,
@@ -18,7 +19,7 @@ from qmodalg.invariants import (
 from qmodalg.ncpoly import NCPolynomial, x_, y_
 from qmodalg.rootdata import LieTypeSpec
 from qmodalg.scalar import ONE, q_pow
-from qmodalg.uqaction import is_invariant
+from qmodalg.uqaction import invariant_basis, is_invariant, span_contained_in
 
 
 def test_psi_pair_letter_expansion():
@@ -322,6 +323,30 @@ def test_sigma_verdict_from_m_equal_n(family, rank, degree, inv_dim, span_dim):
     assert entry["span_dim"] == entry["sigma_filtered_dim"] == span_dim
     assert entry["contained"]
     assert not fft_verify(h, degree)["pass"]
+
+
+@pytest.mark.parametrize(
+    "family,rank,degree",
+    [("B", 1, (1, 1, 1)), ("B", 1, (2, 1, 1)), ("D", 2, (1, 1, 1, 1)), ("D", 2, (4, 4))],
+)
+def test_sigma_fixed_invariants_from_one_solve(monkeypatch, family, rank, degree):
+    h = build_am(LieTypeSpec(family, rank), len(degree))
+    # the sigma-fixed invariants solved for directly, as a second system
+    fixed = invariant_basis(h, degree, include_sigma=True)
+    span_dim, span_vecs = psi_monomial_span(h, degree)
+    contained = span_contained_in(span_vecs, fixed)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return invariant_basis(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "invariant_basis", counted)
+    entry = fft_verify(h, degree, include_sigma=True)
+    assert len(calls) == 1
+    assert entry["sigma_filtered_dim"] == len(fixed)
+    assert entry["contained"] == contained
+    assert entry["pass"] == (len(fixed) == span_dim and contained)
 
 
 def test_exterior_highest_weight_examples():

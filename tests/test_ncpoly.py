@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from qmodalg.algebras import build_akl, build_am, build_exterior, build_sq
+from qmodalg.algebras import (
+    _build_am,
+    _slot_only_system,
+    build_akl,
+    build_am,
+    build_exterior,
+    build_sq,
+)
+from qmodalg.invariants import verify_relation_suite
 from qmodalg.ncpoly import (
     FuelExhausted,
     NCPolynomial,
@@ -12,7 +20,7 @@ from qmodalg.ncpoly import (
     x_,
 )
 from qmodalg.rootdata import LieTypeSpec
-from qmodalg.scalar import ONE, q_pow
+from qmodalg.scalar import ONE, accumulate, q_pow
 
 
 def test_straightening_example_even_family():
@@ -217,6 +225,135 @@ def test_fuel_partial_equals_the_input_in_the_algebra(words):
         RewriteSystem(rules).normal_form(poly, fuel=1)
     partial = info.value.partial
     assert RewriteSystem(rules).normal_form(partial) == RewriteSystem(rules).normal_form(poly)
+
+
+def _leftmost_normal_form(rules, word):
+    """Normal form of word by leftmost reduction with no memo: the reference."""
+    for i in range(len(word) - 1):
+        repl = rules.get(word[i:i + 2])
+        if repl is not None:
+            out = {}
+            for w, c in repl.coeffs.items():
+                expansion = _leftmost_normal_form(rules, word[:i] + w + word[i + 2:])
+                accumulate(out, expansion.items(), c)
+            return out
+    return {word: ONE}
+
+
+def _slot_dropping_rules(m):
+    """A slot-local table whose cross rules leave one slot, so words on
+    different slot sets reach the same normal words."""
+    rules = {}
+    for i in range(1, m + 1):
+        rules[(x_(i, 2), x_(i, 1))] = NCPolynomial({(x_(i, 1), x_(i, 2)): q_pow(1)})
+        for j in range(i + 1, m + 1):
+            rules[(x_(j, 2), x_(i, 1))] = NCPolynomial({(x_(i, 1), x_(i, 1)): ONE})
+    return rules
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        lambda: build_am(LieTypeSpec("D", 2), 5).rs.rules,
+        lambda: build_am(LieTypeSpec("C", 2), 5).rs.rules,
+        lambda: build_am(LieTypeSpec("D", 2), 3, strict=True).rs.rules,
+        lambda: build_akl(2, 3, 3).rs.rules,
+        lambda: build_exterior(3, 2).rs.rules,
+        lambda: _slot_only_system(LieTypeSpec("D", 2), 3).rules,
+        lambda: _slot_dropping_rules(4),
+    ],
+    ids=[
+        "A5(D2)", "A5(C2)", "A3(D2)-strict", "A33(GL2)", "Ext(3,2)", "slot-only-A3(D2)",
+        "slot-dropping",
+    ],
+)
+def test_compressed_normal_forms_match_the_reference(rules):
+    rules = rules()
+    rs = RewriteSystem(rules)
+    assert rs.slot_local
+    letters = sorted({l for pat in rules for l in pat})
+    rng = random.Random(17)
+    words = {tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))) for _ in range(40)}
+    words = sorted(words | set(rules))
+    want = {w: NCPolynomial(_leftmost_normal_form(rules, w)) for w in words}
+    # all words at once on a cold memo, then one at a time on a warm one
+    total = RewriteSystem(rules).normal_form(NCPolynomial({w: ONE for w in words}))
+    assert total == sum(want.values(), NCPolynomial.zero())
+    for w in words:
+        assert rs.normal_form(NCPolynomial.from_word(w)) == want[w]
+    # when no rule leaves a slot, the memo holds compressed words only:
+    # each kind's slots are 1..s
+    keeps_slots = all(
+        sorted(l[:2] for l in w) == sorted(l[:2] for l in p)
+        for p, r in rules.items()
+        for w in r.coeffs
+    )
+    for w in rs._memo if keeps_slots else ():
+        for kind in {l[0] for l in w}:
+            slots = {l[1] for l in w if l[0] == kind}
+            assert slots == set(range(1, len(slots) + 1))
+
+
+def _changed_cross_rule(rules):
+    pat = min(p for p in rules if p[0][1] == 3 and p[1][1] == 1)
+    return pat, {**rules, pat: rules[pat].scale(q_pow(1))}
+
+
+def _cross_rule_onto_slot_one(rules):
+    pat = min(p for p in rules if p[0][1] == 3 and p[1][1] == 2)
+    moved = {tuple(x_(1, a) for _, _, a in w): c for w, c in rules[pat].coeffs.items()}
+    return pat, {**rules, pat: NCPolynomial(moved)}
+
+
+def _missing_cross_rule(rules):
+    pat = min(p for p in rules if p[0][1] == 3 and p[1][1] == 1)
+    return pat, {p: r for p, r in rules.items() if p != pat}
+
+
+def _slot_two_rules_moved_to_slot_zero(rules):
+    """Same-slot rules on slots 0 and 1 but none on slot 2: as many rules as
+    slot-local ones on slots 1 and 2, though their letters have a gap."""
+    def to_zero(word):
+        return tuple(x_(0, a) for _, _, a in word)
+
+    edited = {p: r for p, r in rules.items() if p[0][1] != 2 or p[1][1] != 2}
+    for p, r in rules.items():
+        if p[0][1] == p[1][1] == 1:
+            edited[to_zero(p)] = NCPolynomial({to_zero(w): c for w, c in r.coeffs.items()})
+    return min(p for p in rules if p[0][1] == p[1][1] == 2), edited
+
+
+@pytest.mark.parametrize(
+    "m,edit",
+    [
+        (3, _changed_cross_rule),
+        (3, _cross_rule_onto_slot_one),
+        (3, _missing_cross_rule),
+        (2, _slot_two_rules_moved_to_slot_zero),
+    ],
+)
+def test_non_local_rules_reduce_every_word_as_itself(m, edit):
+    # each edit leaves a word whose compressed image reduces differently,
+    # so compressing it would give a wrong normal form
+    rules = build_am(LieTypeSpec("D", 2), m).rs.rules
+    pat, edited = edit(dict(rules))
+    rs = RewriteSystem(edited)
+    assert RewriteSystem(rules).slot_local and not rs.slot_local
+    want = NCPolynomial(_leftmost_normal_form(edited, pat))
+    assert rs.normal_form(NCPolynomial.from_word(pat)) == want
+
+
+@pytest.mark.parametrize("family,rank,keys", [("D", 2, 1098), ("B", 1, 669), ("C", 2, 783)])
+def test_relation_suites_share_one_memo_across_m(family, rank, keys):
+    # the suites touch at most four slots, so from m = 4 on every word they
+    # straighten is reduced as an A_4 word
+    memos = []
+    for m in (4, 5, 6):
+        h = _build_am(LieTypeSpec(family, rank), m, kind="Am")
+        assert verify_relation_suite(h)["pass"]
+        memos.append(set(h.rs._memo))
+    assert memos[0] == memos[1] == memos[2]
+    assert len(memos[0]) == keys
 
 
 def test_rule_validation_rejects_nondecreasing():
