@@ -5,29 +5,38 @@ with ordered domain/codomain label lists.  Labels are ints for V itself and
 tuples of ints for tensor powers.  No zero entries are ever stored, so
 equality of operators is equality of tables.
 
-Composition is fraction-free: each operand is put over one common
-denominator with integer numerators, products are accumulated on int
-coefficient dicts, and each output entry is canonicalised once at the end.
-Scalars store integral coefficients as int (see scalar.py), so an operand
-whose entries are all int-coefficient Laurent polynomials is used as it
-stands, and when no denominator needs clearing each accumulated dict becomes
-an output entry as it is.  Canonical form is unique, so the table does not
-depend on this route: it is the table that summing Scalar products entry by
-entry would give.
+Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
+is put over one common denominator with integer numerators, working once per
+distinct Scalar object: lifted operators repeat one Scalar many times.  Each
+int-coefficient Laurent numerator p is then packed into one Python int,
+sum(c << B*(e - lo)) over its terms c*v^e, where lo is the least exponent of
+the operand.  Packing turns a product of Laurent polynomials into one int
+product, and a sum into one int sum, so every product-accumulate is one
+big-int multiply-add.  The digit width B is chosen so that no digit can
+overflow: an output coefficient is a sum of at most K products, K the most
+products that meet in one entry, so its size is at most K*N1*N2, N1 and N2
+the largest l1 norms of the two operands' numerators, and B makes that less
+than 2^(B-1).  Each distinct accumulated int is then decoded once into
+balanced digits in [-2^(B-1), 2^(B-1)), which are exactly the output
+coefficients; a packed 0 is an entry that cancelled.  Each decoded entry is
+divided by the operands' scales and canonicalised once over their common
+denominator.  Canonical form is unique, so the table does not depend on this
+route: it is the table that summing Scalar products entry by entry would
+give.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
 from itertools import product
 from math import lcm
+from operator import itemgetter
 
 from .scalar import (
     ONE,
     Scalar,
     _DEN_ONE,
     _div,
-    _lp_fma,
     _lp_mul,
     _poly_divmod,
     _poly_gcd,
@@ -86,6 +95,45 @@ def _over_one_denominator(entries):
     return common, lnum * lcof, to_int
 
 
+def _pack(ints, width):
+    """(lo, packed): lo is the least exponent of the int Laurent dicts in
+    ints, and packed maps each key to its dict p as one int,
+    sum(c << width*(e - lo)) over p's terms."""
+    lo = min(map(min, ints.values()))
+    packed = {}
+    for k, p in ints.items():
+        n = 0
+        for e, c in p.items():
+            n += c << width * (e - lo)
+        packed[k] = n
+    return lo, packed
+
+
+def _unpack(n, width, lo):
+    """The int Laurent dict packed as n at this width and least exponent.
+
+    Its digits are balanced, in [-2^(width-1), 2^(width-1)): & on a negative
+    int gives the two's-complement low bits, and a digit of half or more is
+    a negative coefficient borrowing one from the next digit."""
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    out = {}
+    e = lo
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= full
+        if d:
+            out[e] = d
+        n = (n - d) >> width
+        e += 1
+    return out
+
+
+def _l1_max(ints):
+    """The largest l1 norm of the int Laurent dicts in ints."""
+    return max(sum(map(abs, p.values())) for p in ints.values())
+
+
 class LinearOperator:
     __slots__ = ("domain", "codomain", "entries", "_by_col")
 
@@ -136,57 +184,71 @@ class LinearOperator:
     def compose(self, other):
         """self o other (other applied first).
 
-        Never adds two Scalars: self and other are each put over one common
-        denominator (D1, D2) with int numerators scaled by L1, L2; the
-        products are accumulated as int Laurent dicts; and each output entry
-        is divided by L1*L2 (taken as is when that is 1) and, when D1*D2 is
-        not 1, canonicalised once over D1*D2.  Cancelled entries are dropped
-        here.  The canonical form is unique, so the result equals the sum of
-        Scalar products, entry for entry.  Equal output entries share one
-        Scalar, built (and canonicalised) once per distinct value.
+        Never adds two Scalars.  self and other are each put over one common
+        denominator (D1, D2) with int numerators scaled by L1, L2, once per
+        distinct entry object, and each numerator is packed into one int
+        (see the module docstring).  The digit width B is the least with
+        K*N1*N2 < 2^(B-1), where K is the smaller of len(self.domain) and
+        the longest column of other, and N1, N2 are the largest l1 norms of
+        self's and other's numerators.  Each output entry accumulates its
+        products as packed ints, one multiply-add each.  Each distinct
+        nonzero sum is decoded once into balanced digits, divided by L1*L2
+        (taken as is when that is 1) and, when D1*D2 is not 1, canonicalised
+        once over D1*D2; entries whose sum is 0 cancelled and are dropped.
+        The canonical form is unique, so the result equals the sum of Scalar
+        products, entry for entry.  Equal output entries share one Scalar.
         """
         if other.codomain != self.domain:
             raise ValueError("composition dimension mismatch")
-        den1, scale1, to_int1 = _over_one_denominator(self.entries)
-        den2, scale2, to_int2 = _over_one_denominator(other.entries)
+        if not self.entries or not other.entries:
+            return LinearOperator._raw(other.domain, self.codomain, {})
+        # lifted operators repeat one Scalar object many times
+        vals1 = {id(v): v for v in self.entries.values()}
+        vals2 = {id(v): v for v in other.entries.values()}
+        den1, scale1, to_int1 = _over_one_denominator(vals1)
+        den2, scale2, to_int2 = _over_one_denominator(vals2)
+        ints1 = {k: to_int1(v) for k, v in vals1.items()}
+        ints2 = {k: to_int2(v) for k, v in vals2.items()}
+        # K, the most products one output entry sums
+        k = min(len(self.domain), max(Counter(map(itemgetter(1), other.entries)).values()))
+        width = (k * _l1_max(ints1) * _l1_max(ints2)).bit_length() + 1
+        lo1, packed1 = _pack(ints1, width)
+        lo2, packed2 = _pack(ints2, width)
+        # the sums are keyed by a row index, cheaper to hash than a label
+        rows = {}
         cols = {}
-        ints = {}  # lifted operators repeat one Scalar object many times
         for (r1, c1), v1 in self.entries.items():
-            n1 = ints.get(id(v1))
-            if n1 is None:
-                n1 = ints[id(v1)] = to_int1(v1)
-            cols.setdefault(c1, []).append((r1, n1))
-        acc = {}
+            i = rows.setdefault(r1, len(rows))
+            cols.setdefault(c1, []).append((i, packed1[id(v1)]))
+        row_labels = list(rows)
+        acc = {}  # column of other -> {row index: packed sum}
         for (r2, c2), v2 in other.entries.items():
             col = cols.get(r2)
             if col is None:
                 continue
-            n2 = to_int2(v2)
-            for r1, n1 in col:
-                key = (r1, c2)
-                a = acc.get(key)
-                if a is None:
-                    acc[key] = a = {}
-                _lp_fma(a, n1, n2)
+            n2 = packed2[id(v2)]
+            out = acc.get(c2)
+            if out is None:
+                out = acc[c2] = {}
+            for i, n1 in col:
+                out[i] = out.get(i, 0) + n1 * n2
         scale = scale1 * scale2
-        quotient = lru_cache(maxsize=None)(lambda c: _div(c, scale))
         den = _lp_mul(den1, den2)
-        shared = {}  # frozenset of an accumulated dict -> its output Scalar
-        cancelled = []
-        for key, a in acc.items():
-            if not a:
-                cancelled.append(key)
-                continue
-            k = frozenset(a.items())
-            s = shared.get(k)
-            if s is None:
-                num = a if scale == 1 else {e: quotient(c) for e, c in a.items()}
-                s = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, _DEN_ONE)
-                shared[k] = s
-            acc[key] = s
-        for key in cancelled:
-            del acc[key]
-        return LinearOperator._raw(other.domain, self.codomain, acc)
+        shared = {}  # packed sum -> its output Scalar
+        table = {}
+        for c2, out in acc.items():
+            for i, n in out.items():
+                if not n:
+                    continue  # the products cancelled
+                s = shared.get(n)
+                if s is None:
+                    num = _unpack(n, width, lo1 + lo2)
+                    if scale != 1:
+                        num = {e: _div(c, scale) for e, c in num.items()}
+                    s = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, _DEN_ONE)
+                    shared[n] = s
+                table[(row_labels[i], c2)] = s
+        return LinearOperator._raw(other.domain, self.codomain, table)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -228,10 +290,11 @@ class LinearOperator:
 
 def lift_block_op(op, labels, r, start, width):
     """Embed an operator on V^(x)width at slots start..start+width-1 of V^(x)r."""
-    words = [tuple(w) for w in product(labels, repeat=r)]
+    words = tuple(product(labels, repeat=r))
     entries = {}
     for ctx in product(labels, repeat=r - width):
         pre, post = ctx[: start - 1], ctx[start - 1:]
         for (rw, cw), val in op.entries.items():
             entries[(pre + rw + post, pre + cw + post)] = val
-    return LinearOperator(words, words, entries)
+    # op stores no zero entry, so neither does its lift
+    return LinearOperator._raw(words, words, entries)

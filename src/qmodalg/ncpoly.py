@@ -60,6 +60,14 @@ class NCPolynomial:
         self.coeffs = {w: c for w, c in (coeffs or {}).items() if c}
 
     @staticmethod
+    def _raw(coeffs):
+        """Build from a table with no zero coefficient, which it then owns
+        (internal fast path)."""
+        p = object.__new__(NCPolynomial)
+        p.coeffs = coeffs
+        return p
+
+    @staticmethod
     def zero():
         return NCPolynomial()
 
@@ -86,7 +94,7 @@ class NCPolynomial:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        return NCPolynomial(accumulate(dict(self.coeffs), other.coeffs.items()))
+        return NCPolynomial._raw(accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
@@ -97,14 +105,15 @@ class NCPolynomial:
     def scale(self, c):
         if not c:
             return NCPolynomial()
-        return NCPolynomial({w: c * x for w, x in self.coeffs.items()})
+        # a field has no zero divisors, so no product is zero
+        return NCPolynomial._raw({w: c * x for w, x in self.coeffs.items()})
 
     def concat(self, other):
         """Free (tensor-algebra) product, no straightening."""
         out = {}
         for w1, c1 in self.coeffs.items():
             accumulate(out, ((w1 + w2, c2) for w2, c2 in other.coeffs.items()), c1)
-        return NCPolynomial(out)
+        return NCPolynomial._raw(out)
 
     def terms(self):
         """(word, coeff) pairs in deterministic (sorted) order."""
@@ -340,7 +349,7 @@ class RewriteSystem:
         for slots, nf in compressed.items():
             up = self._slot_maps[slots][1]
             accumulate(out, ((tuple(map(up.__getitem__, w)), c) for w, c in nf.items()))
-        return NCPolynomial(out)
+        return NCPolynomial._raw(out)
 
     def normal_form(self, poly, fuel=None):
         """Deterministic normal form, linear in the input polynomial.

@@ -83,13 +83,14 @@ def _lp_neg(a):
     return {e: -c for e, c in a.items()}
 
 
-def _lp_fma(acc, a, b):
-    """acc += a*b in place, dropping coefficients that cancel; returns acc.
+def _lp_mul(a, b):
+    """a*b for Laurent dicts, dropping coefficients that cancel.
 
-    Works for any coefficient ring and never mutates a or b: stored-form
-    rationals here, ints in linop.compose.  A product or sum of Fractions may
-    be integral, so callers that keep the result restore the stored form.
+    Works for any coefficient ring and never mutates a or b.  A product or
+    sum of Fractions may be integral, so callers that keep the result restore
+    the stored form.
     """
+    acc = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
@@ -103,10 +104,6 @@ def _lp_fma(acc, a, b):
                 else:
                     del acc[e]
     return acc
-
-
-def _lp_mul(a, b):
-    return _lp_fma({}, a, b)
 
 
 def _poly_divmod(a, b):

@@ -211,3 +211,44 @@ def test_compose_shares_equal_entries():
 )
 def test_rcheck_cabled_matches_reference_in_every_family(family, rank, k, l):
     assert_cable_is_the_chain(LieTypeSpec(family, rank), k, l)
+
+
+BIG = 2 ** 40 - 1
+
+
+def test_packed_compose_near_the_bound():
+    # coefficients of size 2^40 - 1, negative exponents and a span of 40,
+    # negative coefficients whose packed forms borrow from the next digit,
+    # and a column whose two products cancel only once those borrows carry
+    a = Scalar({-30: BIG, -1: -1, 9: -BIG})
+    b = Scalar({-7: -BIG, 0: BIG, 10: 1})
+    c = Scalar({-4: BIG, 2: -1})
+    left = LinearOperator(range(2), range(2), {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): a})
+    right = LinearOperator(
+        range(3),
+        range(2),
+        {(0, 0): b * c, (1, 0): -(a * c), (0, 1): c, (1, 1): -c, (0, 2): a, (1, 2): b},
+    )
+    got = assert_matches_reference(left, right)
+    assert (0, 0) not in got.entries and (1, 0) in got.entries
+    assert max(abs(x) for s in got.entries.values() for x in s.num.values()) > BIG ** 2
+
+
+@pytest.mark.parametrize("entry", [ONE, Scalar({-1: 1, 0: 1, 3: 1}), -ONE])
+@pytest.mark.parametrize("k", [64, 100])
+def test_packed_compose_sums_k_products(k, entry):
+    # every product lands in one entry, so the digit width must allow for
+    # all k of them, not just for one product
+    row = LinearOperator(range(k), range(1), {(0, m): entry for m in range(k)})
+    col = LinearOperator(range(1), range(k), {(m, 0): entry for m in range(k)})
+    got = assert_matches_reference(row, col)
+    assert got.entries == {(0, 0): (entry * entry) * Scalar(k)}
+
+
+def test_compose_with_an_all_zero_operand():
+    rng = random.Random("zero")
+    op = random_op(rng, 3, 3, ["one", "shared"], "frac", density=1.0)
+    zero = LinearOperator.zero(range(3))
+    for left, right in ((zero, op), (op, zero), (zero, zero)):
+        got = assert_matches_reference(left, right)
+        assert got.is_zero() and got.domain == right.domain and got.codomain == left.codomain
