@@ -5,8 +5,10 @@ system built once from its builder's ordered rule groups, and the quadratic
 pairing generators Psi its builder decides; the same groups render the
 presentation manifest on demand.  Shipped rule sets are derived from the
 braiding itself: same-slot rules are solved exactly from the degree-2
-relation subspace of V (x) V, and cross-slot rules read off the entries of
-R-check (block exchange).  The transcribed textbook presentation variants
+relation subspace of V (x) V, a summand of the spectral decomposition (for
+the dual rows of A_{k,l}, the antisymmetric summand with its tensor factors
+swapped), and cross-slot rules read off the entries of R-check (block
+exchange).  The transcribed textbook presentation variants
 are available behind strict=True and compared rule-by-rule by the
 oracle-diff machinery; the independent tensor-route product (lift, braid
 blocks with cabled R-checks, re-straighten slotwise) lives in
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -29,7 +32,7 @@ from .braiding import (
     rcheck_cabled,
     spectral_data,
 )
-from .linalg import EchelonBasis, Expresser
+from .linalg import Expresser
 from .ncpoly import (
     NCPolynomial,
     RewriteSystem,
@@ -240,39 +243,23 @@ def _solve_pair_rules(ideal, normal, pairs, what):
 
 
 @lru_cache(maxsize=None)
-def _pair_rules_solved(spec):
-    """labels (b, a) with b > a mapped to {(c, d) c<=d: Scalar}, exactly."""
+def _pair_rules_solved(spec, dual=False):
+    """labels (b, a) with b > a mapped to {(c, d) c<=d: Scalar}, exactly.
+
+    dual gives GL's dual quantum matrix rows from the anti summand with its
+    tensor factors swapped: GL's R-check is symmetric, so the rows of
+    q^-1 - R^-1 (R^-1 = R-check^-1 o P) span the flip of the image of
+    q^-1 - R-check^-1 = (q + q^-1) P_anti."""
     sd = spectral_data(spec)
     ideal = list(sd.summand("anti")[1])
+    if dual:
+        ideal = [{(b, a): c for (a, b), c in u.items()} for u in ideal]
     if spec.family != "GL" and pairing(spec).skew:
         ideal.extend(sd.summand("triv")[1])
     labels = natural_rep(spec).labels
     normal = [(a, b) for a in labels for b in labels if a <= b]
     pairs = [(b, a) for b in labels for a in labels if b > a]
     return _solve_pair_rules(ideal, normal, pairs, str(spec))
-
-
-@lru_cache(maxsize=None)
-def _pair_rules_dual_row(n):
-    """Same-row straightening for the dual quantum matrix rows.
-
-    Row (a, b) of R^-1 = R-check^-1 o P has the entry at column (c1, c2)
-    that R-check^-1 has at column (c2, c1).
-    """
-    rinv = rcheck(LieTypeSpec("GL", n), inverse=True)
-    labels = tuple(range(1, n + 1))
-    eb = EchelonBasis()
-    ideal = []
-    for a in labels:
-        for b in labels:
-            rel = {(b, a): q_pow(-1)}
-            accumulate(rel, (((c1, c2), -v) for (r, (c2, c1)), v in rinv.entries.items()
-                             if r == (a, b)))
-            if rel and eb.add(rel):
-                ideal.append(rel)
-    normal = [(a, b) for a in labels for b in labels if a <= b]
-    pairs = [(b, a) for b in labels for a in labels if b > a]
-    return _solve_pair_rules(ideal, normal, pairs, f"dual row GL{n}")
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +386,7 @@ def build_akl(n, k, l):
     slots = [(f"x{i}", tuple(x_(i, a) for a in labels)) for i in range(1, k + 1)]
     slots += [(f"y{b}", tuple(y_(b, a) for a in labels)) for b in range(1, l + 1)]
     xs, ys = _slots(x_, k), _slots(y_, l)
-    pair, dual_pair = _pair_rules_solved(spec), _pair_rules_dual_row(n)
+    pair, dual_pair = _pair_rules_solved(spec), _pair_rules_solved(spec, dual=True)
     cross = _exchange_rules(rcheck(spec).by_col(), combinations(xs, 2), labels)
 
     # inverse-R entries ((r1, r2), (c1, c2)), read from R-check^-1 at column
@@ -590,14 +577,8 @@ def printed_rule_diffs(spec, m=2):
 # the independent tensor-route product
 
 def _slot_blocks(word):
-    blocks = []
-    for l in word:
-        slot = l[1]
-        if blocks and blocks[-1][0] == slot:
-            blocks[-1] = (slot, blocks[-1][1] + (l[2],))
-        else:
-            blocks.append((slot, (l[2],)))
-    return blocks
+    """The word's runs of letters on one slot, as (slot, labels)."""
+    return [(slot, tuple(l[2] for l in run)) for slot, run in groupby(word, itemgetter(1))]
 
 
 @lru_cache(maxsize=None)

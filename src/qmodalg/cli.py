@@ -337,6 +337,10 @@ def emit(report, fmt, path):
                 extra = ""
                 if "invariant_dim" in e:
                     extra = f" inv={e['invariant_dim']} span={e['span_dim']}"
+                if "sigma_filtered_dim" in e:
+                    extra += f" sigma={e['sigma_filtered_dim']}"
+                if e.get("contained") is False:
+                    extra += " contained=False"
                 if "agrees" in e:
                     extra += f" agrees={e['agrees']}"
                 lines.append(f"  {mark} {e['citation']} | {e['instance']}{extra}")

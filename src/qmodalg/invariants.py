@@ -9,7 +9,7 @@ entries record which one holds.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 from .algebras import GeneratorRef, build_exterior, slot_pair_poly
@@ -338,22 +338,13 @@ def psi_monomial_span(handle, degree):
         first.setdefault(handle.grading(next(iter(gen.coeffs))), ref)
     gens = list(first.items())
     normal = {g: psi(handle, g) for _, g in gens}
-    monomials = []
-
-    def rec(idx, remaining, stack):
-        if all(x == 0 for x in remaining):
-            monomials.append(tuple(stack))
-            return
-        if idx == len(gens):
-            return
-        d, g = gens[idx]
-        max_mult = min(r // dd for r, dd in zip(remaining, d) if dd)
-        for mult in range(max_mult, -1, -1):
-            nxt = tuple(r - mult * dd for r, dd in zip(remaining, d))
-            if all(x >= 0 for x in nxt):
-                rec(idx + 1, nxt, stack + [g] * mult)
-
-    rec(0, tuple(degree), [])
+    # every generator is quadratic; summed from zero, () has degree 0
+    zero = (0,) * len(handle.slots)
+    monomials = [
+        tuple(g for _, g in mono)
+        for mono in combinations_with_replacement(gens, sum(degree) // 2)
+        if tuple(map(sum, zip(zero, *(d for d, _ in mono)))) == tuple(degree)
+    ]
     eb = EchelonBasis()
     vectors = []
     for mono in sorted(monomials):
@@ -454,17 +445,9 @@ def exterior_highest_weight(handle, lam):
 
 
 def _box_partitions(m, n):
-    out = [()]
-    stack = [(tuple(), n)]
-    while stack:
-        lam, cap = stack.pop()
-        if len(lam) == m:
-            continue
-        for part in range(1, cap + 1):
-            nxt = lam + (part,)
-            out.append(nxt)
-            stack.append((nxt, part))
-    return sorted(set(out), key=lambda t: (sum(t), t))
+    """The partitions inside the m x n box, by size and then as tuples."""
+    rows = combinations_with_replacement(range(n, -1, -1), m)
+    return sorted((tuple(x for x in lam if x) for lam in rows), key=lambda t: (sum(t), t))
 
 
 def skew_duality_check(m, n):

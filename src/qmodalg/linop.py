@@ -7,7 +7,8 @@ equality of operators is equality of tables.
 
 Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
 is put over one common denominator with integer numerators, working once per
-distinct Scalar object: lifted operators repeat one Scalar many times.  Each
+distinct Scalar value: operators repeat one value many times, lifted ones as
+one object and sums and scalings as equal new objects.  Each
 int-coefficient Laurent numerator p is then packed into one Python int,
 sum(c << B*(e - lo)) over its terms c*v^e, where lo is the least exponent of
 the operand.  Packing turns a product of Laurent polynomials into one int
@@ -186,7 +187,7 @@ class LinearOperator:
 
         Never adds two Scalars.  self and other are each put over one common
         denominator (D1, D2) with int numerators scaled by L1, L2, once per
-        distinct entry object, and each numerator is packed into one int
+        distinct entry value, and each numerator is packed into one int
         (see the module docstring).  The digit width B is the least with
         K*N1*N2 < 2^(B-1), where K is the smaller of len(self.domain) and
         the longest column of other, and N1, N2 are the largest l1 norms of
@@ -202,9 +203,9 @@ class LinearOperator:
             raise ValueError("composition dimension mismatch")
         if not self.entries or not other.entries:
             return LinearOperator._raw(other.domain, self.codomain, {})
-        # lifted operators repeat one Scalar object many times
-        vals1 = {id(v): v for v in self.entries.values()}
-        vals2 = {id(v): v for v in other.entries.values()}
+        # operators repeat one value many times, often as distinct objects
+        vals1 = {v: v for v in self.entries.values()}
+        vals2 = {v: v for v in other.entries.values()}
         den1, scale1, to_int1 = _over_one_denominator(vals1)
         den2, scale2, to_int2 = _over_one_denominator(vals2)
         ints1 = {k: to_int1(v) for k, v in vals1.items()}
@@ -219,14 +220,14 @@ class LinearOperator:
         cols = {}
         for (r1, c1), v1 in self.entries.items():
             i = rows.setdefault(r1, len(rows))
-            cols.setdefault(c1, []).append((i, packed1[id(v1)]))
+            cols.setdefault(c1, []).append((i, packed1[v1]))
         row_labels = list(rows)
         acc = {}  # column of other -> {row index: packed sum}
         for (r2, c2), v2 in other.entries.items():
             col = cols.get(r2)
             if col is None:
                 continue
-            n2 = packed2[id(v2)]
+            n2 = packed2[v2]
             out = acc.get(c2)
             if out is None:
                 out = acc[c2] = {}

@@ -76,8 +76,8 @@ class NCPolynomial:
         return NCPolynomial({(): ONE})
 
     @staticmethod
-    def from_word(word, coeff=ONE):
-        return NCPolynomial({tuple(word): coeff})
+    def from_word(word):
+        return NCPolynomial({tuple(word): ONE})
 
     def is_zero(self):
         return not self.coeffs

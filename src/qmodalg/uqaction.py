@@ -6,7 +6,9 @@ Generators act on normal forms through the coproduct Leibniz rules
 written once in rootdata.coproduct_image, with the letter-level action read
 off the natural representation (RepData.images; the dual action for Y
 letters).  Invariant subspaces of graded components are exact nullspaces of
-the stacked generator actions.
+the stacked e_i and f_i actions on the weight-zero words.  This is the one
+U_q invariant basis: the sigma-fixed, O_N, invariants are cut out of it by
+sigma - 1 (invariants.fft_verify), not solved for again.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def is_invariant(handle, p, include_sigma=False):
     )
 
 
-def invariant_basis(handle, degree, include_sigma=False):
+def invariant_basis(handle, degree):
     """Exact basis of the invariants inside the multidegree component.
 
     Words of nonzero weight cannot contribute (the k-conditions), so the
@@ -65,7 +67,7 @@ def invariant_basis(handle, degree, include_sigma=False):
         return []
     gens = [
         g
-        for g in handle.invariance_generators(include_sigma=include_sigma)
+        for g in handle.invariance_generators()
         if g.kind != "k"
     ]
     rows = {}  # (generator tag, target word) -> {source word: Scalar}
@@ -73,8 +75,6 @@ def invariant_basis(handle, degree, include_sigma=False):
         p = NCPolynomial.from_word(w)
         for g in gens:
             img = act(handle, g, p)
-            if g.kind == "sigma":
-                img = img - p
             for tw, c in img.coeffs.items():
                 rows.setdefault((str(g), tw), {})[w] = c
     basis = nullspace([rows[k] for k in sorted(rows)], wz)
@@ -123,9 +123,9 @@ def span_contained_in(vectors, basis_polys):
     return all(eb.contains(v.coeffs) for v in vectors)
 
 
-def invariant_basis_json(handle, degree, include_sigma=False):
+def invariant_basis_json(handle, degree):
     """The invariant basis of a graded component as term-list JSON."""
     return [
         terms_json(p, handle.letter_str)
-        for p in invariant_basis(handle, degree, include_sigma)
+        for p in invariant_basis(handle, degree)
     ]

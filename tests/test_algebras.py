@@ -6,6 +6,8 @@ import pytest
 from qmodalg.algebras import (
     AlgebraHandle,
     PresentationError,
+    _pair_rules_solved,
+    _solve_pair_rules,
     build_akl,
     build_am,
     build_exterior,
@@ -15,9 +17,11 @@ from qmodalg.algebras import (
     psi_pair_poly,
     tensor_oracle_product,
 )
+from qmodalg.braiding import rcheck
+from qmodalg.linalg import EchelonBasis
 from qmodalg.ncpoly import NCPolynomial, x_, y_
 from qmodalg.rootdata import LieTypeSpec
-from qmodalg.scalar import ONE, q_pow
+from qmodalg.scalar import ONE, accumulate, q_pow
 
 
 def test_sq_rule_counts_even_rank_two():
@@ -122,6 +126,32 @@ def test_dual_row_straightening():
         NCPolynomial.from_word((y_(2, 1),)), NCPolynomial.from_word((y_(1, 1),))
     )
     assert got == NCPolynomial({(y_(1, 1), y_(2, 1)): q_pow(-1)})
+
+
+def _dual_row_rules_from_rcheck_inverse(n):
+    """Reference: the dual-row rules solved from the rows of q^-1 - R^-1,
+    R^-1 = R-check^-1 o P, one independent row at a time."""
+    rinv = rcheck(LieTypeSpec("GL", n), inverse=True)
+    labels = tuple(range(1, n + 1))
+    eb = EchelonBasis()
+    ideal = []
+    for a in labels:
+        for b in labels:
+            rel = {(b, a): q_pow(-1)}
+            accumulate(rel, (((c1, c2), -v) for (r, (c2, c1)), v in rinv.entries.items()
+                             if r == (a, b)))
+            if rel and eb.add(rel):
+                ideal.append(rel)
+    normal = [(a, b) for a in labels for b in labels if a <= b]
+    pairs = [(b, a) for b in labels for a in labels if b > a]
+    return _solve_pair_rules(ideal, normal, pairs, f"dual row GL{n}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_row_rules_are_the_swapped_anti_summand(n):
+    got = _pair_rules_solved(LieTypeSpec("GL", n), dual=True)
+    assert got == _dual_row_rules_from_rcheck_inverse(n)
+    assert len(got) == n * (n - 1) // 2
 
 
 def test_exterior_rules():

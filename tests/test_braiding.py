@@ -123,6 +123,13 @@ def test_gl_rcheck_matches_closure_projectors():
         assert rcheck(spec, inverse=True) @ _flip(n) == _rmatrix_gl(n, -1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gl_rcheck_is_symmetric(n):
+    # the dual-row rules of A_{k,l} read P_anti through the flip because of this
+    rc = rcheck(LieTypeSpec("GL", n))
+    assert rc.entries == {(c, r): v for (r, c), v in rc.entries.items()}
+
+
 def test_t_vector_eigen_relation():
     for family, rank in [("D", 2), ("D", 3), ("B", 1), ("B", 2), ("C", 2)]:
         spec = LieTypeSpec(family, rank)

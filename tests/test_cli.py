@@ -96,6 +96,28 @@ def test_fft_sigma_from_m_equal_n(tmp_path):
     assert [(e["invariant_dim"], e["span_dim"], e["sigma_filtered_dim"]) for e in odd] == [(1, 0, 0)]
 
 
+def test_fft_text_names_what_it_compared(tmp_path):
+    # with --sigma the span is compared with sigma=, not inv=
+    out = tmp_path / "fft.txt"
+    argv = "fft --family D --rank 2 --copies 4 --max-degree 4 --sigma --format text"
+    assert run(argv.split() + ["--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    want = "  ok   invariants generated by the pairings | degree (1, 1, 1, 1) inv=4 span=3 sigma=3"
+    assert want in lines
+    assert not any("contained=" in line for line in lines)
+
+
+def test_fft_text_shows_failed_containment(tmp_path, monkeypatch):
+    from qmodalg import invariants
+
+    monkeypatch.setattr(invariants, "span_contained_in", lambda vectors, basis: False)
+    out = tmp_path / "fft.txt"
+    argv = "fft --family D --rank 2 --copies 2 --max-degree 2 --format text"
+    assert run(argv.split() + ["--output", str(out)]) == 1
+    want = "degree (1, 1) inv=1 span=1 contained=False"
+    assert f"  FAIL invariants generated by the pairings | {want}" in out.read_text().splitlines()
+
+
 def test_skew_duality_subcommand(tmp_path):
     out = tmp_path / "skew.json"
     assert run(["skew-duality", "--m", "2", "--n", "2", "--output", str(out)]) == 0

@@ -252,3 +252,29 @@ def test_compose_with_an_all_zero_operand():
     for left, right in ((zero, op), (op, zero), (zero, zero)):
         got = assert_matches_reference(left, right)
         assert got.is_zero() and got.domain == right.domain and got.codomain == left.codomain
+
+
+def test_compose_works_once_per_value(monkeypatch):
+    # equal entries held as distinct Scalar objects, as a sum or a scaling
+    # builds them, are put over one denominator once per value
+    import qmodalg.linop as linop
+
+    seen = []
+
+    def counted(entries):
+        seen.append(len(entries))
+        return _over_one_denominator(entries)
+
+    monkeypatch.setattr(linop, "_over_one_denominator", counted)
+    den = DENS["shared"]
+    values = [Scalar({0: 1, 1: Fraction(1, 2)}, den), Scalar({-1: 3})]
+
+    def copy(k):
+        return Scalar(values[k].num, values[k].den)
+
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    left = LinearOperator(range(3), range(3), {(r, c): copy((r + c) % 2) for r, c in cells})
+    right = LinearOperator(range(2), range(3), {(r, c): copy(r % 2) for r, c in cells if c < 2})
+    assert len({id(v) for v in left.entries.values()}) == 9
+    assert_matches_reference(left, right)
+    assert seen == [2, 2]

@@ -5,9 +5,11 @@ in src/, tests/ or perfbench/, an import alias, __all__, or a dotted name
 the benchmark's tracer looks up by string (perfbench/tracing.SPANS); an
 attribute that happens to share its name does not count.  A method or a
 nested definition may also be referenced by an attribute name.  Dunder
-names are called or read by Python itself and are exempt.  Every
-module-level import of a package module other than __init__.py is used by
-a name in that module.  Report entries are built by report.check, never as
+names are called or read by Python itself and are exempt.  Every parameter
+is read by its function, and every default is overridden, by position or
+keyword, by some call in src/, tests/ or perfbench/.  Every module-level
+import of a package module other than __init__.py is used by a name in
+that module.  Report entries are built by report.check, never as
 a dict literal elsewhere.
 """
 
@@ -160,3 +162,60 @@ def test_every_parameter_is_read():
                 if p not in read and p not in ("self", "cls"):
                     unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}({p})")
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def _defaulted(tree):
+    """(function, line, parameter, its position, method offset) for every
+    parameter with a default of every non-dunder function in the tree; the
+    offset is 1 for a method called through an attribute, whose instance
+    fills the first position."""
+    static = lambda node: any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+    )
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not static(node)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_dunder(node.name):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        offset = 1 if id(node) in methods else 0
+        for pos in range(len(positional) - len(a.defaults), len(positional)):
+            yield node.name, node.lineno, positional[pos].arg, pos, offset
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node.name, node.lineno, p.arg, None, offset
+
+
+def _passed(call, param, pos, offset):
+    """Whether the call passes the parameter, by position or by keyword."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if pos is None:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    shift = offset if isinstance(call.func, ast.Attribute) else 0
+    return len(call.args) + shift > pos
+
+
+def test_every_default_is_overridden_by_some_call():
+    # a default that no call overrides is a constant dressed as an option
+    calls = {}
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never = []
+    for path, tree in _trees("src/qmodalg"):
+        for name, line, param, pos, offset in _defaulted(tree):
+            if not any(_passed(c, param, pos, offset) for c in calls.get(name, ())):
+                never.append(f"{path.relative_to(ROOT)}:{line} {name}({param})")
+    assert not never, "defaults no call overrides:\n" + "\n".join(never)
