@@ -5,6 +5,15 @@ Every suite entry reduces a relation instance to a residual in normal form;
 pass means the residual is exactly zero.  Where the transcribed source
 presentation is ambiguous or fails, both variants are evaluated and the
 entries record which one holds.
+
+A relation instance's residual is computed once per slot pattern: the
+instance's slots are renumbered onto 1..s in order, and the residual found
+there is relabelled back.  When the rules are slot-local
+(RewriteSystem.slot_local) that relabelling is an algebra map taking normal
+forms to normal forms, so the entry is the one the instance gives on its own
+slots; otherwise each instance is its own pattern.  Every relation touches
+at most four slots, so from m = 4 on a suite adds instances, not
+straightening.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import NamedTuple
 from .algebras import GeneratorRef, build_exterior, slot_pair_poly
 from .braiding import pair_eigenvalue_p0, pairing, pairing_terms
 from .linalg import EchelonBasis, nullspace
-from .ncpoly import NCPolynomial, check_degree, x_, y_
+from .ncpoly import NCPolynomial, check_degree, slot_ranks, x_, y_
 from .report import check, suite
 from .rootdata import irrep_dim_gl, natural_rep
 from .scalar import ONE, accumulate, q_pow
@@ -178,7 +187,15 @@ _FAMILIES = {
 
 
 def verify_relation_suite(handle):
-    """All instantiable relation instances for the handle, residual-checked."""
+    """All instantiable relation instances for the handle, residual-checked.
+
+    Each residual is computed once per slot pattern and relabelled onto the
+    pattern's instances (_per_pattern).  With slot-local rules the
+    order-preserving slot map is an algebra map, so every entry is the one
+    the instance gives computed on its own, byte for byte, and no relation
+    touches more than four slots: from m = 4 on the suite computes no new
+    residual, only relabels.
+    """
     if handle.kind == "Akl":
         entries = _suite_gl(handle)
     elif handle.spec.family in _FAMILIES:
@@ -186,6 +203,44 @@ def verify_relation_suite(handle):
     else:
         raise ValueError("no relation suite for this handle")
     return suite(f"relations {handle.kind}({handle.spec}, {handle.params})", entries)
+
+
+def _per_pattern(handle, relations, instances):
+    """(key, instance text, residual) for each relation instance, in order.
+
+    An instance is (key, instance text, slots, label): slots are (kind,
+    slot) pairs in the argument order of relations[key], and label is the
+    instance's letter label or None.  relations[key] takes the slot numbers,
+    then the label when there is one, and returns the residual.
+
+    An instance's pattern is its key, its slots dense-ranked per kind in
+    argument order ((2,5) -> (1,2), (5,2) -> (2,1), (3,3) -> (1,1)) and its
+    label.  The residual is computed once per pattern, at the ranked slots
+    in the same handle, and relabelled onto each instance's slots.  When
+    the rules are slot-local (RewriteSystem.slot_local) the order-preserving
+    slot map is an algebra map A_s -> A_m that takes ordered words to
+    ordered words and the ranked pairings, correction terms and letters
+    onto the instance's own, so the relabelled residual is the instance's
+    residual.  Otherwise each slot is its own rank, as each word is its own
+    image in RewriteSystem.normal_form, and nothing is relabelled.  The
+    memo lives for one call.
+    """
+    local = handle.rs.slot_local
+    memo = {}  # (key, ranked slots, label) -> residual at the ranked slots
+    for key, instance, slots, label in instances:
+        ranks = slot_ranks(slots) if local else {s: s[1] for s in slots}
+        ranked = tuple(ranks[s] for s in slots)
+        pattern = (key, ranked, label)
+        res = memo.get(pattern)
+        if res is None:
+            args = ranked if label is None else ranked + (label,)
+            res = memo[pattern] = relations[key](*args)
+        if res and any(s[1] != r for s, r in ranks.items()):
+            up = {(s[0], r): s for s, r in ranks.items()}
+            res = NCPolynomial._raw(
+                {tuple(up[l[:2]] + l[2:] for l in w): c for w, c in res.coeffs.items()}
+            )
+        yield key, instance, res
 
 
 def _suite_classical(handle, fam):
@@ -203,69 +258,96 @@ def _suite_classical(handle, fam):
     corr = {i: fam.correction(handle, i) for i in slots} if fam.correction else None
     letters = range(1, natural_rep(handle.spec).dim_v + 1)
     x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
-    entries = []
 
-    def add(key, instance, res):
-        citation = fam.citations.get(key, _CITATIONS[key])
-        entries.append(_entry(citation, instance, res, handle, fam.variants.get(key)))
+    def between(i, k, j, a):
+        rhs = mul(x[(i, a)], P[(k, j)]) - mul(P[(i, k)], x[(j, a)])
+        return comm(x[(k, a)], P[(i, j)]) - rhs.scale(qq)
+
+    def left(i, j, a):
+        if skew:
+            return exchange(x[(i, a)], P[(i, j)], q_pow(1))
+        return exchange(P[(i, j)], x[(i, a)], q_pow(-1)) - mul(corr[i], x[(j, a)]).scale(qq)
+
+    def right(i, j, a):
+        if skew:
+            return exchange(P[(i, j)], x[(j, a)], q_pow(1))
+        xi = x[(i, a)]
+        rcorr = mul(corr[j], xi) if fam.corr_first else mul(xi, corr[j])
+        return exchange(x[(j, a)], P[(i, j)], q_pow(-1)) - rcorr.scale(qq)
+
+    def shared(u, w, slot, rest):
+        # the q-exchange of P[u] past P[w], less the correction at slot
+        res = exchange(P[u], P[w], q_pow(-1))
+        if corr is not None:
+            res = res - mul(corr[slot], P[rest]).scale(qq)
+        return res
+
+    def interleaved(a, b, c, d):
+        rhs = mul(P[(a, b)], P[(c, d)]) - mul(P[(a, d)], P[(b, c)])
+        return comm(P[(a, c)], P[(b, d)]) - rhs.scale(qq)
+
+    relations = {
+        "twist": lambda i, j: P[(j, i)] - P[(i, j)].scale(kappa),
+        "ratio": lambda i: corr[i] - P[(i, i)].scale(fam.ratio(n)),
+        "central": lambda i, k, a: comm(x[(k, a)], P[(i, i)]),
+        "outside": lambda i, j, k, a: comm(x[(k, a)], P[(i, j)]),
+        "between": between,
+        "left": left,
+        "right": right,
+        "equal": lambda i, j, k: comm(P[(i, i)], P[(j, k)]),
+        "shared-left": lambda a, b, c: shared((a, b), (a, c), a, (b, c)),
+        "shared-middle": lambda a, b, c: shared((b, c), (a, b), b, (a, c)),
+        "shared-right": lambda a, b, c: shared((a, c), (b, c), c, (a, b)),
+        "nested": lambda a, b, c, d: comm(P[(b, c)], P[(a, d)]),
+        "disjoint": lambda a, b, c, d: comm(P[(a, b)], P[(c, d)]),
+        "interleaved": interleaved,
+    }
+    instances = []
+
+    def add(key, instance, args, label):
+        instances.append((key, instance, tuple((0, s) for s in args), label))
 
     for i, j in combinations(slots, 2):
-        add("twist", f"{fam.labels[0]}({i},{j})", P[(j, i)] - P[(i, j)].scale(kappa))
+        add("twist", f"{fam.labels[0]}({i},{j})", (i, j), None)
     if fam.ratio:
         for i in slots:
-            add("ratio", f"i={i}", corr[i] - P[(i, i)].scale(fam.ratio(n)))
+            add("ratio", f"i={i}", (i,), None)
     if not skew:
         for i in slots:
             for k in slots:
                 for a in letters:
-                    add("central", f"i={i},k={k},a={a}", comm(x[(k, a)], P[(i, i)]))
+                    add("central", f"i={i},k={k},a={a}", (i, k), a)
     for i, j in combinations(slots, 2):
         for k in list(range(1, i)) + list(range(j + 1, m + 1)):
             for a in letters:
-                add("outside", f"i={i},j={j},k={k},a={a}", comm(x[(k, a)], P[(i, j)]))
+                add("outside", f"i={i},j={j},k={k},a={a}", (i, j, k), a)
     for i, k, j in combinations(slots, 3):
         for a in letters:
-            rhs = mul(x[(i, a)], P[(k, j)]) - mul(P[(i, k)], x[(j, a)])
-            add("between", f"i={i},k={k},j={j},a={a}", comm(x[(k, a)], P[(i, j)]) - rhs.scale(qq))
+            add("between", f"i={i},k={k},j={j},a={a}", (i, k, j), a)
     for i, j in combinations(slots, 2):
         for a in letters:
-            xi, xj, pij = x[(i, a)], x[(j, a)], P[(i, j)]
-            if skew:
-                left = exchange(xi, pij, q_pow(1))
-                right = exchange(pij, xj, q_pow(1))
-            else:
-                left = exchange(pij, xi, q_pow(-1)) - mul(corr[i], xj).scale(qq)
-                rcorr = mul(corr[j], xi) if fam.corr_first else mul(xi, corr[j])
-                right = exchange(xj, pij, q_pow(-1)) - rcorr.scale(qq)
-            add("left", f"i={i},j={j},a={a}", left)
-            add("right", f"i={i},j={j},a={a}", right)
+            add("left", f"i={i},j={j},a={a}", (i, j), a)
+            add("right", f"i={i},j={j},a={a}", (i, j), a)
     if not skew:
         for i in slots:
             for j in slots:
                 for k in range(j, m + 1):
-                    add("equal", f"i={i},(j,k)=({j},{k})", comm(P[(i, i)], P[(j, k)]))
+                    add("equal", f"i={i},(j,k)=({j},{k})", (i, j, k), None)
     for a, b, c in combinations(slots, 3):
-        # (key, factors of the q-exchange, correction slot, its cofactor)
-        shapes = (
-            ("shared-left", (a, b), (a, c), a, (b, c)),
-            ("shared-middle", (b, c), (a, b), b, (a, c)),
-            ("shared-right", (a, c), (b, c), c, (a, b)),
-        )
-        for key, u, w, slot, rest in shapes:
-            res = exchange(P[u], P[w], q_pow(-1))
-            if corr is not None:
-                res = res - mul(corr[slot], P[rest]).scale(qq)
-            add(key, f"{fam.labels[1]}({a},{b},{c})", res)
+        for key in ("shared-left", "shared-middle", "shared-right"):
+            add(key, f"{fam.labels[1]}({a},{b},{c})", (a, b, c), None)
     for a, b, c, d in combinations(slots, 4):
-        inst = f"({a},{b},{c},{d})"
-        add("nested", inst, comm(P[(b, c)], P[(a, d)]))
-        add("disjoint", inst, comm(P[(a, b)], P[(c, d)]))
-        rhs = mul(P[(a, b)], P[(c, d)]) - mul(P[(a, d)], P[(b, c)])
-        add("interleaved", inst, comm(P[(a, c)], P[(b, d)]) - rhs.scale(qq))
-    return entries
+        for key in ("nested", "disjoint", "interleaved"):
+            add(key, f"({a},{b},{c},{d})", (a, b, c, d), None)
+    return [
+        _entry(fam.citations.get(key, _CITATIONS[key]), inst, res, handle, fam.variants.get(key))
+        for key, inst, res in _per_pattern(handle, relations, instances)
+    ]
 
 
 def _suite_gl(handle):
+    """The A_{k,l} suite; X rows and Y rows are ranked separately, each
+    relation taking its X rows, then its Y rows, then its label."""
     k, l, n = handle.params["k"], handle.params["l"], handle.params["n"]
     qq = _qq()
     mul = handle.multiply
@@ -275,50 +357,73 @@ def _suite_gl(handle):
     P = {ref: psi(handle, ref) for ref in handle.pairings}
     x = {(i, a): NCPolynomial.from_word((x_(i, a),)) for i in rows for a in labels}
     y = {(b, a): NCPolynomial.from_word((y_(b, a),)) for b in cols for a in labels}
-    entries = []
 
-    def add(citation, instance, res):
-        entries.append(_entry(citation, instance, res, handle))
+    def x_past(i, j, beta, a):
+        return comm(x[(j, a)], P[(i, beta)]) - mul(x[(i, a)], P[(j, beta)]).scale(qq)
+
+    def y_past(j, alpha, beta, b):
+        return comm(P[(j, alpha)], y[(beta, b)]) - mul(y[(alpha, b)], P[(j, beta)]).scale(qq)
+
+    def crossed(i, j, alpha, beta):
+        return comm(P[(j, alpha)], P[(i, beta)]) - mul(P[(i, alpha)], P[(j, beta)]).scale(qq)
+
+    relations = {
+        "later-row pairing commutes with X": lambda i, j, beta, a: comm(P[(j, beta)], x[(i, a)]),
+        "X past an earlier-row pairing": x_past,
+        "same-row X q-exchange": lambda i, beta, a: exchange(P[(i, beta)], x[(i, a)], q_pow(-1)),
+        "later-row pairing commutes with Y": lambda j, alpha, beta, b: comm(
+            P[(j, beta)], y[(alpha, b)]
+        ),
+        "Y past an earlier-row pairing": y_past,
+        "same-row Y q-exchange": lambda i, beta, b: exchange(P[(i, beta)], y[(beta, b)], q_pow(1)),
+        "disjoint pairings commute": lambda i, j, alpha, beta: comm(P[(j, beta)], P[(i, alpha)]),
+        "crossed pairings exchange": crossed,
+        "shared X-row pairing q-exchange": lambda i, alpha, beta: exchange(
+            P[(i, beta)], P[(i, alpha)], q_pow(-1)
+        ),
+        "shared Y-row pairing q-exchange": lambda i, j, beta: exchange(
+            P[(j, beta)], P[(i, beta)], q_pow(1)
+        ),
+    }
+    instances = []
+
+    def add(citation, instance, xrows, yrows, label):
+        slots = tuple((0, i) for i in xrows) + tuple((1, b) for b in yrows)
+        instances.append((citation, instance, slots, label))
 
     for i, j in combinations(rows, 2):
         for beta in cols:
             for a in labels:
                 inst = f"i={i},j={j},b={beta},a={a}"
-                add("later-row pairing commutes with X", inst, comm(P[(j, beta)], x[(i, a)]))
-                res = comm(x[(j, a)], P[(i, beta)]) - mul(x[(i, a)], P[(j, beta)]).scale(qq)
-                add("X past an earlier-row pairing", inst, res)
+                add("later-row pairing commutes with X", inst, (i, j), (beta,), a)
+                add("X past an earlier-row pairing", inst, (i, j), (beta,), a)
     for i in rows:
         for beta in cols:
             for a in labels:
-                res = exchange(P[(i, beta)], x[(i, a)], q_pow(-1))
-                add("same-row X q-exchange", f"i={i},b={beta},a={a}", res)
+                add("same-row X q-exchange", f"i={i},b={beta},a={a}", (i,), (beta,), a)
     for alpha, beta in combinations(cols, 2):
         for j in rows:
             for b in labels:
                 inst = f"j={j},alpha={alpha},beta={beta},b={b}"
-                add("later-row pairing commutes with Y", inst, comm(P[(j, beta)], y[(alpha, b)]))
-                res = comm(P[(j, alpha)], y[(beta, b)]) - mul(y[(alpha, b)], P[(j, beta)]).scale(qq)
-                add("Y past an earlier-row pairing", inst, res)
+                add("later-row pairing commutes with Y", inst, (j,), (alpha, beta), b)
+                add("Y past an earlier-row pairing", inst, (j,), (alpha, beta), b)
     for i in rows:
         for beta in cols:
             for b in labels:
-                res = exchange(P[(i, beta)], y[(beta, b)], q_pow(1))
-                add("same-row Y q-exchange", f"i={i},b={beta},col={b}", res)
+                add("same-row Y q-exchange", f"i={i},b={beta},col={b}", (i,), (beta,), b)
     for i, j in combinations(rows, 2):
         for alpha, beta in combinations(cols, 2):
-            res = comm(P[(j, beta)], P[(i, alpha)])
-            add("disjoint pairings commute", f"({i},{alpha}),({j},{beta})", res)
-            res = comm(P[(j, alpha)], P[(i, beta)]) - mul(P[(i, alpha)], P[(j, beta)]).scale(qq)
-            add("crossed pairings exchange", f"({i},{beta}),({j},{alpha})", res)
+            ij, ab = (i, j), (alpha, beta)
+            add("disjoint pairings commute", f"({i},{alpha}),({j},{beta})", ij, ab, None)
+            add("crossed pairings exchange", f"({i},{beta}),({j},{alpha})", ij, ab, None)
     for i in rows:
         for alpha, beta in combinations(cols, 2):
-            res = exchange(P[(i, beta)], P[(i, alpha)], q_pow(-1))
-            add("shared X-row pairing q-exchange", f"i={i},{alpha}<{beta}", res)
+            inst = f"i={i},{alpha}<{beta}"
+            add("shared X-row pairing q-exchange", inst, (i,), (alpha, beta), None)
     for beta in cols:
         for i, j in combinations(rows, 2):
-            res = exchange(P[(j, beta)], P[(i, beta)], q_pow(1))
-            add("shared Y-row pairing q-exchange", f"{i}<{j},beta={beta}", res)
-    return entries
+            add("shared Y-row pairing q-exchange", f"{i}<{j},beta={beta}", (i, j), (beta,), None)
+    return [_entry(*e, handle) for e in _per_pattern(handle, relations, instances)]
 
 
 # ---------------------------------------------------------------------------

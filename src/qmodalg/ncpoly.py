@@ -168,14 +168,21 @@ class RuleValidationError(ValueError):
     pass
 
 
-def _slot_map(letters, slots):
-    """{letter: image} for the letters on a set of (kind, slot) pairs; the
-    image renumbers each kind's slots onto 1..s, keeping their order."""
+def slot_ranks(slots):
+    """{(kind, slot): rank} for a collection of (kind, slot) pairs: each
+    kind's distinct slots renumbered onto 1..s, keeping their order."""
     ranks, kind, rank = {}, None, 0
-    for key in sorted(slots):
+    for key in sorted(set(slots)):
         rank = rank + 1 if key[0] == kind else 1
         kind = key[0]
         ranks[key] = rank
+    return ranks
+
+
+def _slot_map(letters, slots):
+    """{letter: image} for the letters on a set of (kind, slot) pairs; the
+    image renumbers each kind's slots onto 1..s, keeping their order."""
+    ranks = slot_ranks(slots)
     return {l: (l[0], ranks[l[:2]], l[2]) for l in letters if l[:2] in ranks}
 
 

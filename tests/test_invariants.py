@@ -1,10 +1,13 @@
+import copy
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
 from qmodalg import invariants
-from qmodalg.algebras import build_akl, build_am, build_exterior, build_sq
+from qmodalg.algebras import AlgebraHandle, build_akl, build_am, build_exterior, build_sq
+from qmodalg.braiding import pair_eigenvalue_p0, pairing
 from qmodalg.invariants import (
     PartitionError,
     PsiRefError,
@@ -16,8 +19,8 @@ from qmodalg.invariants import (
     skew_duality_check,
     verify_relation_suite,
 )
-from qmodalg.ncpoly import NCPolynomial, x_, y_
-from qmodalg.rootdata import LieTypeSpec
+from qmodalg.ncpoly import NCPolynomial, RewriteSystem, x_, y_
+from qmodalg.rootdata import LieTypeSpec, natural_rep
 from qmodalg.scalar import ONE, q_pow
 from qmodalg.linalg import nullspace
 from qmodalg.uqaction import act, invariant_basis, is_invariant, span_contained_in
@@ -201,6 +204,199 @@ def test_relation_suites_higher_rank(family, rank):
 def test_relation_suite_bytes_are_pinned(family, rank, m, strict):
     h = build_am(LieTypeSpec(family, rank), m, strict=strict)
     assert suite_sha(verify_relation_suite(h)) == SUITE_PINS[(family, rank, m, strict)]
+
+
+# Per-instance reference: every relation instance built, multiplied and
+# reduced on its own slots, as the suites did before they worked per slot
+# pattern.  The suites must give these entries byte for byte.
+
+def _eager_classical_entries(handle):
+    fam = invariants._FAMILIES[handle.spec.family]
+    m, n = handle.params["m"], handle.spec.rank
+    skew, kappa = pairing(handle.spec).skew, pair_eigenvalue_p0(handle.spec)
+    qq = q_pow(1) - q_pow(-1)
+    mul = handle.multiply
+    comm = lambda a, b: mul(a, b) - mul(b, a)
+    exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
+    slots = range(1, m + 1)
+    P = {ref: psi(handle, ref) for ref in handle.pairings}
+    corr = {i: fam.correction(handle, i) for i in slots} if fam.correction else None
+    letters = range(1, natural_rep(handle.spec).dim_v + 1)
+    x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
+    entries = []
+
+    def add(key, instance, res):
+        citation = fam.citations.get(key, invariants._CITATIONS[key])
+        entries.append(invariants._entry(citation, instance, res, handle, fam.variants.get(key)))
+
+    for i, j in combinations(slots, 2):
+        add("twist", f"{fam.labels[0]}({i},{j})", P[(j, i)] - P[(i, j)].scale(kappa))
+    if fam.ratio:
+        for i in slots:
+            add("ratio", f"i={i}", corr[i] - P[(i, i)].scale(fam.ratio(n)))
+    if not skew:
+        for i in slots:
+            for k in slots:
+                for a in letters:
+                    add("central", f"i={i},k={k},a={a}", comm(x[(k, a)], P[(i, i)]))
+    for i, j in combinations(slots, 2):
+        for k in list(range(1, i)) + list(range(j + 1, m + 1)):
+            for a in letters:
+                add("outside", f"i={i},j={j},k={k},a={a}", comm(x[(k, a)], P[(i, j)]))
+    for i, k, j in combinations(slots, 3):
+        for a in letters:
+            rhs = mul(x[(i, a)], P[(k, j)]) - mul(P[(i, k)], x[(j, a)])
+            add("between", f"i={i},k={k},j={j},a={a}", comm(x[(k, a)], P[(i, j)]) - rhs.scale(qq))
+    for i, j in combinations(slots, 2):
+        for a in letters:
+            xi, xj, pij = x[(i, a)], x[(j, a)], P[(i, j)]
+            if skew:
+                left = exchange(xi, pij, q_pow(1))
+                right = exchange(pij, xj, q_pow(1))
+            else:
+                left = exchange(pij, xi, q_pow(-1)) - mul(corr[i], xj).scale(qq)
+                rcorr = mul(corr[j], xi) if fam.corr_first else mul(xi, corr[j])
+                right = exchange(xj, pij, q_pow(-1)) - rcorr.scale(qq)
+            add("left", f"i={i},j={j},a={a}", left)
+            add("right", f"i={i},j={j},a={a}", right)
+    if not skew:
+        for i in slots:
+            for j in slots:
+                for k in range(j, m + 1):
+                    add("equal", f"i={i},(j,k)=({j},{k})", comm(P[(i, i)], P[(j, k)]))
+    for a, b, c in combinations(slots, 3):
+        shapes = (
+            ("shared-left", (a, b), (a, c), a, (b, c)),
+            ("shared-middle", (b, c), (a, b), b, (a, c)),
+            ("shared-right", (a, c), (b, c), c, (a, b)),
+        )
+        for key, u, w, slot, rest in shapes:
+            res = exchange(P[u], P[w], q_pow(-1))
+            if corr is not None:
+                res = res - mul(corr[slot], P[rest]).scale(qq)
+            add(key, f"{fam.labels[1]}({a},{b},{c})", res)
+    for a, b, c, d in combinations(slots, 4):
+        inst = f"({a},{b},{c},{d})"
+        add("nested", inst, comm(P[(b, c)], P[(a, d)]))
+        add("disjoint", inst, comm(P[(a, b)], P[(c, d)]))
+        rhs = mul(P[(a, b)], P[(c, d)]) - mul(P[(a, d)], P[(b, c)])
+        add("interleaved", inst, comm(P[(a, c)], P[(b, d)]) - rhs.scale(qq))
+    return entries
+
+
+def _eager_gl_entries(handle):
+    k, l, n = handle.params["k"], handle.params["l"], handle.params["n"]
+    qq = q_pow(1) - q_pow(-1)
+    mul = handle.multiply
+    comm = lambda a, b: mul(a, b) - mul(b, a)
+    exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
+    rows, cols, labels = range(1, k + 1), range(1, l + 1), range(1, n + 1)
+    P = {ref: psi(handle, ref) for ref in handle.pairings}
+    x = {(i, a): NCPolynomial.from_word((x_(i, a),)) for i in rows for a in labels}
+    y = {(b, a): NCPolynomial.from_word((y_(b, a),)) for b in cols for a in labels}
+    entries = []
+
+    def add(citation, instance, res):
+        entries.append(invariants._entry(citation, instance, res, handle))
+
+    for i, j in combinations(rows, 2):
+        for beta in cols:
+            for a in labels:
+                inst = f"i={i},j={j},b={beta},a={a}"
+                add("later-row pairing commutes with X", inst, comm(P[(j, beta)], x[(i, a)]))
+                res = comm(x[(j, a)], P[(i, beta)]) - mul(x[(i, a)], P[(j, beta)]).scale(qq)
+                add("X past an earlier-row pairing", inst, res)
+    for i in rows:
+        for beta in cols:
+            for a in labels:
+                res = exchange(P[(i, beta)], x[(i, a)], q_pow(-1))
+                add("same-row X q-exchange", f"i={i},b={beta},a={a}", res)
+    for alpha, beta in combinations(cols, 2):
+        for j in rows:
+            for b in labels:
+                inst = f"j={j},alpha={alpha},beta={beta},b={b}"
+                add("later-row pairing commutes with Y", inst, comm(P[(j, beta)], y[(alpha, b)]))
+                res = comm(P[(j, alpha)], y[(beta, b)]) - mul(y[(alpha, b)], P[(j, beta)]).scale(qq)
+                add("Y past an earlier-row pairing", inst, res)
+    for i in rows:
+        for beta in cols:
+            for b in labels:
+                res = exchange(P[(i, beta)], y[(beta, b)], q_pow(1))
+                add("same-row Y q-exchange", f"i={i},b={beta},col={b}", res)
+    for i, j in combinations(rows, 2):
+        for alpha, beta in combinations(cols, 2):
+            res = comm(P[(j, beta)], P[(i, alpha)])
+            add("disjoint pairings commute", f"({i},{alpha}),({j},{beta})", res)
+            res = comm(P[(j, alpha)], P[(i, beta)]) - mul(P[(i, alpha)], P[(j, beta)]).scale(qq)
+            add("crossed pairings exchange", f"({i},{beta}),({j},{alpha})", res)
+    for i in rows:
+        for alpha, beta in combinations(cols, 2):
+            res = exchange(P[(i, beta)], P[(i, alpha)], q_pow(-1))
+            add("shared X-row pairing q-exchange", f"i={i},{alpha}<{beta}", res)
+    for beta in cols:
+        for i, j in combinations(rows, 2):
+            res = exchange(P[(j, beta)], P[(i, beta)], q_pow(1))
+            add("shared Y-row pairing q-exchange", f"{i}<{j},beta={beta}", res)
+    return entries
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2)])
+def test_per_pattern_suites_equal_the_per_instance_reference(family, rank, m, strict):
+    # strict suites fail on thousands of instances, whose residual text
+    # shows a residual relabelled onto the wrong slots or labels
+    h = build_am(LieTypeSpec(family, rank), m, strict=strict)
+    assert h.rs.slot_local
+    entries = verify_relation_suite(h)["entries"]
+    assert entries == _eager_classical_entries(h)
+    assert strict == (not all(e["pass"] for e in entries))
+
+
+@pytest.mark.parametrize("n,k,l", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 3, 2), (2, 4, 1)])
+def test_per_pattern_gl_suites_equal_the_per_instance_reference(n, k, l):
+    h = build_akl(n, k, l)
+    assert h.rs.slot_local
+    assert verify_relation_suite(h)["entries"] == _eager_gl_entries(h)
+
+
+def test_suites_without_slot_local_rules_compute_every_instance():
+    # one cross rule between slots 1 and 3 scaled by q: the table is no
+    # longer slot-local, so an instance on slots (1,3) is not its (1,2)
+    # pattern relabelled, and failing entries show it
+    h = copy.copy(build_am(LieTypeSpec("D", 2), 4))
+    rules = dict(h.rs.rules)
+    pat = min(p for p in rules if p[0][1] == 3 and p[1][1] == 1)
+    h.rs = RewriteSystem({**rules, pat: rules[pat].scale(q_pow(1))})
+    assert not h.rs.slot_local
+    entries = verify_relation_suite(h)["entries"]
+    assert entries == _eager_classical_entries(h)
+    assert not all(e["pass"] for e in entries)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2)])
+def test_suite_products_stop_growing_beyond_four_slots(monkeypatch, family, rank):
+    # every relation touches at most four slots, so from m = 4 on each
+    # pattern is already there and the suite only relabels
+    counts = []
+    for m in (4, 5, 6):
+        h = build_am(LieTypeSpec(family, rank), m)
+        calls = _count_multiplies(monkeypatch, h)
+        assert verify_relation_suite(h)["pass"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def _count_multiplies(monkeypatch, handle):
+    """A list that grows by one at each handle.multiply call."""
+    calls = []
+
+    def counted(p, r):
+        calls.append(1)
+        return AlgebraHandle.multiply(handle, p, r)
+
+    monkeypatch.setattr(handle, "multiply", counted)
+    return calls
 
 
 def test_crossed_pairing_identity_gl():

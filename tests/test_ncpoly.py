@@ -17,6 +17,7 @@ from qmodalg.ncpoly import (
     RewriteSystem,
     RuleValidationError,
     graded_words,
+    slot_ranks,
     x_,
 )
 from qmodalg.rootdata import LieTypeSpec
@@ -292,6 +293,23 @@ def test_compressed_normal_forms_match_the_reference(rules):
         for kind in {l[0] for l in w}:
             slots = {l[1] for l in w if l[0] == kind}
             assert slots == set(range(1, len(slots) + 1))
+
+
+@pytest.mark.parametrize(
+    "slots,ranked",
+    [
+        (((0, 2), (0, 5)), (1, 2)),
+        (((0, 5), (0, 2)), (2, 1)),
+        (((0, 3), (0, 3)), (1, 1)),
+        (((0, 4), (0, 6), (0, 4), (0, 1)), (2, 3, 2, 1)),
+        # each kind is ranked on its own
+        (((0, 3), (0, 1), (1, 3), (1, 2)), (2, 1, 2, 1)),
+    ],
+)
+def test_slot_ranks_are_dense_per_kind(slots, ranked):
+    ranks = slot_ranks(slots)
+    assert tuple(ranks[s] for s in slots) == ranked
+    assert set(ranks) == set(slots)
 
 
 def _changed_cross_rule(rules):
