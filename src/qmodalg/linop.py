@@ -20,8 +20,8 @@ the largest l1 norms of the two operands' numerators, and B makes that less
 than 2^(B-1).  Each distinct accumulated int is then decoded once into
 balanced digits in [-2^(B-1), 2^(B-1)), which are exactly the output
 coefficients; a packed 0 is an entry that cancelled.  Each decoded entry is
-divided by the operands' scales and canonicalised once over their common
-denominator.  Canonical form is unique, so the table does not depend on this
+divided by the operands' scales and cancelled once against their common
+denominator, by the one gcd a Scalar sum takes.  Canonical form is unique, so the table does not depend on this
 route: it is the table that summing Scalar products entry by entry would
 give.
 """
@@ -35,10 +35,10 @@ from operator import itemgetter
 
 from .scalar import (
     ONE,
-    Scalar,
-    _DEN_ONE,
+    _cancel,
     _div,
     _lp_mul,
+    _made,
     _poly_divmod,
     _poly_gcd,
     accumulate,
@@ -194,8 +194,9 @@ class LinearOperator:
         self's and other's numerators.  Each output entry accumulates its
         products as packed ints, one multiply-add each.  Each distinct
         nonzero sum is decoded once into balanced digits, divided by L1*L2
-        (taken as is when that is 1) and, when D1*D2 is not 1, canonicalised
-        once over D1*D2; entries whose sum is 0 cancelled and are dropped.
+        (taken as is when that is 1) and, when D1*D2 is not 1, cancelled
+        once against D1*D2, which is monic with nonzero constant term, by
+        one gcd; entries whose sum is 0 cancelled and are dropped.
         The canonical form is unique, so the result equals the sum of Scalar
         products, entry for entry.  Equal output entries share one Scalar.
         """
@@ -246,7 +247,7 @@ class LinearOperator:
                     num = _unpack(n, width, lo1 + lo2)
                     if scale != 1:
                         num = {e: _div(c, scale) for e, c in num.items()}
-                    s = Scalar(num, den) if len(den) > 1 else Scalar._raw(num, _DEN_ONE)
+                    s = _made(*_cancel(num, den))
                     shared[n] = s
                 table[(row_labels[i], c2)] = s
         return LinearOperator._raw(other.domain, self.codomain, table)

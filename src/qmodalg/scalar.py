@@ -20,6 +20,26 @@ scalars and by the tables that hold them (LinearOperator.compose and the
 rewrite memos keep one Scalar per distinct value), so no code may mutate
 either dict.  Every Laurent scalar, the denominator-1 case, has as den the
 one object _DEN_ONE; in canonical form len(den) == 1 means den == {0: 1}.
+
+The field operations read their operands' canonical form, so each result is
+canonical by construction and needs at most small gcds (Henrici's rules, as
+in Knuth, TAOCP vol. 2, 4.5.1).  For a/b and c/d in lowest terms:
+
+- inverse: b/a needs no gcd, as gcd(b, a) = 1 already; a's power of v moves
+  to the numerator and a is made monic.
+- product: (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d), g2 = gcd(c, b).
+  Each factor is coprime to the other side's denominator, so nothing is left
+  to cancel.  A gcd against denominator 1, or of a monomial (v divides no
+  denominator), is 1 and is skipped.
+- sum with b = 1: (a*d + c)/d needs no gcd, as a factor of d dividing
+  a*d + c would divide c.
+- sum with b = d: one gcd of a + c with b.
+- otherwise: with g = gcd(b, d), t = a*(d/g) + c*(b/g) is coprime to
+  (b/g)*(d/g), so the sum is t/g2 over (b/g)*(d/g)*(g/g2) for g2 = gcd(t, g).
+- quotient: the product with the inverse.
+
+_cancel is the one gcd these rules take; _canonize, which puts any given
+num/den into canonical form by way of _cancel, serves only the constructor.
 """
 
 from __future__ import annotations
@@ -143,37 +163,75 @@ _DEN_ONE = {0: 1}  # shared by every Laurent scalar; never mutated
 _DEN_ONE_KEY = frozenset(_DEN_ONE.items())
 
 
+def _shift(p, k):
+    return {e + k: c for e, c in p.items()} if k else p
+
+
+def _cancel(num, den):
+    """(num/g, den/g) for g = gcd(num, den), num a nonzero Laurent dict and
+    den monic with nonzero constant term; a monomial on either side skips it."""
+    if len(num) > 1 and len(den) > 1:
+        lo = min(num)
+        n0 = _shift(num, -lo)
+        g = _poly_gcd(den, n0)
+        if len(g) > 1:
+            return _shift(_poly_divmod(n0, g)[0], lo), _poly_divmod(den, g)[0]
+    return num, den
+
+
+def _product(a, b, c, d):
+    """The Scalar a/b * c/d from canonical parts, cross-cancelled."""
+    if len(b) == 1 and len(d) == 1:
+        if len(a) == 1 and len(c) == 1:
+            ((ea, ca),) = a.items()
+            ((ec, cc),) = c.items()
+            x = ca * cc
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            return Scalar._raw({ea + ec: x}, _DEN_ONE)
+        num = _lp_mul(a, c)
+        if _has_fraction(a) or _has_fraction(c):
+            num = _as_stored(num)
+        return Scalar._raw(num, _DEN_ONE)
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _made(_lp_mul(a, c), d if len(b) == 1 else b if len(d) == 1 else _lp_mul(b, d))
+
+
+def _inverted(num, den):
+    """Canonical parts of den/num for canonical nonzero num/den, by no gcd."""
+    lo = min(num)
+    n0 = _shift(num, -lo)
+    lc = n0[max(n0)]
+    if len(n0) == 1:
+        return {e - lo: _div(c, lc) for e, c in den.items()}, _DEN_ONE
+    if lc != 1:
+        den = {e: _div(c, lc) for e, c in den.items()}
+        n0 = {e: _div(c, lc) for e, c in n0.items()}
+    return _shift(den, -lo), n0
+
+
+def _made(num, den):
+    """The Scalar num/den from canonical parts, up to stored form."""
+    if not num:
+        return ZERO
+    return Scalar._raw(_as_stored(num), _as_stored(den) if len(den) > 1 else _DEN_ONE)
+
+
 def _canonize(num, den):
+    """Canonical parts of num/den for Laurent dicts in any form."""
     num = _as_stored({e: c for e, c in num.items() if c})
     den = _as_stored({e: c for e, c in den.items() if c})
     if not den:
         raise ScalarDivisionError("zero denominator")
     if not num:
         return {}, _DEN_ONE
-    if len(den) == 1:
-        # monomial denominator c*v^e divides through exactly
-        ((e, c),) = den.items()
-        if e or c != 1:
-            num = {en - e: _div(cn, c) for en, cn in num.items()}
-        return num, _DEN_ONE
-    na, da = min(num), min(den)
-    n0 = {e - na: c for e, c in num.items()}
-    d0 = {e - da: c for e, c in den.items()}
-    g = _poly_gcd(n0, d0)
-    if max(g) > 0:
-        n0 = _poly_divmod(n0, g)[0]
-        d0 = _poly_divmod(d0, g)[0]
-    if len(d0) == 1:
-        ((e, c),) = d0.items()
-        return {en + na - da - e: _div(cn, c) for en, cn in n0.items()}, _DEN_ONE
-    lc = d0[max(d0)]
-    if lc != 1:
-        d0 = {e: _div(c, lc) for e, c in d0.items()}
-        n0 = {e: _div(c, lc) for e, c in n0.items()}
-    shift = na - da
-    if shift:
-        n0 = {e + shift: c for e, c in n0.items()}
-    return n0, d0
+    lo, lc = min(den), den[max(den)]
+    if lo or lc != 1:
+        num = {e - lo: _div(c, lc) for e, c in num.items()}
+        den = {e - lo: _div(c, lc) for e, c in den.items()}
+    num, den = _cancel(num, den)
+    return num, den if len(den) > 1 else _DEN_ONE
 
 
 class Scalar:
@@ -190,6 +248,9 @@ class Scalar:
             if not den:
                 raise ScalarDivisionError("zero denominator")
             den = {0: den}
+        if not all(isinstance(c, (int, Fraction)) for p in (num, den)
+                   for c in (p.values() if isinstance(p, dict) else (p,))):
+            raise TypeError("Scalar coefficients are int or Fraction: %r, %r" % (num, den))
         self.num, self.den = _canonize(num, den)
         self._hash = None
 
@@ -236,15 +297,23 @@ class Scalar:
                 other = Scalar(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
-        a, b = self.num, other.num
-        if len(self.den) == 1 and len(other.den) == 1:
-            num = accumulate(dict(a), b.items())
-            if _has_fraction(a) or _has_fraction(b):
-                num = _as_stored(num)
-            return Scalar._raw(num, _DEN_ONE)
-        num = _lp_mul(a, other.den)
-        accumulate(num, _lp_mul(b, self.den).items())
-        return Scalar(num, _lp_mul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(d) == 1 < len(b):
+            a, b, c, d = c, d, a, b
+        if len(b) == 1:  # Laurent a: (a*d + c)/d, in lowest terms
+            num = accumulate(_lp_mul(a, d) if len(d) > 1 else dict(a), c.items())
+            return Scalar._raw(_as_stored(num), d)
+        if b == d:
+            g, b, d = b, _DEN_ONE, _DEN_ONE
+        else:
+            g = _poly_gcd(b, d)
+            if len(g) > 1:
+                b, d = _poly_divmod(b, g)[0], _poly_divmod(d, g)[0]
+        t = accumulate(_lp_mul(a, d), _lp_mul(c, b).items())
+        if not t:
+            return ZERO
+        t, g = _cancel(t, g)
+        return _made(t, _lp_mul(_lp_mul(b, d), g))
 
     __radd__ = __add__
 
@@ -265,27 +334,14 @@ class Scalar:
                 other = Scalar(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
-        a, b = self.num, other.num
-        if len(self.den) == 1 and len(other.den) == 1:
-            if len(a) == 1 and len(b) == 1:
-                ((ea, ca),) = a.items()
-                ((eb, cb),) = b.items()
-                c = ca * cb
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                return Scalar._raw({ea + eb: c}, _DEN_ONE)
-            num = _lp_mul(a, b)
-            if _has_fraction(a) or _has_fraction(b):
-                num = _as_stored(num)
-            return Scalar._raw(num, _DEN_ONE)
-        return Scalar(_lp_mul(a, b), _lp_mul(self.den, other.den))
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise ScalarDivisionError("inverse of zero")
-        return Scalar(self.den, self.num)
+        return Scalar._raw(*_inverted(self.num, self.den))
 
     def __truediv__(self, other):
         if type(other) is not Scalar:
@@ -295,7 +351,7 @@ class Scalar:
                 return NotImplemented
         if not other.num:
             raise ScalarDivisionError("division by zero")
-        return Scalar(_lp_mul(self.num, other.den), _lp_mul(self.den, other.num))
+        return _product(self.num, self.den, *_inverted(other.num, other.den))
 
     def __rtruediv__(self, other):
         return Scalar(other) / self

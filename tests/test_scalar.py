@@ -1,5 +1,8 @@
+import ast
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -282,7 +285,26 @@ _LAURENT = [
     {4: Fraction(1, 2), 0: 3},
     {0: Fraction(-3, 4), 2: Fraction(4, 3)},
 ]
-_RATIONAL = [({0: 1}, {0: 1, 2: 1}), ({1: Fraction(1, 2)}, {0: -1, 2: 1})]
+# Canonical rational operands, in v (q = v^2).  The denominators q + 1,
+# q^2 - 1 = (q - 1)(q + 1), q - 1 = (v - 1)(v + 1) and v - 1 share factors;
+# the numerators q + 1, q - 1 and v + 1 share factors with other operands'
+# denominators; 1/(q+1), q/(q+1), -1/(q+1) and 1/(q^2-1), q/(q^2-1) are
+# same-denominator pairs whose sums cancel to 0, collapse to a Laurent
+# polynomial, or cancel in part.
+_RATIONAL = [
+    ({0: 1}, {0: 1, 2: 1}),
+    ({1: Fraction(1, 2)}, {0: -1, 2: 1}),
+    ({0: 1, 2: 1}, {0: 1, 4: 1}),
+    ({-1: Fraction(3, 2)}, {0: -1, 4: 1}),
+    ({0: Fraction(-2, 3), 2: Fraction(2, 3)}, {0: 1, 4: 1}),
+    ({2: 1}, {0: 1, 2: 1}),
+    ({0: -1}, {0: 1, 2: 1}),
+    ({2: 1}, {0: -1, 4: 1}),
+    ({0: 1}, {0: -1, 4: 1}),
+    ({3: 2}, {0: -1, 1: 1}),
+    ({0: 1, 1: 1}, {0: 1, 2: 1}),
+    ({-2: Fraction(1, 3), 1: 5}, {0: Fraction(1, 2), 1: 1, 2: 1}),
+]
 
 
 def _same(got, want):
@@ -297,14 +319,46 @@ def _operands():
     return laurent + [Scalar(n, d) for n, d in _RATIONAL]
 
 
+def _sum_num(a, b, sign):
+    num = _lp_mul(a.num, b.den)
+    for e, c in _lp_mul(b.num, a.den).items():
+        num[e] = num.get(e, 0) + sign * c
+    return num
+
+
 def test_fast_paths_match_the_general_route():
+    # every result equals the Scalar built on the uncancelled parts
     for a in _operands():
         for b in _operands():
-            _same(a * b, Scalar(_lp_mul(a.num, b.num), _lp_mul(a.den, b.den)))
-            num = _lp_mul(a.num, b.den)
-            for e, c in _lp_mul(b.num, a.den).items():
-                num[e] = num.get(e, 0) + c
-            _same(a + b, Scalar(num, _lp_mul(a.den, b.den)))
+            den = _lp_mul(a.den, b.den)
+            pairs = [
+                (a * b, Scalar(_lp_mul(a.num, b.num), den)),
+                (a + b, Scalar(_sum_num(a, b, 1), den)),
+                (a - b, Scalar(_sum_num(a, b, -1), den)),
+            ]
+            if b:
+                pairs.append((a / b, Scalar(_lp_mul(a.num, b.den), _lp_mul(a.den, b.num))))
+                pairs.append((b.inverse(), Scalar(b.den, b.num)))
+            for got, want in pairs:
+                _same(got, want)
+                assert len(got.den) > 1 or got.den is _DEN_ONE, (a, b, got)
+
+
+def test_rational_operands_fire_every_cancellation():
+    ops = [Scalar(n, d) for n, d in _RATIONAL]
+    for s, (n, d) in zip(ops, _RATIONAL):
+        assert (s.num, s.den) == (n, d), "operand not given in canonical form"
+    one_over, q_over, minus_one_over = ops[0], ops[5], ops[6]
+    assert one_over + minus_one_over == ZERO
+    assert one_over + q_over == ONE and (one_over + q_over).den is _DEN_ONE
+    assert ops[8] + ops[7] == parse_scalar("1/(q - 1)")
+    assert ops[2] * ops[3] == parse_scalar("(3/2)*v^-1/((q^2 + 1)*(q - 1))")
+
+
+def test_inexact_coefficients_are_refused():
+    for args in ((0.5,), ({0: 0.5},), ({0: 1, 2: 0.25},), (1, 0.5), ({0: 1}, {0: 1.5}), ("1",)):
+        with pytest.raises(TypeError):
+            Scalar(*args)
 
 
 def test_integral_product_of_fractions_is_stored_as_int():
@@ -350,3 +404,33 @@ def test_operations_leave_operands_unchanged():
 def test_unit_denominator_survives_the_module():
     # runs last in this module: no operation above wrote to the shared object
     assert _DEN_ONE == {0: 1}
+
+
+# -- the benchmark tracer's contract ---------------------------------------------
+#
+# perfbench/tracing.py wraps Scalar.__dict__[name] for each name in its
+# SCALAR_OPS, and owner.__dict__[name] for each dotted name in its SPANS.  It
+# is read here by ast, so that an inherited, renamed or module-level
+# operation fails Tier-1 rather than every traced benchmark worker.
+
+
+def _tracing_constant(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError("perfbench/tracing.py defines no %s" % name)
+
+
+def test_traced_operations_are_own_attributes():
+    ops = [elt.elts[0].value for elt in _tracing_constant("SCALAR_OPS").elts]
+    assert ops and all(callable(Scalar.__dict__.get(op)) for op in ops), ops
+    for elt in _tracing_constant("SPANS").elts:
+        module, attr = (c.value for c in elt.elts[:2])
+        owner = importlib.import_module("qmodalg." + module)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert name in vars(owner), (module, attr)
