@@ -20,10 +20,10 @@ the largest l1 norms of the two operands' numerators, and B makes that less
 than 2^(B-1).  Each distinct accumulated int is then decoded once into
 balanced digits in [-2^(B-1), 2^(B-1)), which are exactly the output
 coefficients; a packed 0 is an entry that cancelled.  Each decoded entry is
-divided by the operands' scales and cancelled once against their common
-denominator, by the one gcd a Scalar sum takes.  Canonical form is unique, so the table does not depend on this
-route: it is the table that summing Scalar products entry by entry would
-give.
+divided by the operands' scales and cancelled against their common
+denominator by one gcd.  Canonical form is unique, so the table does not
+depend on this route: it is the table that summing Scalar products entry by
+entry would give.
 """
 
 from __future__ import annotations
