@@ -193,9 +193,9 @@ class AlgebraHandle:
         """Letter images of g, read at the letter's _letter_pos for the group;
         a letter with l[0] == 1 is dual."""
         if g.kind == "sigma":
-            cols = sigma_candidate(self.spec).by_col()
+            cols = sigma_candidate(self.spec).cols
             images = {
-                l: tuple((l[:2] + (r,), v) for r, v in cols.get(l[2], ()))
+                l: tuple((l[:2] + (r,), v) for r, v in cols.get(l[2], {}).items())
                 for l in self.alphabet
             }
             return images, None
@@ -302,10 +302,10 @@ def _on_slot(pair_rules, letter):
 
 def _exchange_rules(columns, slot_pairs, labels):
     """Rules right(b) left(a) -> sum of v left(c) right(d), one per label pair
-    and (left, right) slot pair, with the ((c, d), v) listed in columns[(b, a)]."""
+    and (left, right) slot pair, with the (c, d): v of columns[(b, a)]."""
     return {
         (right(b), left(a)): NCPolynomial(
-            {(left(c), right(d)): v for (c, d), v in columns.get((b, a), ())}
+            {(left(c), right(d)): v for (c, d), v in columns.get((b, a), {}).items()}
         )
         for left, right in slot_pairs
         for b in labels
@@ -352,7 +352,7 @@ def _build_am(spec, m, kind, strict=False):
             groups.append(_printed_cross_rules(spec, m))
         else:
             pairs = combinations(_slots(x_, m), 2)
-            cross = _exchange_rules(rcheck(spec).by_col(), pairs, labels)
+            cross = _exchange_rules(rcheck(spec).cols, pairs, labels)
             groups.append(("cross-slot exchange from R-check entries", cross))
     pairings = {}
     if spec.family != "GL":
@@ -387,15 +387,16 @@ def build_akl(n, k, l):
     slots += [(f"y{b}", tuple(y_(b, a) for a in labels)) for b in range(1, l + 1)]
     xs, ys = _slots(x_, k), _slots(y_, l)
     pair, dual_pair = _pair_rules_solved(spec), _pair_rules_solved(spec, dual=True)
-    cross = _exchange_rules(rcheck(spec).by_col(), combinations(xs, 2), labels)
+    cross = _exchange_rules(rcheck(spec).cols, combinations(xs, 2), labels)
 
     # inverse-R entries ((r1, r2), (c1, c2)), read from R-check^-1 at column
     # (c2, c1) since R^-1 = R-check^-1 o P: Y rows exchange along row
     # (r1, r2) read under (r2, r1); Y passes X pairing r1 with c2
     ycols, mixed = {}, {}
-    for ((r1, r2), (c2, c1)), v in rcheck(spec, inverse=True).entries.items():
-        ycols.setdefault((r2, r1), []).append(((c1, c2), v))
-        mixed.setdefault((r1, c2), []).append(((r2, c1), v))
+    for (c2, c1), col in rcheck(spec, inverse=True).cols.items():
+        for (r1, r2), v in col.items():
+            ycols.setdefault((r2, r1), {})[(c1, c2)] = v
+            mixed.setdefault((r1, c2), {})[(r2, c1)] = v
     ycross = _exchange_rules(ycols, combinations(ys, 2), labels)
     xy = _exchange_rules(mixed, product(xs, ys), labels)
 

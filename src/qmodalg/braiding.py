@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from .linalg import EchelonBasis, Expresser
-from .linop import LinearOperator, lift_block_op
+from .linop import LinearOperator, lift_block_op, tensor_words
 from .report import check, suite
 from .rootdata import LieTypeSpec, coproduct_image, natural_rep
 from .scalar import ONE, accumulate, q_pow
@@ -75,17 +74,13 @@ def pair_eigenvalue_p0(spec):
     return -kappa if row.skew else kappa
 
 
-def _tensor_words(rep, r):
-    return [tuple(w) for w in product(rep.labels, repeat=r)]
-
-
 def tensor_generator_ops(rep, r):
     """Coproduct action on V^(x)r of every e_i, f_i and k/K, as operators.
 
     The column of a tensor word is its rootdata.coproduct_image, the word's
     letters being V-labels.
     """
-    words = _tensor_words(rep, r)
+    words = tensor_words(rep.labels, r)
     gens = [(kind, i, rep.coproduct_k(i)) for i in rep.chevalley_indices() for kind in "ef"]
     gens += [("k", b, None) for b in rep.cartan_indices()]
     ops = {}
@@ -197,7 +192,7 @@ def projectors(spec):
     columns = [v for _, _, basis in sd.summands for v in basis]
     owner = [name for name, _, basis in sd.summands for _ in basis]
     expr = Expresser(columns)
-    words = _tensor_words(natural_rep(spec), 2)
+    words = tensor_words(natural_rep(spec).labels, 2)
     mats = {name: {} for name, _, _ in sd.summands}
     for w in words:
         coords = expr.express({w: ONE})

@@ -1,9 +1,14 @@
 """Exact sparse linear operators over the scalar field.
 
-Operators store a coefficient table {(row_label, col_label): Scalar} together
-with ordered domain/codomain label lists.  Labels are ints for V itself and
-tuples of ints for tensor powers.  No zero entries are ever stored, so
-equality of operators is equality of tables.
+Operators store their coefficients column-major, as
+{col_label: {row_label: Scalar}}, together with ordered domain/codomain
+label tuples.  Labels are ints for V itself and tuples of ints for tensor
+powers.  The words of V^(x)r are one cached tuple (tensor_words), and
+lift_block_op and compose build every operator on V^(x)r over it, so those
+operators share their domain and every label object.  No column is empty and
+no entry is zero, so equality of operators is equality of column tables.
+The constructor takes a flat table {(row_label, col_label): Scalar}, and
+`entries` is that flat view, derived from the columns on demand.
 
 Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
 is put over one common denominator with integer numerators, working once per
@@ -28,10 +33,11 @@ entry would give.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
+from functools import lru_cache
 from itertools import product
 from math import lcm
-from operator import itemgetter
+from types import MappingProxyType
 
 from .scalar import (
     ONE,
@@ -135,24 +141,61 @@ def _l1_max(ints):
     return max(sum(map(abs, p.values())) for p in ints.values())
 
 
+@lru_cache(maxsize=None)
+def tensor_words(labels, r):
+    """The words of V^(x)r over the letters labels, in lexicographic order.
+
+    One tuple per (labels, r), so every operator on V^(x)r built over it
+    shares its domain and its label objects."""
+    return tuple(product(labels, repeat=r))
+
+
+def _values_by_id(cols):
+    """({id(s): s} over a column table's entries, {s: s} over their distinct
+    values): one Scalar hash per distinct object, not per entry."""
+    objs = {id(v): v for col in cols.values() for v in col.values()}
+    return objs, {v: v for v in objs.values()}
+
+
+class _Entries(Mapping):
+    """The flat {(row, col): Scalar} view of a column table."""
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols):
+        self._cols = cols
+
+    def __getitem__(self, key):
+        r, c = key
+        return self._cols.get(c, {})[r]
+
+    def __iter__(self):
+        return ((r, c) for c, col in self._cols.items() for r in col)
+
+    def __len__(self):
+        return sum(map(len, self._cols.values()))
+
+
 class LinearOperator:
-    __slots__ = ("domain", "codomain", "entries", "_by_col")
+    __slots__ = ("domain", "codomain", "cols")
 
     def __init__(self, domain, codomain, entries):
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
-        self.entries = {k: v for k, v in entries.items() if v}
-        self._by_col = None
+        cols = {}
+        for (r, c), v in entries.items():
+            if v:
+                cols.setdefault(c, {})[r] = v
+        self.cols = cols
 
     @staticmethod
-    def _raw(domain, codomain, entries):
-        """Build from label tuples and a table with no zero entry (internal
-        fast path)."""
+    def _raw(domain, codomain, cols):
+        """Build from label tuples and a column table with no empty column
+        and no zero entry (internal fast path)."""
         op = object.__new__(LinearOperator)
         op.domain = domain
         op.codomain = codomain
-        op.entries = entries
-        op._by_col = None
+        op.cols = cols
         return op
 
     @staticmethod
@@ -163,23 +206,20 @@ class LinearOperator:
     def zero(domain, codomain=None):
         return LinearOperator(domain, codomain if codomain is not None else domain, {})
 
-    def by_col(self):
-        if self._by_col is None:
-            cols = {}
-            for (r, c), val in self.entries.items():
-                cols.setdefault(c, []).append((r, val))
-            self._by_col = cols
-        return self._by_col
+    @property
+    def entries(self):
+        """The flat table {(row, col): Scalar}, a read-only view."""
+        return _Entries(self.cols)
 
     def column(self, c):
-        """Image of the basis vector c, as a dict {row: Scalar}."""
-        return {r: val for r, val in self.by_col().get(c, [])}
+        """Image of the basis vector c, as a read-only {row: Scalar}."""
+        return MappingProxyType(self.cols.get(c, {}))
 
     def apply(self, vec):
         out = {}
-        cols = self.by_col()
+        cols = self.cols
         for c, coeff in vec.items():
-            accumulate(out, cols.get(c, ()), coeff)
+            accumulate(out, cols.get(c, {}).items(), coeff)
         return out
 
     def compose(self, other):
@@ -188,58 +228,63 @@ class LinearOperator:
         Never adds two Scalars.  self and other are each put over one common
         denominator (D1, D2) with int numerators scaled by L1, L2, once per
         distinct entry value, and each numerator is packed into one int
-        (see the module docstring).  The digit width B is the least with
-        K*N1*N2 < 2^(B-1), where K is the smaller of len(self.domain) and
-        the longest column of other, and N1, N2 are the largest l1 norms of
-        self's and other's numerators.  Each output entry accumulates its
-        products as packed ints, one multiply-add each.  Each distinct
-        nonzero sum is decoded once into balanced digits, divided by L1*L2
-        (taken as is when that is 1) and, when D1*D2 is not 1, cancelled
-        once against D1*D2, which is monic with nonzero constant term, by
-        one gcd; entries whose sum is 0 cancelled and are dropped.
-        The canonical form is unique, so the result equals the sum of Scalar
-        products, entry for entry.  Equal output entries share one Scalar.
+        (see the module docstring); entries are then looked up by object
+        id, so no entry is hashed as a Scalar.  The digit width B is the
+        least with K*N1*N2 < 2^(B-1), where K is the smaller of
+        len(self.domain) and the longest column of other, and N1, N2 are
+        the largest l1 norms of self's and other's numerators.  Each output
+        column is written straight from the same column of other: its rows
+        accumulate their products as packed ints, one multiply-add each.
+        Each distinct nonzero sum is decoded once into balanced digits,
+        divided by L1*L2 (taken as is when that is 1) and, when D1*D2 is not
+        1, cancelled once against D1*D2, which is monic with nonzero
+        constant term, by one gcd; entries whose sum is 0 cancelled and are
+        dropped, and so is a column left empty.  The row and column labels
+        of the result are the label objects of self's rows and other's
+        columns.  The canonical form is unique, so the result equals the sum
+        of Scalar products, entry for entry.  Equal output entries share one
+        Scalar.
         """
         if other.codomain != self.domain:
             raise ValueError("composition dimension mismatch")
-        if not self.entries or not other.entries:
+        if not self.cols or not other.cols:
             return LinearOperator._raw(other.domain, self.codomain, {})
         # operators repeat one value many times, often as distinct objects
-        vals1 = {v: v for v in self.entries.values()}
-        vals2 = {v: v for v in other.entries.values()}
+        ids1, vals1 = _values_by_id(self.cols)
+        ids2, vals2 = _values_by_id(other.cols)
         den1, scale1, to_int1 = _over_one_denominator(vals1)
         den2, scale2, to_int2 = _over_one_denominator(vals2)
         ints1 = {k: to_int1(v) for k, v in vals1.items()}
         ints2 = {k: to_int2(v) for k, v in vals2.items()}
         # K, the most products one output entry sums
-        k = min(len(self.domain), max(Counter(map(itemgetter(1), other.entries)).values()))
+        k = min(len(self.domain), max(map(len, other.cols.values())))
         width = (k * _l1_max(ints1) * _l1_max(ints2)).bit_length() + 1
         lo1, packed1 = _pack(ints1, width)
         lo2, packed2 = _pack(ints2, width)
+        packed1 = {i: packed1[v] for i, v in ids1.items()}
+        packed2 = {i: packed2[v] for i, v in ids2.items()}
         # the sums are keyed by a row index, cheaper to hash than a label
         rows = {}
-        cols = {}
-        for (r1, c1), v1 in self.entries.items():
-            i = rows.setdefault(r1, len(rows))
-            cols.setdefault(c1, []).append((i, packed1[v1]))
+        cols1 = {
+            c1: [(rows.setdefault(r1, len(rows)), packed1[id(v1)]) for r1, v1 in col.items()]
+            for c1, col in self.cols.items()
+        }
         row_labels = list(rows)
-        acc = {}  # column of other -> {row index: packed sum}
-        for (r2, c2), v2 in other.entries.items():
-            col = cols.get(r2)
-            if col is None:
-                continue
-            n2 = packed2[v2]
-            out = acc.get(c2)
-            if out is None:
-                out = acc[c2] = {}
-            for i, n1 in col:
-                out[i] = out.get(i, 0) + n1 * n2
         scale = scale1 * scale2
         den = _lp_mul(den1, den2)
         shared = {}  # packed sum -> its output Scalar
         table = {}
-        for c2, out in acc.items():
-            for i, n in out.items():
+        for c2, col2 in other.cols.items():
+            acc = {}  # row index -> packed sum
+            for r2, v2 in col2.items():
+                col1 = cols1.get(r2)
+                if col1 is None:
+                    continue
+                n2 = packed2[id(v2)]
+                for i, n1 in col1:
+                    acc[i] = acc.get(i, 0) + n1 * n2
+            out = {}
+            for i, n in acc.items():
                 if not n:
                     continue  # the products cancelled
                 s = shared.get(n)
@@ -249,7 +294,9 @@ class LinearOperator:
                         num = {e: _div(c, scale) for e, c in num.items()}
                     s = _made(*_cancel(num, den))
                     shared[n] = s
-                table[(row_labels[i], c2)] = s
+                out[row_labels[i]] = s
+            if out:
+                table[c2] = out
         return LinearOperator._raw(other.domain, self.codomain, table)
 
     def __matmul__(self, other):
@@ -258,8 +305,14 @@ class LinearOperator:
     def __add__(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValueError("addition dimension mismatch")
-        out = accumulate(dict(self.entries), other.entries.items())
-        return LinearOperator(self.domain, self.codomain, out)
+        cols = {c: dict(col) for c, col in self.cols.items()}
+        for c, col in other.cols.items():
+            mine = cols.get(c)
+            if mine is None:
+                cols[c] = dict(col)
+            elif not accumulate(mine, col.items()):
+                del cols[c]
+        return LinearOperator._raw(self.domain, self.codomain, cols)
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
@@ -267,15 +320,18 @@ class LinearOperator:
     def scale(self, c):
         if not c:
             return LinearOperator.zero(self.domain, self.codomain)
-        return LinearOperator(
-            self.domain, self.codomain, {k: c * v for k, v in self.entries.items()}
+        # a product of nonzero field elements is nonzero
+        return LinearOperator._raw(
+            self.domain,
+            self.codomain,
+            {col: {r: c * v for r, v in rows.items()} for col, rows in self.cols.items()},
         )
 
     def __neg__(self):
         return self.scale(-ONE)
 
     def is_zero(self):
-        return not self.entries
+        return not self.cols
 
     def __eq__(self, other):
         if not isinstance(other, LinearOperator):
@@ -283,7 +339,7 @@ class LinearOperator:
         return (
             self.domain == other.domain
             and self.codomain == other.codomain
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def commutes_with(self, other):
@@ -291,12 +347,22 @@ class LinearOperator:
 
 
 def lift_block_op(op, labels, r, start, width):
-    """Embed an operator on V^(x)width at slots start..start+width-1 of V^(x)r."""
-    words = tuple(product(labels, repeat=r))
-    entries = {}
-    for ctx in product(labels, repeat=r - width):
-        pre, post = ctx[: start - 1], ctx[start - 1:]
-        for (rw, cw), val in op.entries.items():
-            entries[(pre + rw + post, pre + cw + post)] = val
-    # op stores no zero entry, so neither does its lift
-    return LinearOperator._raw(words, words, entries)
+    """Embed an operator on V^(x)width at slots start..start+width-1 of V^(x)r.
+
+    op's labels are words over labels.  Among the words of V^(x)r in
+    lexicographic order, a lifted label's index is its block word's index
+    among the words of V^(x)width, times the number of words of the slots
+    after the block, plus the index of its context; so no label is built."""
+    words = tensor_words(labels, r)
+    n = len(labels)
+    stride = n ** (r - start - width + 1)  # the words of the slots after the block
+    block = n ** width * stride
+    at = {w: i * stride for i, w in enumerate(tensor_words(labels, width))}
+    cols = [(at[c], [(at[rw], v) for rw, v in col.items()]) for c, col in op.cols.items()]
+    table = {}
+    for pre in range(0, n ** r, block):
+        for base in range(pre, pre + stride):
+            for c, col in cols:
+                table[words[base + c]] = {words[base + i]: v for i, v in col}
+    # op stores no empty column and no zero entry, so neither does its lift
+    return LinearOperator._raw(words, words, table)

@@ -312,7 +312,7 @@ def validate_rep(rep):
         return LinearOperator(labels, labels, mat)
 
     def inv_diag(k):
-        return op({(a, b): v.inverse() for (a, b), v in k.entries.items() if a == b})
+        return op({(a, a): col[a].inverse() for a, col in k.cols.items() if a in col})
 
     def check(name, mat):
         if not mat.is_zero():
@@ -423,8 +423,7 @@ def sigma_candidate(spec):
         mapping = {i: i for i in rep.chevalley_indices()}
         mapping[n - 1], mapping[n] = n, n - 1
 
-    sq = (op @ op).entries
-    if sq != LinearOperator.identity(labels).entries:
+    if op @ op != LinearOperator.identity(labels):
         raise SigmaValidationError("sigma is not an involution")
     inv = op  # involution
     for mats in (rep.e_mats, rep.f_mats, rep.k_mats):

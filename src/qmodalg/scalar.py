@@ -422,13 +422,13 @@ ONE = Scalar(1)
 
 
 def v_pow(k):
-    """v^k."""
-    return Scalar({k: 1})
+    """v^k; a monic monomial is canonical as it stands."""
+    return Scalar._raw({k: 1}, _DEN_ONE)
 
 
 def q_pow(k):
     """q^k = v^(2k)."""
-    return Scalar({2 * k: 1})
+    return v_pow(2 * k)
 
 
 def gauss_int(n, step=2):

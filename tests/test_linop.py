@@ -3,24 +3,29 @@
 The reference below is the earlier compose, kept as an oracle: it multiplies
 and adds Scalars entry by entry, canonicalising after every add.  The
 fraction-free compose must give the same table, with no zero entry stored
-and every entry in canonical form.
+and every entry in canonical form.  The column-major storage is checked the
+same way: every operation gives the flat table of its reference, with no
+empty column and no zero entry.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qmodalg.braiding import projectors, rcheck, rcheck_cabled
-from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op
+from qmodalg.braiding import projectors, rcheck, rcheck_cabled, tensor_generator_ops
+from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op, tensor_words
 from qmodalg.rootdata import LieTypeSpec, natural_rep
-from qmodalg.scalar import ONE, Scalar
+from qmodalg.scalar import ONE, Scalar, accumulate
 
 
 def reference_compose(left, right):
     if right.codomain != left.domain:
         raise ValueError("composition dimension mismatch")
-    cols = left.by_col()
+    cols = {}
+    for (r1, c1), v1 in left.entries.items():
+        cols.setdefault(c1, []).append((r1, v1))
     out = {}
     for (r2, c2), v2 in right.entries.items():
         for r1, v1 in cols.get(r2, []):
@@ -278,3 +283,93 @@ def test_compose_works_once_per_value(monkeypatch):
     assert len({id(v) for v in left.entries.values()}) == 9
     assert_matches_reference(left, right)
     assert seen == [2, 2]
+
+
+def reference_lift(op, labels, r, start, width):
+    # the earlier lift, by concatenating label tuples
+    entries = {}
+    for ctx in product(labels, repeat=r - width):
+        pre, post = ctx[: start - 1], ctx[start - 1:]
+        for (rw, cw), val in op.entries.items():
+            entries[(pre + rw + post, pre + cw + post)] = val
+    words = list(product(labels, repeat=r))
+    return LinearOperator(words, words, entries)
+
+
+def assert_column_table(op, want):
+    """op has want's flat table, no empty column and no zero entry, and its
+    flat view rebuilds it."""
+    assert op.entries == want
+    assert len(op.entries) == len(want)
+    assert all(op.cols.values()), "empty column stored"
+    assert all(v for col in op.cols.values() for v in col.values()), "zero entry stored"
+    assert LinearOperator(op.domain, op.codomain, op.entries) == op
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_operation_keeps_columns_nonempty_and_entries_nonzero(seed):
+    rng = random.Random(f"columns-{seed}")
+    a = random_op(rng, 4, 4, ["one", "shared"], "frac", density=1.0)
+    b = random_op(rng, 4, 4, ["one", "factor_a"], "int", density=0.5)
+    # c is b off column 0, and cancels a's column 0 and a's diagonal
+    c_entries = {k: v for k, v in b.entries.items() if k[1] != 0}
+    c_entries.update({(r, col): -v for (r, col), v in a.entries.items() if col == 0 or r == col})
+    c = LinearOperator(range(4), range(4), c_entries)
+    x = random_scalar(rng, ["shared"], "frac")
+    flat_sum = accumulate(dict(a.entries), c.entries.items())
+    assert_column_table(a + c, flat_sum)
+    assert 0 not in (a + c).cols
+    assert_column_table(a - b, accumulate(dict(a.entries), b.entries.items(), -ONE))
+    assert_column_table(a - a, {})
+    assert_column_table(a.scale(x), {k: x * v for k, v in a.entries.items()})
+    assert_column_table(a.scale(Scalar(0)), {})
+    assert_column_table(LinearOperator.identity(range(3)), {(i, i): ONE for i in range(3)})
+    assert_column_table(LinearOperator.zero(range(3), range(2)), {})
+    assert_column_table(LinearOperator(range(2), range(2), {(0, 0): Scalar(0)}), {})
+    assert_column_table(a @ b, reference_compose(a, b).entries)
+    # a rank-one left factor: column 0 of the product cancels in every row
+    p, q = random_scalar(rng, ["one"], "int"), random_scalar(rng, ["shared"], "frac")
+    left = LinearOperator(range(2), range(2), {(0, 0): p, (0, 1): q, (1, 0): p, (1, 1): q})
+    right = LinearOperator(range(2), range(2), {(0, 0): q, (1, 0): -p, (0, 1): ONE})
+    got = left @ right
+    assert_column_table(got, reference_compose(left, right).entries)
+    assert list(got.cols) == [1]
+
+
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("GL", 2)])
+@pytest.mark.parametrize("r,start,width", [(3, 1, 2), (3, 2, 2), (4, 2, 2), (4, 1, 3), (4, 2, 3)])
+def test_lift_matches_the_concatenating_lift(family, rank, r, start, width):
+    spec = LieTypeSpec(family, rank)
+    labels = natural_rep(spec).labels
+    op = rcheck_cabled(spec, width - 1, 1)
+    got = lift_block_op(op, labels, r, start, width)
+    want = reference_lift(op, labels, r, start, width)
+    assert got.domain == want.domain and got.codomain == want.codomain
+    assert_column_table(got, want.entries)
+
+
+def test_operators_on_a_tensor_power_share_their_labels():
+    spec = LieTypeSpec("D", 2)
+    labels = natural_rep(spec).labels
+    cab = rcheck_cabled(spec, 3, 3)
+    assert cab.domain is cab.codomain is tensor_words(labels, 6)
+    words = {w: w for w in cab.domain}
+    for c, col in cab.cols.items():
+        assert c is words[c]
+        assert all(r is words[r] for r in col)
+    pairs = tensor_words(labels, 2)
+    assert all(p.domain is pairs for p in projectors(spec).values())
+    assert all(g.domain is pairs for g in tensor_generator_ops(natural_rep(spec), 2).values())
+
+
+def test_column_is_a_read_only_view():
+    rc = rcheck(LieTypeSpec("D", 2))
+    w = rc.domain[0]
+    col = rc.column(w)
+    assert col == rc.cols[w]
+    with pytest.raises(TypeError):
+        col[w] = ONE
+    missing = LinearOperator.zero(range(2)).column(0)
+    assert missing == {}
+    with pytest.raises(TypeError):
+        missing[0] = ONE

@@ -380,8 +380,13 @@ def test_laurent_scalars_share_the_unit_denominator():
     a, b = gauss_int(2), q_pow(-1)
     made += [a + b, a * b, a - b, -a, a * a, b * b, (a * b) / b, a ** 3]
     made.append(parse_scalar("(q^2 - 1)/(q - q^-1)"))
+    made += [v_pow(-3), q_pow(0)]
     for s in made:
         assert s.den is _DEN_ONE, s
+    # the monomials skip the constructor and match what it would build
+    for k in range(-3, 4):
+        _same(v_pow(k), Scalar({k: 1}))
+        _same(q_pow(k), Scalar({2 * k: 1}))
 
 
 def test_hash_reads_both_parts():
