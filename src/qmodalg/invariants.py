@@ -205,6 +205,20 @@ def verify_relation_suite(handle):
     return suite(f"relations {handle.kind}({handle.spec}, {handle.params})", entries)
 
 
+class _OnFirstUse(dict):
+    """{key: make(key)}, each value made on its first lookup: a suite
+    straightens only the pairings and correction terms that its ranked slot
+    patterns read, so its memo does not grow with m."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _per_pattern(handle, relations, instances):
     """(key, instance text, residual) for each relation instance, in order.
 
@@ -221,9 +235,8 @@ def _per_pattern(handle, relations, instances):
     slot map is an algebra map A_s -> A_m that takes ordered words to
     ordered words and the ranked pairings, correction terms and letters
     onto the instance's own, so the relabelled residual is the instance's
-    residual.  Otherwise each slot is its own rank, as each word is its own
-    image in RewriteSystem.normal_form, and nothing is relabelled.  The
-    memo lives for one call.
+    residual.  Otherwise each slot is its own rank and nothing is
+    relabelled.  The memo lives for one call.
     """
     local = handle.rs.slot_local
     memo = {}  # (key, ranked slots, label) -> residual at the ranked slots
@@ -254,8 +267,8 @@ def _suite_classical(handle, fam):
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     slots = range(1, m + 1)
-    P = {ref: psi(handle, ref) for ref in handle.pairings}
-    corr = {i: fam.correction(handle, i) for i in slots} if fam.correction else None
+    P = _OnFirstUse(lambda ref: psi(handle, ref))
+    corr = _OnFirstUse(lambda i: fam.correction(handle, i)) if fam.correction else None
     letters = range(1, natural_rep(handle.spec).dim_v + 1)
     x = {(k, a): NCPolynomial.from_word((x_(k, a),)) for k in slots for a in letters}
 
@@ -354,7 +367,7 @@ def _suite_gl(handle):
     comm = lambda a, b: mul(a, b) - mul(b, a)
     exchange = lambda a, b, c: mul(a, b) - mul(b, a).scale(c)
     rows, cols, labels = range(1, k + 1), range(1, l + 1), range(1, n + 1)
-    P = {ref: psi(handle, ref) for ref in handle.pairings}
+    P = _OnFirstUse(lambda ref: psi(handle, ref))
     x = {(i, a): NCPolynomial.from_word((x_(i, a),)) for i in rows for a in labels}
     y = {(b, a): NCPolynomial.from_word((y_(b, a),)) for b in cols for a in labels}
 

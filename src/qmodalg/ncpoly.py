@@ -12,16 +12,16 @@ safety valve: a normal form whose words are charged more than DEFAULT_FUEL
 raises FuelExhausted, a word being charged the expansions a memo-free
 leftmost reduction of it makes, so a memo hit costs what a miss does.
 
-The memo holds slot-compressed words when the rule table is slot-local.  A
-word's compressed image renumbers the slots it uses onto 1..s, keeping their
-order, separately for each letter kind (X slots and Y rows).  The table is
-slot-local when its letters are closed under moving a letter to a lower slot
-of the same kind and label, and a letter pair is a pattern exactly when its
-own compressed image is, with the replacement that image's replacement
-relabelled back, and no replacement leaves its pattern's slots;
-RewriteSystem checks this once when it is built.  Leftmost reduction then
-commutes with relabelling: a word is reduced once as its image, and its
-charge is its image's charge, so fuel is spent as before.
+A word's slot-compressed image renumbers the slots it uses onto 1..s,
+keeping their order, separately for each letter kind (X slots and Y rows).
+A rule table is slot-local when its letters are closed under moving a letter
+to a lower slot of the same kind and label, and a letter pair is a pattern
+exactly when its own compressed image is, with the replacement that image's
+replacement relabelled back, and no replacement leaves its pattern's slots;
+RewriteSystem checks this once when it is built (slot_local).  Leftmost
+reduction then commutes with every order-preserving relabelling of slots,
+so invariants._per_pattern computes a relation's residual once per slot
+pattern and relabels it.  The memo holds every word as itself.
 """
 
 from __future__ import annotations
@@ -199,10 +199,8 @@ def _pair_lifts(image, top):
     return sum(min(j - 1, low) for j in range(2, high + 1))
 
 
-def _slot_bits(rules):
-    """{letter: bit} over the letters of a slot-local rule table (see the
-    module docstring), one bit per (kind, slot), so that a word's bits OR to
-    a key of its slot set; None when the table is not slot-local.
+def _is_slot_local(rules):
+    """Whether a rule table is slot-local (see the module docstring).
 
     Each rule is checked against its compressed image.  Closure fixes the
     letters as every (kind, slot, label) with slot at most the label's top
@@ -210,7 +208,7 @@ def _slot_bits(rules):
     lifts of the images exactly when their counts agree."""
     letters = {l for pat in rules for l in pat}
     if any(s != 1 and (k, s - 1, a) not in letters for k, s, a in letters):
-        return None
+        return False
     top = {}
     for k, s, a in letters:
         top[k, a] = max(s, top.get((k, a), 0))
@@ -224,14 +222,11 @@ def _slot_bits(rules):
         try:
             image_repl = {(down[x], down[y]): c for (x, y), c in repl.coeffs.items()}
         except KeyError:  # a replacement letter is off the pattern's slots or letters
-            return None
+            return False
         if image not in rules or rules[image].coeffs != image_repl:
-            return None
+            return False
         images.add(image)
-    if sum(_pair_lifts(image, top) for image in images) != len(rules):
-        return None
-    kinds = sorted({k for k, _, _ in letters})
-    return {l: 1 << (len(kinds) * l[1] + kinds.index(l[0])) for l in letters}
+    return sum(_pair_lifts(image, top) for image in images) == len(rules)
 
 
 class RewriteSystem:
@@ -240,11 +235,9 @@ class RewriteSystem:
 
     _memo maps each word reduced to its normal form {word: Scalar}; _values,
     with the same lifetime, maps each coefficient value stored there to the
-    one Scalar object that every memo entry of that value holds.  When the
-    rules are slot-local (slot_local; see the module docstring) the words
-    reduced are slot-compressed images, so a word on s slots of A_m shares
-    its memo entry with every order-preserving relabelling of it; otherwise
-    every word is its own image.  A word's fuel charge is its image's."""
+    one Scalar object that every memo entry of that value holds.  Every word
+    is reduced and memoised as itself.  slot_local says whether the rules
+    are slot-local (see the module docstring)."""
 
     def __init__(self, rules):
         """rules: {pattern: replacement}, checked here and fixed from then on:
@@ -263,46 +256,16 @@ class RewriteSystem:
                     )
             checked[pattern] = replacement
         self.rules = MappingProxyType(checked)
-        bits = _slot_bits(checked)
-        self.slot_local = bits is not None
-        self._slot_bit = bits or {}
+        self.slot_local = _is_slot_local(checked)
         self._memo = {}
         self._values = {ONE: ONE}
         self._cost = {}
-        # slot bits -> None when a word on those slots is its own image, else
-        # the (down, up) letter maps between such a word and its image
-        self._slot_maps = {}
 
     def is_normal_word(self, word):
         rules = self.rules
         return not any(
             (word[i], word[i + 1]) in rules for i in range(len(word) - 1)
         )
-
-    def _compress(self, word):
-        """(image, slots): word's compressed image and the key of its slot
-        maps, or (word, None) when word is its own image or has a letter
-        outside the rules (every letter is, when the rules are not
-        slot-local)."""
-        bits, slots = self._slot_bit, 0
-        try:
-            for l in word:
-                slots |= bits[l]
-        except KeyError:
-            return word, None
-        if slots not in self._slot_maps:
-            self._slot_maps[slots] = self._build_maps(slots)
-        maps = self._slot_maps[slots]
-        if maps is None:
-            return word, None
-        return tuple(map(maps[0].__getitem__, word)), slots
-
-    def _build_maps(self, slots):
-        on = {l[:2] for l, bit in self._slot_bit.items() if bit & slots}
-        down = _slot_map(self._slot_bit, on)
-        if all(image == l for l, image in down.items()):
-            return None
-        return down, {image: l for l, image in down.items()}
 
     def _reduce(self, word, left):
         """Memoise the normal form of word and of each word its reduction
@@ -351,18 +314,9 @@ class RewriteSystem:
             cost[top] = charge
             stack.pop()
 
-    def _lift(self, out, compressed):
-        """Add each slot set's normal form, relabelled back, to out."""
-        for slots, nf in compressed.items():
-            up = self._slot_maps[slots][1]
-            accumulate(out, ((tuple(map(up.__getitem__, w)), c) for w, c in nf.items()))
-        return NCPolynomial._raw(out)
-
     def normal_form(self, poly, fuel=None):
         """Deterministic normal form, linear in the input polynomial.
 
-        Each word not in the memo is reduced as its compressed image; the
-        images' normal forms are summed per slot set and relabelled once.
         Raises FuelExhausted exactly when the charges of poly's words add up
         to more than fuel (DEFAULT_FUEL when None), whatever the memo holds.
         The partial is the normal form of the terms reduced so far plus the
@@ -374,26 +328,20 @@ class RewriteSystem:
         memo, cost = self._memo, self._cost
         terms = poly.terms()
         out = {}
-        compressed = {}  # slots -> normal form of their images' sum
         done = 0
         try:
             for word, coeff in terms:
-                acc = out
                 if word not in memo:
-                    word, slots = self._compress(word)
-                    if slots is not None:
-                        acc = compressed.setdefault(slots, {})
-                    if word not in memo:
-                        self._reduce(word, left)
+                    self._reduce(word, left)
                 left -= cost.get(word, 0)
                 if left < 0:
                     raise FuelExhausted(None)
-                accumulate(acc, memo[word].items(), coeff)
+                accumulate(out, memo[word].items(), coeff)
                 done += 1
         except FuelExhausted:
             rest = NCPolynomial(dict(terms[done:]))
-            raise FuelExhausted(self._lift(out, compressed) + rest) from None
-        return self._lift(out, compressed)
+            raise FuelExhausted(NCPolynomial._raw(out) + rest) from None
+        return NCPolynomial._raw(out)
 
 
 def check_degree(degree, slots):

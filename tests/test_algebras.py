@@ -18,6 +18,7 @@ from qmodalg.algebras import (
     tensor_oracle_product,
 )
 from qmodalg.braiding import rcheck
+from qmodalg.cli import GRID_SPECS
 from qmodalg.linalg import EchelonBasis
 from qmodalg.ncpoly import NCPolynomial, x_, y_
 from qmodalg.rootdata import LieTypeSpec
@@ -312,6 +313,35 @@ def test_manifest_shape():
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == want, (
             handle.kind, str(handle.spec), handle.params, handle.strict)
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        *(
+            pytest.param(
+                build_am,
+                (LieTypeSpec(f, r), m, strict),
+                id=f"A{m}({f}{r})" + ("-strict" if strict else ""),
+            )
+            for f, r in GRID_SPECS
+            for m in (2, 3, 4)
+            for strict in ((False,) if f == "GL" else (False, True))
+        ),
+        *(
+            pytest.param(build_akl, nkl, id="Akl(GL%d)-%d,%d" % nkl)
+            for nkl in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (2, 4, 1))
+        ),
+        *(
+            pytest.param(build_exterior, mn, id="Ext(%d,%d)" % mn)
+            for mn in ((2, 2), (3, 2), (2, 3), (3, 3))
+        ),
+    ],
+)
+def test_every_shipped_rule_table_is_slot_local(build, args):
+    # the relation suites compute one residual per slot pattern only on a
+    # slot-local table, and fall back to one per instance on any other
+    assert build(*args).rs.slot_local
 
 
 def test_rule_degree_homogeneity():
