@@ -10,6 +10,16 @@ no entry is zero, so equality of operators is equality of column tables.
 The constructor takes a flat table {(row_label, col_label): Scalar}, and
 `entries` is that flat view, derived from the columns on demand.
 
+A lifted operator (lift_block_op) is a placement: an operator on
+V^(x)width and the slots start..start+width-1 of V^(x)r it sits on.  Its
+column table, op on the block and the identity on the other slots, is built
+the first time something reads it.  Two placements on one V^(x)r compose by
+index arithmetic on their small operators, and neither table is built: among
+the words in lexicographic order, the block of word index c is
+(c // s) % n^width, s being the number of words of the slots after the
+block and n = len(labels), and a small entry moves c by (row block index
+less column block index) * s.
+
 Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
 is put over one common denominator with integer numerators, working once per
 distinct Scalar value: operators repeat one value many times, lifted ones as
@@ -26,9 +36,12 @@ than 2^(B-1).  Each distinct accumulated int is then decoded once into
 balanced digits in [-2^(B-1), 2^(B-1)), which are exactly the output
 coefficients; a packed 0 is an entry that cancelled.  Each decoded entry is
 divided by the operands' scales and cancelled against their common
-denominator by one gcd.  Canonical form is unique, so the table does not
-depend on this route: it is the table that summing Scalar products entry by
-entry would give.
+denominator by one gcd.  Two placements are prepared, bounded and decoded
+the same way from their small operators, whose entries are the lifts'
+entries: a column of a lift holds the entries of one small column, so K is
+the longest column of the small operator applied first.  Canonical form is
+unique, so the table does not depend on this route: it is the table that
+summing Scalar products entry by entry would give.
 """
 
 from __future__ import annotations
@@ -150,6 +163,34 @@ def tensor_words(labels, r):
     return tuple(product(labels, repeat=r))
 
 
+def _decoder(width, lo, scale, den):
+    """decode(acc, labels): {labels[i]: Scalar} for the nonzero packed sums
+    {i: n} of acc, at this digit width and least exponent.
+
+    Each distinct sum is decoded once into balanced digits, which are the
+    coefficients, divided by scale (taken as is when that is 1) and, when
+    den is not 1, cancelled once against den, which is monic with nonzero
+    constant term, by one gcd; equal sums share one Scalar.  A sum of 0
+    cancelled and has no entry."""
+    shared = {}  # packed sum -> its Scalar
+
+    def decode(acc, labels):
+        out = {}
+        for i, n in acc.items():
+            if not n:
+                continue  # the products cancelled
+            s = shared.get(n)
+            if s is None:
+                num = _unpack(n, width, lo)
+                if scale != 1:
+                    num = {e: _div(c, scale) for e, c in num.items()}
+                s = shared[n] = _made(*_cancel(num, den))
+            out[labels[i]] = s
+        return out
+
+    return decode
+
+
 def _values_by_id(cols):
     """({id(s): s} over a column table's entries, {s: s} over their distinct
     values): one Scalar hash per distinct object, not per entry."""
@@ -235,66 +276,80 @@ class LinearOperator:
         the largest l1 norms of self's and other's numerators.  Each output
         column is written straight from the same column of other: its rows
         accumulate their products as packed ints, one multiply-add each.
-        Each distinct nonzero sum is decoded once into balanced digits,
-        divided by L1*L2 (taken as is when that is 1) and, when D1*D2 is not
-        1, cancelled once against D1*D2, which is monic with nonzero
-        constant term, by one gcd; entries whose sum is 0 cancelled and are
-        dropped, and so is a column left empty.  The row and column labels
-        of the result are the label objects of self's rows and other's
-        columns.  The canonical form is unique, so the result equals the sum
-        of Scalar products, entry for entry.  Equal output entries share one
-        Scalar.
+        Each distinct nonzero sum is decoded once (_decoder); entries whose
+        sum is 0 cancelled and are dropped, and so is a column left empty.
+        The row and column labels of the result are the label objects of
+        self's rows and other's columns.  The canonical form is unique, so
+        the result equals the sum of Scalar products, entry for entry.
+        Equal output entries share one Scalar.
+
+        Two placements on one tensor power (lift_block_op) compose from
+        their small operators, and neither builds its table.  Their entries
+        are the small operators' entries, so they are prepared, bounded and
+        decoded as above, and K is the longest column of other's small
+        operator.  Column c of V^(x)r reads other's small column at
+        (c // s2) % n^w2, s2 being the words of the slots after other's
+        block and w2 its width; each of its rows j reads self's small column
+        at (j // s1) % n^w1.  A small column is read as (row index less
+        column index, packed value) pairs.  The columns come in the order of
+        other's table and the rows in the order the general path meets
+        them, so the result is the same table in the same order.
         """
         if other.codomain != self.domain:
             raise ValueError("composition dimension mismatch")
-        if not self.cols or not other.cols:
+        placed = type(self) is type(other) is _Placement
+        left = self.op.cols if placed else self.cols
+        right = other.op.cols if placed else other.cols
+        if not left or not right:
             return LinearOperator._raw(other.domain, self.codomain, {})
         # operators repeat one value many times, often as distinct objects
-        ids1, vals1 = _values_by_id(self.cols)
-        ids2, vals2 = _values_by_id(other.cols)
+        ids1, vals1 = _values_by_id(left)
+        ids2, vals2 = _values_by_id(right)
         den1, scale1, to_int1 = _over_one_denominator(vals1)
         den2, scale2, to_int2 = _over_one_denominator(vals2)
         ints1 = {k: to_int1(v) for k, v in vals1.items()}
         ints2 = {k: to_int2(v) for k, v in vals2.items()}
         # K, the most products one output entry sums
-        k = min(len(self.domain), max(map(len, other.cols.values())))
+        k = min(len(self.domain), max(map(len, right.values())))
         width = (k * _l1_max(ints1) * _l1_max(ints2)).bit_length() + 1
         lo1, packed1 = _pack(ints1, width)
         lo2, packed2 = _pack(ints2, width)
         packed1 = {i: packed1[v] for i, v in ids1.items()}
         packed2 = {i: packed2[v] for i, v in ids2.items()}
+        decode = _decoder(width, lo1 + lo2, scale1 * scale2, _lp_mul(den1, den2))
+        table = {}
+        if placed:
+            words = self.domain
+            outer, inner = self._small_columns(packed1), other._small_columns(packed2)
+            s1, n1, s2, n2 = self.stride, len(outer), other.stride, len(inner)
+            for c in other._column_indices():
+                acc = {}  # row index -> packed sum
+                for d2, x2 in inner[(c // s2) % n2]:
+                    j = c + d2
+                    for d1, x1 in outer[(j // s1) % n1]:
+                        i = j + d1
+                        acc[i] = acc.get(i, 0) + x1 * x2
+                out = decode(acc, words)
+                if out:
+                    table[words[c]] = out
+            return LinearOperator._raw(other.domain, self.codomain, table)
         # the sums are keyed by a row index, cheaper to hash than a label
         rows = {}
         cols1 = {
             c1: [(rows.setdefault(r1, len(rows)), packed1[id(v1)]) for r1, v1 in col.items()]
-            for c1, col in self.cols.items()
+            for c1, col in left.items()
         }
         row_labels = list(rows)
-        scale = scale1 * scale2
-        den = _lp_mul(den1, den2)
-        shared = {}  # packed sum -> its output Scalar
-        table = {}
-        for c2, col2 in other.cols.items():
+        for c2, col2 in right.items():
             acc = {}  # row index -> packed sum
             for r2, v2 in col2.items():
                 col1 = cols1.get(r2)
                 if col1 is None:
                     continue
-                n2 = packed2[id(v2)]
-                for i, n1 in col1:
-                    acc[i] = acc.get(i, 0) + n1 * n2
-            out = {}
-            for i, n in acc.items():
-                if not n:
-                    continue  # the products cancelled
-                s = shared.get(n)
-                if s is None:
-                    num = _unpack(n, width, lo1 + lo2)
-                    if scale != 1:
-                        num = {e: _div(c, scale) for e, c in num.items()}
-                    s = _made(*_cancel(num, den))
-                    shared[n] = s
-                out[row_labels[i]] = s
+                x2 = packed2[id(v2)]
+                for i, x1 in col1:
+                    acc[i] = acc.get(i, 0) + x1 * x2
+            out = decode(acc, row_labels)
             if out:
                 table[c2] = out
         return LinearOperator._raw(other.domain, self.codomain, table)
@@ -346,23 +401,72 @@ class LinearOperator:
         return (self @ other) == (other @ self)
 
 
-def lift_block_op(op, labels, r, start, width):
-    """Embed an operator on V^(x)width at slots start..start+width-1 of V^(x)r.
+class _Placement(LinearOperator):
+    """An operator on V^(x)width placed at slots start..start+width-1 of
+    V^(x)r, built by lift_block_op.  It holds op and its place; its column
+    table is built on first read of cols, which every operation but a
+    compose of two placements makes."""
 
-    op's labels are words over labels.  Among the words of V^(x)r in
-    lexicographic order, a lifted label's index is its block word's index
-    among the words of V^(x)width, times the number of words of the slots
-    after the block, plus the index of its context; so no label is built."""
-    words = tensor_words(labels, r)
-    n = len(labels)
-    stride = n ** (r - start - width + 1)  # the words of the slots after the block
-    block = n ** width * stride
-    at = {w: i * stride for i, w in enumerate(tensor_words(labels, width))}
-    cols = [(at[c], [(at[rw], v) for rw, v in col.items()]) for c, col in op.cols.items()]
-    table = {}
-    for pre in range(0, n ** r, block):
-        for base in range(pre, pre + stride):
-            for c, col in cols:
-                table[words[base + c]] = {words[base + i]: v for i, v in col}
-    # op stores no empty column and no zero entry, so neither does its lift
-    return LinearOperator._raw(words, words, table)
+    __slots__ = ("op", "labels", "start", "width", "stride", "_cols")
+
+    def __init__(self, op, labels, r, start, width):
+        # index arithmetic would wrap a bad place round silently
+        if start < 1 or start + width - 1 > r:
+            raise ValueError(f"slots {start}..{start + width - 1} are not inside 1..{r}")
+        block = tensor_words(labels, width)
+        if op.domain != block or op.codomain != block:
+            raise ValueError(f"the operator is not on the words of V^(x){width}")
+        self.domain = self.codomain = tensor_words(labels, r)
+        self.op, self.labels, self.start, self.width = op, labels, start, width
+        self.stride = len(labels) ** (r - start - width + 1)  # the words after the block
+        self._cols = None
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            self._cols = self._build_cols()
+        return self._cols
+
+    def _build_cols(self):
+        words, stride = self.domain, self.stride
+        small = self._small_columns(_values_by_id(self.op.cols)[0])
+        # op stores no empty column and no zero entry, so neither does its lift
+        return {
+            words[c]: {words[c + d]: v for d, v in small[(c // stride) % len(small)]}
+            for c in self._column_indices()
+        }
+
+    def _small_columns(self, by_id):
+        """op's columns by block index, () where op has none: each as (row
+        index less column index, by_id[id(entry)]) pairs, in op's order.
+        A placed entry's indices differ by its block words' indices times
+        stride, so no label is built."""
+        at = {w: i for i, w in enumerate(self.op.domain)}
+        small = [()] * len(at)
+        for c, col in self.op.cols.items():
+            b = at[c]
+            small[b] = [((at[w] - b) * self.stride, by_id[id(v)]) for w, v in col.items()]
+        return small
+
+    def _column_indices(self):
+        """The indices of the placement's nonempty columns, in its table's
+        order: by the slots before the block, then after it, then op's."""
+        stride = self.stride
+        at = {w: i * stride for i, w in enumerate(self.op.domain)}
+        offsets = [at[c] for c in self.op.cols]
+        for pre in range(0, len(self.domain), len(at) * stride):
+            for base in range(pre, pre + stride):
+                for off in offsets:
+                    yield base + off
+
+
+def lift_block_op(op, labels, r, start, width):
+    """Place an operator on V^(x)width at slots start..start+width-1 of V^(x)r.
+
+    op's labels are words over labels.  The result records op and its
+    place and acts as their lift, op on the block and the identity on the
+    other slots; its column table is built only when something reads it,
+    and two placements compose without building either (see compose).
+    ValueError if the slots are not inside 1..r or op is not on the words
+    of V^(x)width."""
+    return _Placement(op, labels, r, start, width)

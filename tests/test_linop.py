@@ -17,7 +17,7 @@ import pytest
 from qmodalg.braiding import projectors, rcheck, rcheck_cabled, tensor_generator_ops
 from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op, tensor_words
 from qmodalg.rootdata import LieTypeSpec, natural_rep
-from qmodalg.scalar import ONE, Scalar, accumulate
+from qmodalg.scalar import ONE, Scalar, accumulate, q_pow
 
 
 def reference_compose(left, right):
@@ -373,3 +373,145 @@ def test_column_is_a_read_only_view():
     assert missing == {}
     with pytest.raises(TypeError):
         missing[0] = ONE
+
+
+# placements: lift_block_op records op and its place, builds its table on
+# first read, and composes with another placement from the small operators
+
+
+@pytest.mark.parametrize("r,start,width", [(3, 3, 2), (3, 0, 2), (3, 2, 3)])
+def test_lift_refuses_a_bad_placement(r, start, width):
+    # past the last slot, before the first, and an operator on V^(x)2 placed
+    # as if it were on V^(x)3
+    spec = LieTypeSpec("D", 2)
+    with pytest.raises(ValueError):
+        lift_block_op(rcheck(spec), natural_rep(spec).labels, r, start, width)
+
+
+def _block_op(spec, width, kind):
+    """An operator on V^(x)width: f_1 on V at width 1; for kind "projector",
+    a projector scaled by a Fraction (denominators and a scale) at width 2
+    and the cable (1, width - 1) above; for kind "cable", the cable
+    (width - 1, 1)."""
+    if width == 1:
+        return tensor_generator_ops(natural_rep(spec), 1)[("f", 1)]
+    if kind == "projector" and width == 2:
+        return projectors(spec)["anti"].scale(Scalar({1: Fraction(2, 3)}))
+    return rcheck_cabled(spec, width - 1, 1) if kind == "cable" else rcheck_cabled(spec, 1, width - 1)
+
+
+# (slot relation, r, (start, width) of a, (start, width) of b)
+PLACEMENTS = [
+    ("identical", 3, (1, 2), (1, 2)),
+    ("identical", 4, (2, 3), (2, 3)),
+    ("adjacent", 3, (1, 1), (2, 2)),
+    ("adjacent", 4, (1, 2), (3, 2)),
+    ("overlapping", 3, (1, 2), (2, 2)),
+    ("overlapping", 4, (1, 3), (2, 3)),
+    ("overlapping", 5, (1, 3), (3, 3)),
+    ("nested", 3, (1, 3), (2, 2)),
+    ("nested", 4, (1, 4), (2, 2)),
+    ("nested", 5, (2, 3), (3, 1)),
+    ("disjoint", 4, (1, 1), (3, 2)),
+    ("disjoint", 5, (1, 2), (4, 2)),
+]
+
+
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2), ("GL", 2)])
+@pytest.mark.parametrize("relation,r,a,b", PLACEMENTS)
+@pytest.mark.parametrize("kind", ["cable", "projector"])
+def test_placements_compose_as_their_lifts(family, rank, relation, r, a, b, kind):
+    spec = LieTypeSpec(family, rank)
+    labels = natural_rep(spec).labels
+    ops = [(_block_op(spec, w, kind), s, w) for s, w in (a, b)]
+    for (x, sx, wx), (y, sy, wy) in (ops, ops[::-1]):  # both orders
+        got = lift_block_op(x, labels, r, sx, wx) @ lift_block_op(y, labels, r, sy, wy)
+        want = reference_compose(
+            reference_lift(x, labels, r, sx, wx), reference_lift(y, labels, r, sy, wy)
+        )
+        assert got.domain is got.codomain is tensor_words(labels, r)
+        assert_column_table(got, want.entries)
+        assert_canonical_table(got)
+
+
+def test_placements_compose_near_the_bound():
+    # test_packed_compose_near_the_bound's coefficients, on V^(x)2 of GL2,
+    # placed on overlapping slots of V^(x)3, with a cancelling column
+    spec = LieTypeSpec("GL", 2)
+    labels = natural_rep(spec).labels
+    a = Scalar({-30: BIG, -1: -1, 9: -BIG})
+    b = Scalar({-7: -BIG, 0: BIG, 10: 1})
+    c = Scalar({-4: BIG, 2: -1})
+    w = tensor_words(labels, 2)
+    left = LinearOperator(w, w, {(w[0], w[0]): a, (w[0], w[1]): b, (w[1], w[0]): b,
+                                 (w[1], w[1]): a, (w[3], w[2]): c})
+    right = LinearOperator(w, w, {(w[0], w[0]): b * c, (w[1], w[0]): -(a * c), (w[0], w[1]): c,
+                                  (w[1], w[1]): -c, (w[0], w[2]): a, (w[1], w[2]): b,
+                                  (w[2], w[3]): BIG * c})
+    for x, y in ((left, right), (right, left)):
+        for sx, sy in ((1, 1), (1, 2), (2, 1)):
+            got = lift_block_op(x, labels, 3, sx, 2) @ lift_block_op(y, labels, 3, sy, 2)
+            want = reference_compose(
+                reference_lift(x, labels, 3, sx, 2), reference_lift(y, labels, 3, sy, 2)
+            )
+            assert_column_table(got, want.entries)
+            assert_canonical_table(got)
+    got = lift_block_op(left, labels, 3, 1, 2) @ lift_block_op(right, labels, 3, 1, 2)
+    assert max(abs(x) for s in got.entries.values() for x in s.num.values()) > BIG ** 2
+
+
+@pytest.mark.parametrize("family,rank", [("D", 2), ("GL", 2)])
+def test_placement_with_a_general_operator_is_the_reference_product(family, rank):
+    spec = LieTypeSpec(family, rank)
+    rep = natural_rep(spec)
+    general = tensor_generator_ops(rep, 3)[("e", 1)] + rcheck_cabled(spec, 2, 1)
+    lift = lift_block_op(projectors(spec)["sym"], rep.labels, 3, 2, 2)
+    want = reference_lift(projectors(spec)["sym"], rep.labels, 3, 2, 2)
+    for got, ref in ((lift @ general, reference_compose(want, general)),
+                     (general @ lift, reference_compose(general, want))):
+        assert type(got) is LinearOperator
+        assert_column_table(got, ref.entries)
+
+
+def test_placement_reads_as_its_lift():
+    spec = LieTypeSpec("B", 1)
+    labels = natural_rep(spec).labels
+    op = rcheck_cabled(spec, 1, 2)
+    want = reference_lift(op, labels, 4, 2, 3)
+    fresh = lambda: lift_block_op(op, labels, 4, 2, 3)
+    assert fresh() == want and want == fresh()
+    assert fresh() != lift_block_op(op, labels, 4, 1, 3)
+    assert_column_table(fresh(), want.entries)
+    assert dict(fresh().entries) == dict(want.entries)
+    for c in want.domain[::7]:
+        assert fresh().column(c) == want.column(c)
+        vec = {c: ONE, want.domain[0]: q_pow(2)}
+        assert fresh().apply(vec) == want.apply(vec)
+    x = Scalar({-1: 1, 2: Fraction(3, 2)})
+    assert fresh().scale(x) == want.scale(x)
+    assert fresh() + fresh() == want + want
+    assert (fresh() - fresh()).is_zero()
+    # the table is built once, by the first read
+    lift = fresh()
+    assert lift.cols is lift.cols
+
+
+def test_nine_cables_build_no_lifted_table(monkeypatch):
+    import qmodalg.linop as linop
+
+    built = []
+    real = linop._Placement._build_cols
+
+    def counted(self):
+        built.append((self.start, self.width))
+        return real(self)
+
+    monkeypatch.setattr(linop._Placement, "_build_cols", counted)
+    spec = LieTypeSpec("D", 2)
+    rcheck_cabled.cache_clear()
+    cables = [rcheck_cabled(spec, k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
+    assert built == []
+    assert all(type(cab) is LinearOperator for cab in cables)
+    # reading a placement's table is what builds it
+    lift_block_op(cables[0], natural_rep(spec).labels, 3, 1, 2).column((1, 1, 1))
+    assert built == [(1, 2)]
