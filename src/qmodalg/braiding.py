@@ -230,9 +230,10 @@ def rcheck_cabled(spec, k, l):
         cab(k, l) = lift(cab(k, 1)) o lift(cab(k, l - 1)),
     and for l = 1 its rightmost strand crosses first,
         cab(k, 1) = lift(cab(k - 1, 1)) o R_k.
-    Each lift is a placement (lift_block_op) that builds no table, so the
-    compose reads the two smaller cables by index arithmetic, with the
-    digit bound K = the longest column of the right factor's cable.
+    Each lift is a placement (lift_block_op), and compose reads every
+    operand as one, so it builds no table: it reads the two smaller cables
+    by index arithmetic, with the digit bound K = the longest column of the
+    right factor's cable.
     tests/test_braiding.py::test_cabling_coherence proves both splits, and
     tests/test_linop.py::test_rcheck_cabled_matches_reference compares the
     result with the chain of kl lifted R-checks.

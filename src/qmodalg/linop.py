@@ -13,12 +13,12 @@ The constructor takes a flat table {(row_label, col_label): Scalar}, and
 A lifted operator (lift_block_op) is a placement: an operator on
 V^(x)width and the slots start..start+width-1 of V^(x)r it sits on.  Its
 column table, op on the block and the identity on the other slots, is built
-the first time something reads it.  Two placements on one V^(x)r compose by
-index arithmetic on their small operators, and neither table is built: among
-the words in lexicographic order, the block of word index c is
-(c // s) % n^width, s being the number of words of the slots after the
-block and n = len(labels), and a small entry moves c by (row block index
-less column block index) * s.
+the first time something reads it.  A plain operator is its own placement
+at stride 1, and compose reads every operand as a placement, so it builds
+no lifted table: among the words in lexicographic order, the block of word
+index c is (c // s) % n^width, s being the number of words of the slots
+after the block and n = len(labels), and a small entry moves c by (row
+block index less column block index) * s.
 
 Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
 is put over one common denominator with integer numerators, working once per
@@ -36,12 +36,12 @@ than 2^(B-1).  Each distinct accumulated int is then decoded once into
 balanced digits in [-2^(B-1), 2^(B-1)), which are exactly the output
 coefficients; a packed 0 is an entry that cancelled.  Each decoded entry is
 divided by the operands' scales and cancelled against their common
-denominator by one gcd.  Two placements are prepared, bounded and decoded
-the same way from their small operators, whose entries are the lifts'
-entries: a column of a lift holds the entries of one small column, so K is
-the longest column of the small operator applied first.  Canonical form is
-unique, so the table does not depend on this route: it is the table that
-summing Scalar products entry by entry would give.
+denominator by one gcd.  Operands are prepared, bounded and decoded from
+their small operators, whose entries are the lifts' entries: a column of a
+lift holds the entries of one small column, so K is the longest column of
+the small operator applied first.  Canonical form is unique, so the table
+does not depend on this route: it is the table that summing Scalar
+products entry by entry would give.
 """
 
 from __future__ import annotations
@@ -207,7 +207,10 @@ class _Entries(Mapping):
         self._cols = cols
 
     def __getitem__(self, key):
-        r, c = key
+        try:
+            r, c = key
+        except (TypeError, ValueError):  # not a (row, col) pair
+            raise KeyError(key) from None
         return self._cols.get(c, {})[r]
 
     def __iter__(self):
@@ -219,12 +222,16 @@ class _Entries(Mapping):
 
 class LinearOperator:
     __slots__ = ("domain", "codomain", "cols")
+    stride = 1  # a plain operator is its own placement at stride 1
 
     def __init__(self, domain, codomain, entries):
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
+        rows, columns = set(self.codomain), set(self.domain)
         cols = {}
         for (r, c), v in entries.items():
+            if r not in rows or c not in columns:
+                raise ValueError(f"entry ({r!r}, {c!r}) is outside the operator")
             if v:
                 cols.setdefault(c, {})[r] = v
         self.cols = cols
@@ -248,6 +255,11 @@ class LinearOperator:
         return LinearOperator(domain, codomain if codomain is not None else domain, {})
 
     @property
+    def op(self):
+        """The small operator this one places: itself."""
+        return self
+
+    @property
     def entries(self):
         """The flat table {(row, col): Scalar}, a read-only view."""
         return _Entries(self.cols)
@@ -266,40 +278,33 @@ class LinearOperator:
     def compose(self, other):
         """self o other (other applied first).
 
-        Never adds two Scalars.  self and other are each put over one common
-        denominator (D1, D2) with int numerators scaled by L1, L2, once per
-        distinct entry value, and each numerator is packed into one int
-        (see the module docstring); entries are then looked up by object
-        id, so no entry is hashed as a Scalar.  The digit width B is the
-        least with K*N1*N2 < 2^(B-1), where K is the smaller of
-        len(self.domain) and the longest column of other, and N1, N2 are
-        the largest l1 norms of self's and other's numerators.  Each output
-        column is written straight from the same column of other: its rows
-        accumulate their products as packed ints, one multiply-add each.
+        Never adds two Scalars.  Each operand is read as a placement (a
+        plain operator is its own, at stride 1), so no lifted table is
+        built.  The small operators of self and other are each put over one
+        common denominator (D1, D2) with int numerators scaled by L1, L2,
+        once per distinct entry value, and each numerator is packed into
+        one int (see the module docstring); entries are then looked up by
+        object id, so no entry is hashed as a Scalar.  The digit width B is
+        the least with K*N1*N2 < 2^(B-1), where K is the smaller of
+        len(self.domain) and the longest column of other's small operator,
+        whatever kind other is, and N1, N2 are the largest l1 norms of the
+        two numerators.  Column c of other reads other's small column at
+        (c // s2) % n2, s2 being other's stride and n2 its small operator's
+        column count; each of its rows j reads self's small column at
+        (j // s1) % n1.  A small column is read as (row index less column
+        index, times the stride, packed value) pairs, and each output row
+        accumulates its products as packed ints, one multiply-add each.
         Each distinct nonzero sum is decoded once (_decoder); entries whose
         sum is 0 cancelled and are dropped, and so is a column left empty.
-        The row and column labels of the result are the label objects of
-        self's rows and other's columns.  The canonical form is unique, so
-        the result equals the sum of Scalar products, entry for entry.
-        Equal output entries share one Scalar.
-
-        Two placements on one tensor power (lift_block_op) compose from
-        their small operators, and neither builds its table.  Their entries
-        are the small operators' entries, so they are prepared, bounded and
-        decoded as above, and K is the longest column of other's small
-        operator.  Column c of V^(x)r reads other's small column at
-        (c // s2) % n^w2, s2 being the words of the slots after other's
-        block and w2 its width; each of its rows j reads self's small column
-        at (j // s1) % n^w1.  A small column is read as (row index less
-        column index, packed value) pairs.  The columns come in the order of
-        other's table and the rows in the order the general path meets
-        them, so the result is the same table in the same order.
+        Columns come in the order of other's table and rows in the order
+        they are met; their labels are the label objects of other's domain
+        and self's codomain.  The canonical form is unique, so the result
+        equals the sum of Scalar products, entry for entry.  Equal output
+        entries share one Scalar.
         """
         if other.codomain != self.domain:
             raise ValueError("composition dimension mismatch")
-        placed = type(self) is type(other) is _Placement
-        left = self.op.cols if placed else self.cols
-        right = other.op.cols if placed else other.cols
+        left, right = self.op.cols, other.op.cols
         if not left or not right:
             return LinearOperator._raw(other.domain, self.codomain, {})
         # operators repeat one value many times, often as distinct objects
@@ -317,42 +322,45 @@ class LinearOperator:
         packed1 = {i: packed1[v] for i, v in ids1.items()}
         packed2 = {i: packed2[v] for i, v in ids2.items()}
         decode = _decoder(width, lo1 + lo2, scale1 * scale2, _lp_mul(den1, den2))
+        rows, columns = self.codomain, other.domain
+        outer, inner = self._small_columns(packed1), other._small_columns(packed2)
+        s1, n1, s2, n2 = self.stride, len(outer), other.stride, len(inner)
         table = {}
-        if placed:
-            words = self.domain
-            outer, inner = self._small_columns(packed1), other._small_columns(packed2)
-            s1, n1, s2, n2 = self.stride, len(outer), other.stride, len(inner)
-            for c in other._column_indices():
-                acc = {}  # row index -> packed sum
-                for d2, x2 in inner[(c // s2) % n2]:
-                    j = c + d2
-                    for d1, x1 in outer[(j // s1) % n1]:
-                        i = j + d1
-                        acc[i] = acc.get(i, 0) + x1 * x2
-                out = decode(acc, words)
-                if out:
-                    table[words[c]] = out
-            return LinearOperator._raw(other.domain, self.codomain, table)
-        # the sums are keyed by a row index, cheaper to hash than a label
-        rows = {}
-        cols1 = {
-            c1: [(rows.setdefault(r1, len(rows)), packed1[id(v1)]) for r1, v1 in col.items()]
-            for c1, col in left.items()
-        }
-        row_labels = list(rows)
-        for c2, col2 in right.items():
+        for c in other._column_indices():
             acc = {}  # row index -> packed sum
-            for r2, v2 in col2.items():
-                col1 = cols1.get(r2)
-                if col1 is None:
-                    continue
-                x2 = packed2[id(v2)]
-                for i, x1 in col1:
+            for d2, x2 in inner[(c // s2) % n2]:
+                j = c + d2
+                for d1, x1 in outer[(j // s1) % n1]:
+                    i = j + d1
                     acc[i] = acc.get(i, 0) + x1 * x2
-            out = decode(acc, row_labels)
+            out = decode(acc, rows)
             if out:
-                table[c2] = out
+                table[columns[c]] = out
         return LinearOperator._raw(other.domain, self.codomain, table)
+
+    def _small_columns(self, by_id):
+        """op's columns by domain index, empty where op has none: each as
+        (row index less column index, times stride, by_id[id(entry)]) pairs
+        in op's order, rows indexed in op's codomain and columns in its
+        domain.  A placed entry's indices differ by its block words' indices
+        times stride, so no label is built."""
+        cols, stride = self.op.cols, self.stride
+        at = {w: i for i, w in enumerate(self.op.codomain)}
+        return [
+            [((at[w] - b) * stride, by_id[id(v)]) for w, v in cols.get(c, {}).items()]
+            for b, c in enumerate(self.op.domain)
+        ]
+
+    def _column_indices(self):
+        """The indices of the nonempty columns, in the table's order: by the
+        slots before the block, then after it, then op's."""
+        stride = self.stride
+        at = {w: i * stride for i, w in enumerate(self.op.domain)}
+        offsets = [at[c] for c in self.op.cols]
+        for pre in range(0, len(self.domain), len(at) * stride):
+            for base in range(pre, pre + stride):
+                for off in offsets:
+                    yield base + off
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -403,9 +411,9 @@ class LinearOperator:
 
 class _Placement(LinearOperator):
     """An operator on V^(x)width placed at slots start..start+width-1 of
-    V^(x)r, built by lift_block_op.  It holds op and its place; its column
-    table is built on first read of cols, which every operation but a
-    compose of two placements makes."""
+    V^(x)r, built by lift_block_op.  It holds op and its place, and reads
+    as a placement (op, stride) like any operator; its column table is
+    built on first read of cols, which every operation but compose makes."""
 
     __slots__ = ("op", "labels", "start", "width", "stride", "_cols")
 
@@ -436,29 +444,6 @@ class _Placement(LinearOperator):
             for c in self._column_indices()
         }
 
-    def _small_columns(self, by_id):
-        """op's columns by block index, () where op has none: each as (row
-        index less column index, by_id[id(entry)]) pairs, in op's order.
-        A placed entry's indices differ by its block words' indices times
-        stride, so no label is built."""
-        at = {w: i for i, w in enumerate(self.op.domain)}
-        small = [()] * len(at)
-        for c, col in self.op.cols.items():
-            b = at[c]
-            small[b] = [((at[w] - b) * self.stride, by_id[id(v)]) for w, v in col.items()]
-        return small
-
-    def _column_indices(self):
-        """The indices of the placement's nonempty columns, in its table's
-        order: by the slots before the block, then after it, then op's."""
-        stride = self.stride
-        at = {w: i * stride for i, w in enumerate(self.op.domain)}
-        offsets = [at[c] for c in self.op.cols]
-        for pre in range(0, len(self.domain), len(at) * stride):
-            for base in range(pre, pre + stride):
-                for off in offsets:
-                    yield base + off
-
 
 def lift_block_op(op, labels, r, start, width):
     """Place an operator on V^(x)width at slots start..start+width-1 of V^(x)r.
@@ -466,7 +451,8 @@ def lift_block_op(op, labels, r, start, width):
     op's labels are words over labels.  The result records op and its
     place and acts as their lift, op on the block and the identity on the
     other slots; its column table is built only when something reads it,
-    and two placements compose without building either (see compose).
+    and compose, with a placement or a plain operator on either side,
+    builds none (see compose).
     ValueError if the slots are not inside 1..r or op is not on the words
     of V^(x)width."""
     return _Placement(op, labels, r, start, width)

@@ -14,7 +14,13 @@ from itertools import product
 
 import pytest
 
-from qmodalg.braiding import projectors, rcheck, rcheck_cabled, tensor_generator_ops
+from qmodalg.braiding import (
+    projectors,
+    rcheck,
+    rcheck_cabled,
+    tensor_generator_ops,
+    verify_braid_and_skein,
+)
 from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op, tensor_words
 from qmodalg.rootdata import LieTypeSpec, natural_rep
 from qmodalg.scalar import ONE, Scalar, accumulate, q_pow
@@ -375,8 +381,31 @@ def test_column_is_a_read_only_view():
         missing[0] = ONE
 
 
+@pytest.mark.parametrize("domain,codomain,entries", [
+    ([0, 1], [0, 1], {(5, 0): ONE}),  # row outside the codomain
+    ([0, 1], [0, 1], {(0, 2): ONE}),  # column outside the domain
+    ([0, 1], [0, 1], {(0, 0): ONE, (1, "a"): Scalar(0)}),  # even a zero entry
+    (range(3), ["a", "b"], {(2, "a"): ONE}),  # rows and columns swapped
+])
+def test_constructor_refuses_labels_outside_the_operator(domain, codomain, entries):
+    with pytest.raises(ValueError):
+        LinearOperator(domain, codomain, entries)
+
+
+def test_entries_keep_the_mapping_contract():
+    op = LinearOperator(range(2), range(2), {(0, 1): ONE})
+    entries = op.entries
+    assert (0, 1) in entries and (1, 0) not in entries and (0, 5) not in entries
+    # keys that are not (row, col) pairs are absent, not errors
+    for key in [(7,), 5, (0, 1, 2), None]:
+        assert key not in entries
+        assert entries.get(key) is None
+        with pytest.raises(KeyError):
+            entries[key]
+
+
 # placements: lift_block_op records op and its place, builds its table on
-# first read, and composes with another placement from the small operators
+# first read, and composes from the small operators with any operator
 
 
 @pytest.mark.parametrize("r,start,width", [(3, 3, 2), (3, 0, 2), (3, 2, 3)])
@@ -460,17 +489,44 @@ def test_placements_compose_near_the_bound():
     assert max(abs(x) for s in got.entries.values() for x in s.num.values()) > BIG ** 2
 
 
+def count_lifted_tables(monkeypatch):
+    """A list that gets one (start, width) per lifted table built."""
+    import qmodalg.linop as linop
+
+    built = []
+    real = linop._Placement._build_cols
+
+    def counted(self):
+        built.append((self.start, self.width))
+        return real(self)
+
+    monkeypatch.setattr(linop._Placement, "_build_cols", counted)
+    return built
+
+
 @pytest.mark.parametrize("family,rank", [("D", 2), ("GL", 2)])
-def test_placement_with_a_general_operator_is_the_reference_product(family, rank):
+def test_placement_with_a_general_operator_is_the_reference_product(family, rank, monkeypatch):
     spec = LieTypeSpec(family, rank)
     rep = natural_rep(spec)
     general = tensor_generator_ops(rep, 3)[("e", 1)] + rcheck_cabled(spec, 2, 1)
     lift = lift_block_op(projectors(spec)["sym"], rep.labels, 3, 2, 2)
     want = reference_lift(projectors(spec)["sym"], rep.labels, 3, 2, 2)
-    for got, ref in ((lift @ general, reference_compose(want, general)),
-                     (general @ lift, reference_compose(general, want))):
+    built = count_lifted_tables(monkeypatch)
+    products = [lift @ general, general @ lift]
+    assert built == []  # neither order builds the placement's table
+    for got, ref in zip(products, (reference_compose(want, general),
+                                   reference_compose(general, want))):
         assert type(got) is LinearOperator
         assert_column_table(got, ref.entries)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2), ("GL", 2)])
+def test_braid_and_skein_build_no_lifted_table(family, rank, monkeypatch):
+    # (r1 @ r2) @ r1 composes a plain operator with a placement
+    built = count_lifted_tables(monkeypatch)
+    report = verify_braid_and_skein(LieTypeSpec(family, rank))
+    assert report["pass"]
+    assert built == []
 
 
 def test_placement_reads_as_its_lift():
@@ -497,16 +553,7 @@ def test_placement_reads_as_its_lift():
 
 
 def test_nine_cables_build_no_lifted_table(monkeypatch):
-    import qmodalg.linop as linop
-
-    built = []
-    real = linop._Placement._build_cols
-
-    def counted(self):
-        built.append((self.start, self.width))
-        return real(self)
-
-    monkeypatch.setattr(linop._Placement, "_build_cols", counted)
+    built = count_lifted_tables(monkeypatch)
     spec = LieTypeSpec("D", 2)
     rcheck_cabled.cache_clear()
     cables = [rcheck_cabled(spec, k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
