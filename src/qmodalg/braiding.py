@@ -230,10 +230,9 @@ def rcheck_cabled(spec, k, l):
         cab(k, l) = lift(cab(k, 1)) o lift(cab(k, l - 1)),
     and for l = 1 its rightmost strand crosses first,
         cab(k, 1) = lift(cab(k - 1, 1)) o R_k.
-    Each lift is a placement (lift_block_op), and compose reads every
-    operand as one, so it builds no table: it reads the two smaller cables
-    by index arithmetic, with the digit bound K = the longest column of the
-    right factor's cable.
+    Each lift is a placement (lift_block_op), which has no table: compose
+    reads the two smaller cables by index arithmetic, with the digit bound
+    K = the longest column of the right factor's cable.
     tests/test_braiding.py::test_cabling_coherence proves both splits, and
     tests/test_linop.py::test_rcheck_cabled_matches_reference compares the
     result with the chain of kl lifted R-checks.
@@ -275,7 +274,7 @@ def verify_braid_and_skein(spec):
 
     # R-check commutes with the coproduct action of every generator
     ops = tensor_generator_ops(rep, 2)
-    comm_ok = all(rc.commutes_with(op) for op in ops.values())
+    comm_ok = all((rc @ op) == (op @ rc) for op in ops.values())
     entries.append(check("R-check intertwines the coproduct action", str(spec), comm_ok))
 
     if spec.family != "GL":

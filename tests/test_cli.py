@@ -210,6 +210,89 @@ def test_grid_rejects_strict(tmp_path, capsys):
 
 GRID_SHA256 = "bb2ff07e001f26293536319f513356378366e546b19e3ef4bf9cb526841ca7b1"
 
+# sha256 of each grid suite as json.dumps(suite, indent=1, sort_keys=True),
+# by suite name: a change to the report shows which suites it moved
+GRID_SUITE_SHA256 = {
+    "braiding D2":
+        "288c701a783fae7453b4a161d0df33ce668a40f5d42a52bda075259b2d16b05c",
+    "braiding D3":
+        "af97562200eb0ea9ad2cddc24b47e3f1d18fce1a20cb8b51278ba1ad14a7a6ac",
+    "braiding B1":
+        "74996e7269afd2a59df3a55b4cf571933e6eca05bede9002aff0655f47c13d19",
+    "braiding B2":
+        "c09ed0f3f599ebc23185aaa91d39c9ae1571e53c5907419342d4f779c98814f9",
+    "braiding C2":
+        "546308374bf62d06a95f797926abd8ce10f0fd62df591aa4d1a253027c339684",
+    "braiding C3":
+        "a0bbff4fe3b9a4815f6aac23cb0a2e22b29d7eeeae97932a507f7fdb912e88aa",
+    "braiding GL2":
+        "242e263207869d8a50a8b1c5c46756bd86fbdae30f2ee873c60bff6821ad038c",
+    "braiding GL3":
+        "cd2e4b487937c9a0a681f96a830d9d9e3f2f1bcf2a4203d922053ddabf11fa84",
+    "dims A1(D2)":
+        "2cb0f73fcedc56b56611093e9467146ca0154e689c40410ad1300e6bd028c6f2",
+    "dims A2(D2)":
+        "3e656b137574a0d8c0180a75c78b6060d4d5755f4ed2b8b5ff002bd31c1cec62",
+    "dims A1(B1)":
+        "4e0937a052c17e58a0bc98c1c41b46870eee1030a9816214e1e3bde557dac2ac",
+    "dims A2(B1)":
+        "244411069411de825614845885041ef032c883cabe75586e30daa00964456f9b",
+    "dims A1(C2)":
+        "c37dec580f37e8f8fc9bec215ef46561dcd080242eefcb3ef1cd95e9f9c75c7e",
+    "dims A2(C2)":
+        "03a2fba74c8005f93ef7a16a25f0125f3d85443be752c6253955461285f3cfbc",
+    "dims M22":
+        "4458d71115ef3343e82ab3b10d6ef3db663b4f1ec0e189c920527c3a2420e6ae",
+    "dims A22(GL2)":
+        "990456bd5cf919bc89951e2a3b3bf81e8fcc8e5f3cab62c2690f8adecd230d31",
+    "dims Ext(2,2)":
+        "52d45f9acf76f402c4c16667cbb8db7dd405caef8ac6c74fbc69faf063872467",
+    "dims Ext(2,3)":
+        "7b5e5fd94536e3967328497a770e4124b712fd57c5e03254c652d0f731995b3d",
+    "oracle D2 m=2":
+        "1f574390908cb7512ee9be3d6ce1a8476318c11b68dea41a158ba8d06e9ef16e",
+    "oracle-diff D2":
+        "342c79de7c52530526533c596197de89d27ba1766692a82f72243a55a0e2931d",
+    "oracle B1 m=2":
+        "5f8969d54df8505d517974102c44390889874047cfa897d0f4d9ad9e79803aea",
+    "oracle-diff B1":
+        "4471ba615b4a6f5590ff5456b819f2bd4aaa0a637e509b30dacbf343d0d3b559",
+    "oracle C2 m=2":
+        "f03c56d08af071316a12874a4f92a42129f840e286cbd23a70e228dffdc7eff5",
+    "oracle-diff C2":
+        "6a50b95976a15d19ae0fcb0eefc5d4b2b6431a7ecf1fff8687560c1b3ad0d06d",
+    "invariance D2":
+        "2bf8491051c3a2c6e01a0524b3efbc6f51e182a48ed636b8b54a396bb9eba789",
+    "invariance B1":
+        "8e072af453ee7b516c5c6ed7fe91dcefb4ab1b55782e67e9da93919f4e71f4f0",
+    "invariance C2":
+        "be80223ec536bcad6207a6f40931283ca646d823b576b81b679d0ed09c353ec3",
+    "invariance GL2":
+        "657357f0704f45f9d0e856bbaee6166620f0a828899b955f20efde52effc8869",
+    "relations Am(D2, {'m': 4})":
+        "39e4959b9d03734221541a939d228e487b1a9fef708e6ba2a014ebd0d44172c6",
+    "relations Am(B1, {'m': 4})":
+        "a3ab6af47a3c29beb904099e3cf26ccd73043414fadd055db31fa7a68c84612a",
+    "relations Am(C2, {'m': 4})":
+        "8708efc8340414e37610e22499e05563942a41ef810ad5a543ef20f66c671773",
+    "relations Akl(GL2, {'n': 2, 'k': 2, 'l': 2})":
+        "47ee86ee37647ed4ec8f280b219ef515ba5bec8b596fcd2f866de1db4f4f3c91",
+    "fft Am D2 {'m': 2}":
+        "65726e5260aef08cc66ca16c0ec218babdd60b8d19590a94ebe05660f71276d6",
+    "fft Am B1 {'m': 2}":
+        "7ee26a5338c5edfc738c220d1a91e649270b71e96e0705fea56b60dffc9c40ec",
+    "fft Am C2 {'m': 2}":
+        "aca0f78eb3f57735032430744ee0343214de618313ff50c626fedf14180481d8",
+    "fft Akl GL2 {'n': 2, 'k': 2, 'l': 2}":
+        "dc5dd667f5cc7a5ee5b4efd1ae726ac9fc743e226c9359613d3727a8641a8844",
+    "skew-duality (2,2)":
+        "78d855dea279f34e39ef2e9b87977544d4ee7d28e1133d9514505f6db10b03bb",
+    "skew-duality (2,3)":
+        "cfd40c15d8e6378dfd5aa06a21b06c429d49a78ff796a3c4b6ac643528c5b25d",
+    "classical-limit":
+        "74d7a6743e272d00ca1992382cdaf2cbddfcc05c4081138666966bc9f1509b3f",
+}
+
 
 def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     import qmodalg
@@ -228,7 +311,14 @@ def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
-    assert json.loads(reports[0])["summary"]["all_pass"]
+    report = json.loads(reports[0])
+    assert report["summary"]["all_pass"]
+    assert {
+        suite["name"]: hashlib.sha256(
+            json.dumps(suite, indent=1, sort_keys=True).encode()
+        ).hexdigest()
+        for suite in report["suites"]
+    } == GRID_SUITE_SHA256
     # the behaviour contract: the grid report's bytes are pinned
     assert hashlib.sha256(reports[0]).hexdigest() == GRID_SHA256
 

@@ -19,7 +19,6 @@ from qmodalg.braiding import (
     rcheck,
     rcheck_cabled,
     tensor_generator_ops,
-    verify_braid_and_skein,
 )
 from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op, tensor_words
 from qmodalg.rootdata import LieTypeSpec, natural_rep
@@ -190,14 +189,14 @@ def test_projector_orthogonality_matches_reference():
 
 def assert_cable_is_the_chain(spec, k, l):
     # the cable is built from two smaller cached ones; the reference is the
-    # chain of kl lifted R-checks, rightmost left-strand first
+    # chain of kl R-checks lifted by concatenation, rightmost left-strand first
     labels = natural_rep(spec).labels
     rc = rcheck(spec)
     got = rcheck_cabled(spec, k, l)
     want = LinearOperator.identity(got.domain)
     for i in range(k, 0, -1):
         for j in range(i, i + l):
-            want = reference_compose(lift_block_op(rc, labels, k + l, j, 2), want)
+            want = reference_compose(reference_lift(rc, labels, k + l, j, 2), want)
     assert got.entries == want.entries
     assert_canonical_table(got)
 
@@ -348,10 +347,14 @@ def test_lift_matches_the_concatenating_lift(family, rank, r, start, width):
     spec = LieTypeSpec(family, rank)
     labels = natural_rep(spec).labels
     op = rcheck_cabled(spec, width - 1, 1)
-    got = lift_block_op(op, labels, r, start, width)
+    lift = lift_block_op(op, labels, r, start, width)
     want = reference_lift(op, labels, r, start, width)
-    assert got.domain == want.domain and got.codomain == want.codomain
-    assert_column_table(got, want.entries)
+    assert lift.domain == want.domain and lift.codomain == want.codomain
+    ident = LinearOperator.identity(want.domain)
+    for got in (ident @ lift, lift @ ident):
+        assert_column_table(got, want.entries)
+    with pytest.raises(AttributeError):
+        lift.cols  # a placement has no table
 
 
 def test_operators_on_a_tensor_power_share_their_labels():
@@ -404,17 +407,24 @@ def test_entries_keep_the_mapping_contract():
             entries[key]
 
 
-# placements: lift_block_op records op and its place, builds its table on
-# first read, and composes from the small operators with any operator
+# placements: lift_block_op records op and its place, has no table, and
+# composes from the small operators with any operator
 
 
-@pytest.mark.parametrize("r,start,width", [(3, 3, 2), (3, 0, 2), (3, 2, 3)])
-def test_lift_refuses_a_bad_placement(r, start, width):
-    # past the last slot, before the first, and an operator on V^(x)2 placed
-    # as if it were on V^(x)3
+@pytest.mark.parametrize(
+    "r,start,width,nested",
+    [(3, 3, 2, False), (3, 0, 2, False), (3, 2, 3, False), (3, 1, 2, True)],
+    ids=["3-3-2", "3-0-2", "3-2-3", "nested"],
+)
+def test_lift_refuses_a_bad_placement(r, start, width, nested):
+    # past the last slot, before the first, an operator on V^(x)2 placed as
+    # if it were on V^(x)3, and a placement on the words of V^(x)2 placed
+    # again, which has no table to read
     spec = LieTypeSpec("D", 2)
+    labels = natural_rep(spec).labels
+    op = lift_block_op(rcheck(spec), labels, 2, 1, 2) if nested else rcheck(spec)
     with pytest.raises(ValueError):
-        lift_block_op(rcheck(spec), natural_rep(spec).labels, r, start, width)
+        lift_block_op(op, labels, r, start, width)
 
 
 def _block_op(spec, width, kind):
@@ -489,44 +499,18 @@ def test_placements_compose_near_the_bound():
     assert max(abs(x) for s in got.entries.values() for x in s.num.values()) > BIG ** 2
 
 
-def count_lifted_tables(monkeypatch):
-    """A list that gets one (start, width) per lifted table built."""
-    import qmodalg.linop as linop
-
-    built = []
-    real = linop._Placement._build_cols
-
-    def counted(self):
-        built.append((self.start, self.width))
-        return real(self)
-
-    monkeypatch.setattr(linop._Placement, "_build_cols", counted)
-    return built
-
-
 @pytest.mark.parametrize("family,rank", [("D", 2), ("GL", 2)])
-def test_placement_with_a_general_operator_is_the_reference_product(family, rank, monkeypatch):
+def test_placement_with_a_general_operator_is_the_reference_product(family, rank):
     spec = LieTypeSpec(family, rank)
     rep = natural_rep(spec)
     general = tensor_generator_ops(rep, 3)[("e", 1)] + rcheck_cabled(spec, 2, 1)
     lift = lift_block_op(projectors(spec)["sym"], rep.labels, 3, 2, 2)
     want = reference_lift(projectors(spec)["sym"], rep.labels, 3, 2, 2)
-    built = count_lifted_tables(monkeypatch)
     products = [lift @ general, general @ lift]
-    assert built == []  # neither order builds the placement's table
     for got, ref in zip(products, (reference_compose(want, general),
                                    reference_compose(general, want))):
         assert type(got) is LinearOperator
         assert_column_table(got, ref.entries)
-
-
-@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2), ("GL", 2)])
-def test_braid_and_skein_build_no_lifted_table(family, rank, monkeypatch):
-    # (r1 @ r2) @ r1 composes a plain operator with a placement
-    built = count_lifted_tables(monkeypatch)
-    report = verify_braid_and_skein(LieTypeSpec(family, rank))
-    assert report["pass"]
-    assert built == []
 
 
 def test_placement_reads_as_its_lift():
@@ -534,31 +518,29 @@ def test_placement_reads_as_its_lift():
     labels = natural_rep(spec).labels
     op = rcheck_cabled(spec, 1, 2)
     want = reference_lift(op, labels, 4, 2, 3)
-    fresh = lambda: lift_block_op(op, labels, 4, 2, 3)
-    assert fresh() == want and want == fresh()
-    assert fresh() != lift_block_op(op, labels, 4, 1, 3)
-    assert_column_table(fresh(), want.entries)
-    assert dict(fresh().entries) == dict(want.entries)
-    for c in want.domain[::7]:
-        assert fresh().column(c) == want.column(c)
-        vec = {c: ONE, want.domain[0]: q_pow(2)}
-        assert fresh().apply(vec) == want.apply(vec)
+    lift = lift_block_op(op, labels, 4, 2, 3)
+    ident = LinearOperator.identity(want.domain)
+    assert ident @ lift == want and want == lift @ ident
+    assert ident @ lift_block_op(op, labels, 4, 1, 3) != want
+    # a placement is an operand of compose and nothing else
+    vec = {want.domain[0]: q_pow(2)}
     x = Scalar({-1: 1, 2: Fraction(3, 2)})
-    assert fresh().scale(x) == want.scale(x)
-    assert fresh() + fresh() == want + want
-    assert (fresh() - fresh()).is_zero()
-    # the table is built once, by the first read
-    lift = fresh()
-    assert lift.cols is lift.cols
+    for read in (
+        lambda: lift.cols,
+        lambda: lift.entries,
+        lambda: lift.column(want.domain[0]),
+        lambda: lift.apply(vec),
+        lambda: lift.scale(x),
+        lambda: lift + lift,
+        lambda: lift == want,
+        lambda: lift.is_zero(),
+    ):
+        with pytest.raises(AttributeError):
+            read()
 
 
-def test_nine_cables_build_no_lifted_table(monkeypatch):
-    built = count_lifted_tables(monkeypatch)
+def test_nine_cables_build_no_lifted_table():
     spec = LieTypeSpec("D", 2)
     rcheck_cabled.cache_clear()
     cables = [rcheck_cabled(spec, k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
-    assert built == []
     assert all(type(cab) is LinearOperator for cab in cables)
-    # reading a placement's table is what builds it
-    lift_block_op(cables[0], natural_rep(spec).labels, 3, 1, 2).column((1, 1, 1))
-    assert built == [(1, 2)]

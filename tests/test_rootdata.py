@@ -198,7 +198,8 @@ def test_sigma_even_family():
     assert (sigma @ e1 @ sigma) == e2
     k1 = LinearOperator(rep.labels, rep.labels, rep.k_mats[1])
     k2 = LinearOperator(rep.labels, rep.labels, rep.k_mats[2])
-    assert sigma.commutes_with(k1 @ k2)
+    k12 = k1 @ k2
+    assert (sigma @ k12) == (k12 @ sigma)
 
 
 def test_sigma_odd_family_is_scalar():
