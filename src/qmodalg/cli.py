@@ -57,6 +57,19 @@ GRID_SPECS = [
 # ---------------------------------------------------------------------------
 # suite runners (shared between subcommands and the full grid)
 
+def _classical_ranks(spec):
+    """The dimensions of the classical summands of V (x) V, N = dim V:
+    O_N loses a trivial summand from the symmetric square, Sp_N from the
+    exterior square, and GL_N has no trivial summand."""
+    n = natural_rep(spec).dim_v
+    sym, anti = n * (n + 1) // 2, n * (n - 1) // 2
+    if spec.family == "GL":
+        return {"sym": sym, "anti": anti}
+    if spec.family == "C":
+        return {"sym": sym, "anti": anti - 1, "triv": 1}
+    return {"sym": sym - 1, "anti": anti, "triv": 1}
+
+
 def suite_braiding(spec):
     report = verify_braid_and_skein(spec)
     entries = report["entries"]
@@ -75,7 +88,7 @@ def suite_braiding(spec):
     entries.append(check("projectors resolve the identity", str(spec), ok))
     ranks = {name: rank(p.column(c) for c in p.domain) for name, p in projs.items()}
     instance = f"{spec}: " + ", ".join(f"{k}={v}" for k, v in sorted(ranks.items()))
-    entries.append(check("projector ranks", instance, True))
+    entries.append(check("projector ranks", instance, ranks == _classical_ranks(spec)))
     if str(spec) == "D2":
         ok = (ranks.get("sym"), ranks.get("anti"), ranks.get("triv")) == (9, 6, 1)
         entries.append(check("expected projector ranks (9, 6, 1)", str(spec), ok))

@@ -4,6 +4,9 @@ Vectors are dicts {key: Scalar} over any totally ordered key set (ints,
 label tuples, words).  Exact elimination swells coefficients, so pivots are
 chosen for size: the entry with the fewest numerator plus denominator terms
 (``_size``), in the Markowitz style.  The choice never shows in an output.
+A pivot row is scaled so that its pivot entry is 1 and stored without that
+entry: a step that reduces a vector by it drops the vector's entry at the
+pivot, which the step cancels, rather than compute c - c*1 there.
 ``nullspace`` returns the reduced echelon basis over the given column order,
 and that basis is unique: a column is a pivot column exactly when it is not
 in the span of the earlier columns, whichever row supplies it.  An
@@ -28,17 +31,31 @@ def vec_axpy(a, c, b):
     return accumulate(out, b.items(), c) if c else out
 
 
+def _eliminate(vec, p, tail):
+    """vec less vec[p] times the pivot row with entry 1 at p and tail
+    elsewhere, in a fresh dict; the entry at p cancels, so it is dropped."""
+    out = dict(vec)
+    return accumulate(out, tail.items(), -out.pop(p))
+
+
+def _scaled_tail(vec, p):
+    """The entries of vec other than p, divided by vec[p]."""
+    inv = vec[p].inverse()
+    return {k: inv * c for k, c in vec.items() if k != p}
+
+
 class EchelonBasis:
     """Incrementally maintained echelon basis.
 
     Each stored row is the residual of an added vector against the rows
-    stored before it, scaled so that its pivot entry is 1.  The pivot is the
-    residual's smallest entry by ``_size``, ties going to the smallest key.
-    Rank and span membership do not depend on that choice.
+    stored before it, scaled so that its pivot entry is 1, and kept without
+    that entry.  The pivot is the residual's smallest entry by ``_size``,
+    ties going to the smallest key.  Rank and span membership do not depend
+    on that choice.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot key -> row, pivot scaled to 1; insertion order
+        self.pivots = {}  # pivot key -> row less its pivot entry 1; insertion order
 
     def __len__(self):
         return len(self.pivots)
@@ -50,10 +67,9 @@ class EchelonBasis:
         any earlier pivot, so a later step never brings back a cleared one.
         """
         out = dict(vec)
-        for p, row in self.pivots.items():
-            c = out.get(p)
-            if c:
-                out = vec_axpy(out, -c, row)
+        for p, tail in self.pivots.items():
+            if out.get(p):
+                out = _eliminate(out, p, tail)
         return out
 
     def add(self, vec):
@@ -62,8 +78,7 @@ class EchelonBasis:
         if not res:
             return False
         p = min(res, key=lambda k: (_size(res[k]), k))
-        inv = res[p].inverse()
-        self.pivots[p] = {k: inv * c for k, c in res.items()}
+        self.pivots[p] = _scaled_tail(res, p)
         return True
 
     def contains(self, vec):
@@ -89,14 +104,14 @@ class Expresser:
     """
 
     def __init__(self, columns):
-        self.rows = {}  # pivot key -> (row, pivot scaled to 1; coords col index -> Scalar)
+        self.rows = {}  # pivot key -> (row less its pivot entry 1; coords col index -> Scalar)
         for idx, col in enumerate(columns):
             vec, coords = self._reduce(col, {idx: ONE})
             if vec:
                 p = min(vec, key=lambda k: (_size(vec[k]), k))
                 inv = vec[p].inverse()
                 self.rows[p] = (
-                    {k: inv * c for k, c in vec.items()},
+                    {k: inv * c for k, c in vec.items() if k != p},
                     {j: inv * c for j, c in coords.items()},
                 )
 
@@ -104,7 +119,7 @@ class Expresser:
         for p, (rv, rc) in self.rows.items():
             c = vec.get(p)
             if c:
-                vec = vec_axpy(vec, -c, rv)
+                vec = _eliminate(vec, p, rv)
                 coords = vec_axpy(coords, -c, rc)
         return vec, coords
 
@@ -132,7 +147,7 @@ def nullspace(rows, col_keys):
     back-substituted once, last to first, into the reduced echelon form.
     """
     work = [dict(r) for r in rows if r]
-    pivots = []  # (col key, row with pivot scaled to 1), in column order
+    pivots = []  # (col key, row less its pivot entry 1), in column order
     for key in col_keys:
         best = None
         for i, r in enumerate(work):
@@ -143,24 +158,21 @@ def nullspace(rows, col_keys):
                     best = cost
         if best is None:
             continue
-        pivot_row = work.pop(best[2])
-        inv = pivot_row[key].inverse()
-        pivot_row = {k: inv * c for k, c in pivot_row.items()}
+        tail = _scaled_tail(work.pop(best[2]), key)
         nxt = []
         for r in work:
-            c = r.get(key)
-            r2 = vec_axpy(r, -c, pivot_row) if c else r
+            r2 = _eliminate(r, key, tail) if key in r else r
             if r2:
                 nxt.append(r2)
         work = nxt
-        pivots.append((key, pivot_row))
+        pivots.append((key, tail))
     # Each pivot row holds only later columns, so once the rows after it are
     # reduced, subtracting them clears every other pivot column in one pass.
     reduced = {}
     for key, row in reversed(pivots):
-        for pk, c in row.items():
+        for pk in list(row):
             if pk in reduced:
-                row = vec_axpy(row, -c, reduced[pk])
+                row = _eliminate(row, pk, reduced[pk])
         reduced[key] = row
     free = [k for k in col_keys if k not in reduced]
     basis = []

@@ -162,6 +162,21 @@ def tensor_words(labels, r):
     return tuple(product(labels, repeat=r))
 
 
+_INDEXES = {}  # id(labels) -> (labels, its index); holding labels keeps the id its own
+
+
+def _label_index(labels):
+    """{label: position} over a label tuple, built once per tuple object.
+
+    Keyed by the object, not its value, so a lookup never hashes the words;
+    operators on V^(x)r share their tensor_words tuple, so each is indexed
+    once."""
+    hit = _INDEXES.get(id(labels))
+    if hit is None:
+        hit = _INDEXES[id(labels)] = (labels, {w: i for i, w in enumerate(labels)})
+    return hit[1]
+
+
 def _decoder(width, lo, scale, den):
     """decode(acc, labels): {labels[i]: Scalar} for the nonzero packed sums
     {i: n} of acc, at this digit width and least exponent.
@@ -346,7 +361,7 @@ class LinearOperator:
         domain.  A placed entry's indices differ by its block words' indices
         times stride, so no label is built."""
         cols, stride = self.op.cols, self.stride
-        at = {w: i for i, w in enumerate(self.op.codomain)}
+        at = _label_index(self.op.codomain)
         return [
             [((at[w] - b) * stride, by_id[id(v)]) for w, v in cols.get(c, {}).items()]
             for b, c in enumerate(self.op.domain)
@@ -356,8 +371,8 @@ class LinearOperator:
         """The indices of the lift's nonempty columns, ordered by the slots
         before the block, then after it, then op's columns."""
         stride = self.stride
-        at = {w: i * stride for i, w in enumerate(self.op.domain)}
-        offsets = [at[c] for c in self.op.cols]
+        at = _label_index(self.op.domain)
+        offsets = [at[c] * stride for c in self.op.cols]
         for pre in range(0, len(self.domain), len(at) * stride):
             for base in range(pre, pre + stride):
                 for off in offsets:

@@ -40,6 +40,13 @@ in Knuth, TAOCP vol. 2, 4.5.1).  For a/b and c/d in lowest terms:
 
 _cancel is the one gcd these rules take; _canonize, which puts any given
 num/den into canonical form by way of _cancel, serves only the constructor.
+
+Most products met in practice have a factor 1: memo entries scaled by ONE,
+pivot rows scaled to 1.  So x * ONE and ONE * x return x itself, accumulate
+takes a factor ONE as none, and a product, or a result built by _made, that
+equals 1 is the ONE singleton, so later products with it are skipped too.
+This is an optimisation only: equality stays value equality, and no caller
+may rely on a result being ONE rather than equal to it.
 """
 
 from __future__ import annotations
@@ -82,8 +89,11 @@ def accumulate(acc, pairs, c=None):
     """acc[k] += x, or c*x when c is given, for each (k, x) in pairs; returns acc.
 
     Works in place on any sparse dict of ring elements and drops each key
-    whose sum cancels, so an acc without zero values keeps none.
+    whose sum cancels, so an acc without zero values keeps none.  A c that
+    is ONE is no factor: acc then keeps the pairs' own objects.
     """
+    if c is ONE:
+        c = None
     for k, x in pairs:
         if c is not None:
             x = c * x
@@ -188,7 +198,10 @@ def _product(a, b, c, d):
             x = ca * cc
             if type(x) is not int and x.denominator == 1:
                 x = x.numerator
-            return Scalar._raw({ea + ec: x}, _DEN_ONE)
+            e = ea + ec
+            if not e and x == 1:
+                return ONE
+            return Scalar._raw({e: x}, _DEN_ONE)
         num = _lp_mul(a, c)
         if _has_fraction(a) or _has_fraction(c):
             num = _as_stored(num)
@@ -212,10 +225,15 @@ def _inverted(num, den):
 
 
 def _made(num, den):
-    """The Scalar num/den from canonical parts, up to stored form."""
+    """The Scalar num/den from canonical parts, up to stored form; ONE when
+    that is 1."""
     if not num:
         return ZERO
-    return Scalar._raw(_as_stored(num), _as_stored(den) if len(den) > 1 else _DEN_ONE)
+    if len(den) > 1:
+        return Scalar._raw(_as_stored(num), _as_stored(den))
+    if num == ONE.num:
+        return ONE
+    return Scalar._raw(_as_stored(num), _DEN_ONE)
 
 
 def _canonize(num, den):
@@ -334,6 +352,10 @@ class Scalar:
                 other = Scalar(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__

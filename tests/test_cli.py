@@ -42,6 +42,40 @@ def test_braiding_subcommand(tmp_path):
     assert report["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("family, rank, want", [
+    ("D", 2, "anti=6, sym=9, triv=1"), ("D", 3, "anti=15, sym=20, triv=1"),
+    ("B", 1, "anti=3, sym=5, triv=1"), ("B", 2, "anti=10, sym=14, triv=1"),
+    ("C", 2, "anti=5, sym=10, triv=1"), ("C", 3, "anti=14, sym=21, triv=1"),
+    ("GL", 2, "anti=1, sym=3"), ("GL", 3, "anti=3, sym=6"),
+])
+def test_projector_ranks_are_the_classical_dimensions(family, rank, want, tmp_path):
+    # O_N: sym = N(N+1)/2 - 1; Sp_N: anti = N(N-1)/2 - 1; GL has no triv
+    out = tmp_path / "braid.json"
+    assert run(["braiding", "--family", family, "--rank", str(rank), "--output", str(out)]) == 0
+    entries = json.loads(out.read_text())["suites"][0]["entries"]
+    [entry] = [e for e in entries if e["citation"] == "projector ranks"]
+    assert entry["instance"] == f"{family}{rank}: {want}" and entry["pass"]
+
+
+def test_a_wrong_projector_rank_fails_the_braiding_report(tmp_path, monkeypatch):
+    import qmodalg.cli as cli
+    from qmodalg.linalg import rank
+
+    calls = []
+
+    def off_by_one_once(vectors):
+        calls.append(None)
+        return rank(vectors) + (len(calls) == 1)
+
+    monkeypatch.setattr(cli, "rank", off_by_one_once)
+    out = tmp_path / "braid.json"
+    assert run(["braiding", "--family", "C", "--rank", "2", "--output", str(out)]) == 1
+    entries = json.loads(out.read_text())["suites"][0]["entries"]
+    failed = [e for e in entries if not e["pass"]]
+    assert [e["citation"] for e in failed] == ["projector ranks"]
+    assert len(calls) == 3
+
+
 def test_relations_subcommand(tmp_path):
     out = tmp_path / "rel.json"
     code = run(

@@ -4,7 +4,11 @@ The references below are the earlier pivot rules, kept as oracles: nullspace
 pivoting on the first row that holds the column and clearing each pivot out
 of the earlier pivot rows at once, and an echelon basis pivoting on the
 smallest key.  The reduced echelon nullspace basis, rank and span membership
-do not depend on the pivot rule, so both must agree exactly.
+do not depend on the pivot rule, so both must agree exactly.  A third
+reference keeps the size pivot rule but stores each pivot row whole, entry 1
+at the pivot included, and subtracts it with plain vec_axpy; dropping the
+pivot entry instead of computing it must change no residual, coordinate or
+key order.
 """
 
 import random
@@ -12,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmodalg.linalg import EchelonBasis, Expresser, nullspace, rank, vec_axpy
+from qmodalg.linalg import EchelonBasis, Expresser, _size, nullspace, rank, vec_axpy
 from qmodalg.scalar import ONE, ZERO, Scalar
 
 
@@ -83,6 +87,35 @@ class ReferenceEchelonBasis:
 
     def rank(self):
         return len(self.pivots)
+
+
+class FullRowExpresser:
+    """Expresser's size pivot rule, each pivot row kept whole and subtracted
+    by vec_axpy, so the entry at the pivot is computed and then cancels."""
+
+    def __init__(self, columns):
+        self.rows = {}
+        for idx, col in enumerate(columns):
+            vec, coords = self.reduce(col, {idx: ONE})
+            if vec:
+                p = min(vec, key=lambda k: (_size(vec[k]), k))
+                inv = vec[p].inverse()
+                self.rows[p] = (
+                    {k: inv * c for k, c in vec.items()},
+                    {j: inv * c for j, c in coords.items()},
+                )
+
+    def reduce(self, vec, coords):
+        for p, (rv, rc) in self.rows.items():
+            c = vec.get(p)
+            if c:
+                vec = vec_axpy(vec, -c, rv)
+                coords = vec_axpy(coords, -c, rc)
+        return vec, coords
+
+    def express(self, target):
+        vec, coords = self.reduce(target, {})
+        return None if vec else {j: -c for j, c in coords.items()}
 
 
 def _laurent(rng, lo, hi):
@@ -199,6 +232,24 @@ def test_expresser_coordinates_recombine_to_the_target(shape):
             assert (expr.express(probe) is None) == (not eb.contains(probe)), seed
 
 
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%dx%d-rank%d" % s[:3])
+def test_dropped_pivot_entries_match_full_row_elimination(shape):
+    for seed in SEEDS:
+        rng, vectors, keys = _case(shape, seed, [("w", i) for i in range(10)])
+        columns = [v for v in vectors if v]
+        ref, expr, eb = FullRowExpresser(columns), Expresser(columns), EchelonBasis()
+        for v in columns:
+            eb.add(v)
+        assert eb.rank() == expr.rank() == len(ref.rows), seed
+        probes = [_combination(rng, columns), _sparse_row(rng, keys, shape[3]), {}] + columns
+        for p in probes:
+            got, want = expr.express(p), ref.express(p)
+            assert got == want and list(got or ()) == list(want or ()), (seed, p)
+            res, (want_res, _) = eb.reduce(p), ref.reduce(p, {})
+            assert res == want_res and list(res) == list(want_res), (seed, p)
+            assert eb.contains(p) == (want is not None)
+
+
 def test_draws_cover_duplicates_zero_rows_and_both_rank_cases():
     seen = set()
     for shape in SHAPES:
@@ -209,4 +260,6 @@ def test_draws_cover_duplicates_zero_rows_and_both_rank_cases():
             seen.add("duplicate" if any(nonzero.count(r) > 1 for r in nonzero) else "distinct")
             full = rank(rows) == min(len(nonzero), len(col_keys))
             seen.add("full rank" if full else "rank deficient")
-    assert {"zero row", "duplicate", "full rank", "rank deficient"} <= seen
+            for r in nonzero:
+                seen.update("rational" if len(c.den) > 1 else "Laurent" for c in r.values())
+    assert {"zero row", "duplicate", "full rank", "rank deficient", "Laurent", "rational"} <= seen

@@ -1,11 +1,15 @@
 import ast
 import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qmodalg
 from qmodalg.scalar import (
     ONE,
     PoleAtOneError,
@@ -14,6 +18,7 @@ from qmodalg.scalar import (
     ZERO,
     _DEN_ONE,
     _lp_mul,
+    accumulate,
     gauss_binom,
     gauss_int,
     parse_scalar,
@@ -404,6 +409,76 @@ def test_operations_leave_operands_unchanged():
             if b:
                 a / b, b.inverse()
             assert [(x.num, x.den) for x in (a, b)] == before
+
+
+# -- multiplying by one -----------------------------------------------------------
+#
+# ONE as a factor returns the other operand, and a product equal to 1 is the
+# ONE singleton; both are optimisations, so equality stays value equality.
+
+
+def test_a_factor_one_returns_the_other_operand():
+    for x in _operands() + [ONE]:
+        assert x * ONE is x and ONE * x is x, x
+    one = Scalar({0: 1})  # equal to ONE, but not the singleton
+    assert one == ONE and one is not ONE
+    for x in _operands():
+        _same(x * one, x)
+
+
+def test_a_product_equal_to_one_is_the_singleton():
+    assert v_pow(2) * v_pow(-2) is ONE
+    assert q_pow(-3) * q_pow(3) is ONE
+    assert Scalar(Fraction(3, 2)) * Scalar(Fraction(2, 3)) is ONE
+    assert Scalar(Fraction(3, 2)).inverse() * Scalar(Fraction(3, 2)) is ONE
+    for x in _operands():
+        if x:
+            assert x * x.inverse() is ONE, x
+            assert x / x is ONE, x
+    assert v_pow(2) * v_pow(-1) == v_pow(1)  # a product unequal to 1 is built as before
+
+
+def test_accumulate_with_factor_one_keeps_the_pairs_objects():
+    pairs = [(k, x) for k, x in enumerate(_operands()) if x]
+    acc = accumulate({}, pairs, ONE)
+    assert list(acc) == [k for k, _ in pairs]
+    assert all(acc[k] is x for k, x in pairs)
+    # on keys already present it adds, exactly as with no factor
+    twice = accumulate(dict(acc), pairs, ONE)
+    assert twice == accumulate(dict(acc), pairs) == {k: x + x for k, x in pairs}
+
+
+# Run in a fresh process, so that no rewrite memo or cached operator is warm.
+_GUARD = """
+from qmodalg import scalar
+from qmodalg.algebras import build_am
+from qmodalg.invariants import verify_relation_suite
+from qmodalg.rootdata import LieTypeSpec
+
+product, calls, with_one = scalar._product, [], []
+
+def spy(a, b, c, d):
+    calls.append(None)
+    if a is scalar.ONE.num or c is scalar.ONE.num:
+        with_one.append(None)
+    return product(a, b, c, d)
+
+scalar._product = spy
+report = verify_relation_suite(build_am(LieTypeSpec("D", 2), 4))
+assert all(e["pass"] for e in report["entries"])
+print(len(calls), len(with_one))
+"""
+
+
+def test_no_product_is_taken_with_the_one_singleton():
+    src = str(Path(qmodalg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls, with_one = map(int, proc.stdout.split())
+    assert calls > 1000 and with_one == 0
 
 
 def test_unit_denominator_survives_the_module():
