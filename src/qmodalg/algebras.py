@@ -17,7 +17,6 @@ tensor_oracle_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, groupby, product
 from operator import itemgetter
@@ -51,8 +50,7 @@ class PresentationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorRef:
+class GeneratorRef(NamedTuple):
     kind: str          # e | f | k | sigma
     index: int = 0
     group: str = "g"   # 'm' / 'n' select the factor group on the exterior algebra

@@ -11,7 +11,6 @@ Labels of tensor-power operators are tuples of V-positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -128,8 +127,7 @@ def _wedge(a, b):
     return {(a, b): ONE, (b, a): -q_pow(-1)}
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     spec: LieTypeSpec
     summands: tuple  # (name, eigenvalue, tuple of basis vectors)
 

@@ -14,8 +14,8 @@ so [e_i, f_i] = (k_i - k_i^-1)/(q - q^-1) holds for every i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .linop import LinearOperator
 from .scalar import ONE, ZERO, accumulate, gauss_binom, q_pow
@@ -23,18 +23,24 @@ from .scalar import ONE, ZERO, accumulate, gauss_binom, q_pow
 FAMILIES = ("GL", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class LieTypeSpec:
+class _LieType(NamedTuple):
     family: str  # GL | B | C | D
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "D" and self.rank < 2:
+
+class LieTypeSpec(_LieType):
+    """A family and rank in scope; it hashes and compares as its field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, family, rank):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family == "D" and rank < 2:
             raise ValueError("D requires rank >= 2")
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank must be positive")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -44,8 +50,7 @@ def _mat(entries):
     return {k: v for k, v in entries.items() if v}
 
 
-@dataclass(frozen=True)
-class RepData:
+class RepData(NamedTuple):
     spec: LieTypeSpec
     dim_v: int
     signed_labels: tuple  # position a (1-based) -> i, -i, or 0
@@ -118,27 +123,28 @@ def coproduct_image(out, word, c, kind, images, cok):
     group-like g (cok None: k, k_inv, sigma) acts on every letter.  For g = e
     or f, Delta(e) = e (x) k + 1 (x) e and Delta(f) = f (x) 1 + k^-1 (x) f
     iterate to "e at position t, k on every later letter" and "f at position
-    t, k^-1 on every earlier one", with cok[l] the eigenvalue of k on l; a
-    position whose letter g kills is skipped before any k is multiplied in.
+    t, k^-1 on every earlier one", with cok[l] the eigenvalue of k on l.  The
+    factors are one running product per word, from the right for e and from
+    the left for f, taken only as far as the outermost position g does not kill.
     """
     if cok is None:
         branches = [((), c)]
         for l in word:
             branches = [(w + (nl,), cc * v) for w, cc in branches for nl, v in images[l]]
         return accumulate(out, branches)
-    for t, l in enumerate(word):
-        terms = images.get(l)
-        if not terms:
-            continue
-        scale = c
-        if kind == "e":
-            for s in word[t + 1:]:
-                scale = scale * cok[s]
-        else:
-            for s in word[:t]:
-                scale = scale * cok[s].inverse()
+    live = [t for t, l in enumerate(word) if images.get(l)]
+    if not live:
+        return out
+    scale = [c] * len(word)
+    if kind == "e":
+        for t in range(len(word) - 2, live[0] - 1, -1):
+            scale[t] = scale[t + 1] * cok[word[t + 1]]
+    else:
+        for t in range(1, live[-1] + 1):
+            scale[t] = scale[t - 1] * cok[word[t - 1]].inverse()
+    for t in live:
         pre, post = word[:t], word[t + 1:]
-        accumulate(out, ((pre + (nl,) + post, v) for nl, v in terms), scale)
+        accumulate(out, ((pre + (nl,) + post, v) for nl, v in images[word[t]]), scale[t])
     return out
 
 

@@ -13,7 +13,7 @@ sigma - 1 (invariants.fft_verify), not solved for again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braiding import invariant_vector_t, tensor_generator_ops
 from .linalg import EchelonBasis, nullspace
@@ -32,8 +32,7 @@ def act(handle, g, p):
     return handle.normal_form(NCPolynomial(out))
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     residuals: list  # (generator name, NCPolynomial)
     verdict: bool
 

@@ -698,3 +698,24 @@ def test_readme_option_table_is_the_code_table():
     for command, (options, _) in COMMANDS.items():
         want = {"output"} if command == "dump-presentation" else report
         assert report.intersection(options) == want, command
+
+
+_IMPORT_SET = """
+import sys
+import qmodalg.cli
+print(" ".join(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in sys.modules))
+"""
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # -S keeps site hooks out, so this pins the package's own import set:
+    # dataclasses would pull in inspect, ast, dis and tokenize on every cold start
+    import qmodalg
+
+    src = str(Path(qmodalg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_SET], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from qmodalg.rootdata import (
@@ -29,6 +27,20 @@ def test_spec_validation():
     assert str(LieTypeSpec("C", 2)) == "C2"
 
 
+def test_spec_is_its_checked_field_tuple():
+    # hash and equality of the field tuple keep every dict and set keyed by
+    # specs in the same order, so the report bytes do not depend on the record
+    spec = LieTypeSpec("D", 2)
+    assert hash(spec) == hash(("D", 2))
+    assert spec == LieTypeSpec(family="D", rank=2)
+    assert repr(spec) == "LieTypeSpec(family='D', rank=2)"
+    with pytest.raises(AttributeError):
+        spec.rank = 3
+    for family, rank in [("D", 1), ("X", 2), ("B", 0)]:
+        with pytest.raises(ValueError):
+            LieTypeSpec(family, rank)
+
+
 @pytest.mark.parametrize("family,rank", GRID)
 def test_defining_relations_hold_on_v(family, rank):
     rep = natural_rep(LieTypeSpec(family, rank))
@@ -42,7 +54,7 @@ def _perturbed(rep, field, index):
     key = sorted(mat)[0]
     mat[key] = mat[key] * q_pow(1)
     mats[index] = mat
-    return dataclasses.replace(rep, **{field: mats})
+    return rep._replace(**{field: mats})
 
 
 @pytest.mark.parametrize(

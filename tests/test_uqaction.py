@@ -26,6 +26,19 @@ from qmodalg.uqaction import (
 )
 
 
+def test_generator_ref_is_its_field_tuple():
+    # the action cache is keyed by refs; a ref hashes as its field tuple
+    e1 = GeneratorRef("e", 1)
+    assert hash(e1) == hash(("e", 1, "g"))
+    assert e1 == GeneratorRef(kind="e", index=1, group="g")
+    assert repr(e1) == "GeneratorRef(kind='e', index=1, group='g')"
+    assert (str(e1), str(GeneratorRef("f", 2, "m")), str(GeneratorRef("sigma"))) == (
+        "e1", "fm2", "sigma",
+    )
+    with pytest.raises(AttributeError):
+        e1.index = 2
+
+
 def test_letter_actions_even_family():
     h = build_sq(LieTypeSpec("D", 2))
     e1 = GeneratorRef("e", 1)
