@@ -627,4 +627,4 @@ def _oracle_word_product(out, spec, wx, wy, coeff, slot_rs):
         word = []
         for slot, block in zip(slots, labels):
             word.extend(x_(slot, a) for a in block)
-        accumulate(out, slot_rs.normal_form(NCPolynomial.from_word(tuple(word))).coeffs.items(), c)
+        accumulate(out, slot_rs.word_normal_form(tuple(word)).items(), c)

@@ -248,6 +248,19 @@ def rcheck_cabled(spec, k, l):
     return rest @ lift_block_op(rcheck(spec), labels, r, k, 2)
 
 
+def _commutes(rc, op):
+    """Whether rc o op == op o rc, for operators on one label set.
+
+    An op whose every column holds only its own row, as the k/K generators'
+    do, is diagonal: rc commutes with it exactly when op[r, r] == op[c, c]
+    for every nonzero rc[r, c], an absent entry being 0, so no compose is
+    needed.  Any other op is composed on both sides."""
+    diag = {c: col[c] for c, col in op.cols.items() if len(col) == 1 and c in col}
+    if len(diag) == len(op.cols):
+        return all(diag.get(r) == diag.get(c) for c, col in rc.cols.items() for r in col)
+    return (rc @ op) == (op @ rc)
+
+
 def verify_braid_and_skein(spec):
     """Braid identity on V^(x)3 and the minimal (skein) polynomial of R-check."""
     rep = natural_rep(spec)
@@ -256,7 +269,8 @@ def verify_braid_and_skein(spec):
 
     r1 = lift_block_op(rc, rep.labels, 3, 1, 2)
     r2 = lift_block_op(rc, rep.labels, 3, 2, 2)
-    braid_ok = (r1 @ r2 @ r1) == (r2 @ r1 @ r2)
+    r21 = r2 @ r1
+    braid_ok = (r1 @ r21) == (r21 @ r2)
     entries.append(check("YB braid relation on V^3", str(spec), braid_ok))
 
     words = rc.domain
@@ -272,7 +286,7 @@ def verify_braid_and_skein(spec):
 
     # R-check commutes with the coproduct action of every generator
     ops = tensor_generator_ops(rep, 2)
-    comm_ok = all((rc @ op) == (op @ rc) for op in ops.values())
+    comm_ok = all(_commutes(rc, op) for op in ops.values())
     entries.append(check("R-check intertwines the coproduct action", str(spec), comm_ok))
 
     if spec.family != "GL":

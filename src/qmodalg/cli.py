@@ -34,12 +34,11 @@ from .invariants import (
     skew_duality_check,
     verify_relation_suite,
 )
-from .linalg import rank
 from .linop import LinearOperator
 from .ncpoly import FuelExhausted, NCPolynomial
 from .report import check, suite
 from .rootdata import LieTypeSpec, natural_rep, quantum_dimension
-from .scalar import PoleAtOneError
+from .scalar import ZERO, PoleAtOneError
 from .uqaction import invariant_pair_vector, is_invariant
 
 GRID_SPECS = [
@@ -70,27 +69,38 @@ def _classical_ranks(spec):
     return {"sym": sym - 1, "anti": anti, "triv": 1}
 
 
+def _trace(op):
+    """The sum of op's diagonal entries, a Scalar."""
+    return sum((col[c] for c, col in op.cols.items() if c in col), ZERO)
+
+
 def suite_braiding(spec):
     report = verify_braid_and_skein(spec)
     entries = report["entries"]
     projs = projectors(spec)
     names = sorted(projs)
     ident = None
+    idempotent = True
     for name in names:
         p = projs[name]
         ident = p if ident is None else ident + p
-        entries.append(check("projector idempotence", f"{spec} {name}", (p @ p) == p))
+        ok = (p @ p) == p
+        idempotent = idempotent and ok
+        entries.append(check("projector idempotence", f"{spec} {name}", ok))
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             ok = (projs[a] @ projs[b]).is_zero()
             entries.append(check("projector orthogonality", f"{spec} {a}|{b}", ok))
     ok = ident == LinearOperator.identity(ident.domain)
     entries.append(check("projectors resolve the identity", str(spec), ok))
-    ranks = {name: rank(p.column(c) for c in p.domain) for name, p in projs.items()}
+    # in characteristic 0 the trace of an idempotent is its rank, so a trace
+    # counts as a rank only once every projector has passed idempotence
+    ranks = {name: _trace(p) for name, p in projs.items()}
     instance = f"{spec}: " + ", ".join(f"{k}={v}" for k, v in sorted(ranks.items()))
-    entries.append(check("projector ranks", instance, ranks == _classical_ranks(spec)))
+    ok = idempotent and ranks == _classical_ranks(spec)
+    entries.append(check("projector ranks", instance, ok))
     if str(spec) == "D2":
-        ok = (ranks.get("sym"), ranks.get("anti"), ranks.get("triv")) == (9, 6, 1)
+        ok = idempotent and (ranks.get("sym"), ranks.get("anti"), ranks.get("triv")) == (9, 6, 1)
         entries.append(check("expected projector ranks (9, 6, 1)", str(spec), ok))
     return suite(report["name"], entries)
 
@@ -148,17 +158,18 @@ def suite_oracle(spec, m, max_total_degree):
     for w1 in words:
         for w2 in words[:upto[max_total_degree - len(w1)]]:
             p1, p2 = NCPolynomial.from_word(w1), NCPolynomial.from_word(w2)
-            presented = handle.multiply(p1, p2)
+            presented = handle.rs.word_normal_form(w1 + w2)
             oracle = tensor_oracle_product(spec, m, p1, p2)
             checked += 1
-            if presented != oracle:
+            if presented != oracle.coeffs:
                 mismatches += 1
+                residual = NCPolynomial(dict(presented)) - oracle
                 entries.append(
                     check(
                         "presented product differs from the tensor route",
                         f"{handle.render(p1)} * {handle.render(p2)}",
                         False,
-                        residual=handle.render(presented - oracle),
+                        residual=handle.render(residual),
                     )
                 )
     instance = f"{spec} m={m}: {checked} pairs, {mismatches} mismatches"

@@ -88,13 +88,6 @@ class EchelonBasis:
         return len(self.pivots)
 
 
-def rank(vectors):
-    eb = EchelonBasis()
-    for v in vectors:
-        eb.add(v)
-    return eb.rank()
-
-
 class Expresser:
     """Writes target vectors as exact combinations of a fixed column list.
 

@@ -343,6 +343,22 @@ class RewriteSystem:
             raise FuelExhausted(NCPolynomial._raw(out) + rest) from None
         return NCPolynomial._raw(out)
 
+    def word_normal_form(self, word):
+        """normal_form(NCPolynomial.from_word(word)).coeffs, as a read-only
+        view of the word's own memo entry: no copy, sort or wrapping.
+
+        Raises FuelExhausted, with the word itself as its partial, as
+        normal_form does, when the word costs more than DEFAULT_FUEL."""
+        memo = self._memo
+        if word not in memo:
+            try:
+                self._reduce(word, DEFAULT_FUEL)
+            except FuelExhausted:
+                raise FuelExhausted(NCPolynomial.from_word(word)) from None
+        elif self._cost.get(word, 0) > DEFAULT_FUEL:
+            raise FuelExhausted(NCPolynomial.from_word(word))
+        return MappingProxyType(memo[word])
+
 
 def check_degree(degree, slots):
     """Refuse a multidegree that is not `slots` non-negative parts."""

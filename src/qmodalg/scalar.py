@@ -42,9 +42,11 @@ _cancel is the one gcd these rules take; _canonize, which puts any given
 num/den into canonical form by way of _cancel, serves only the constructor.
 
 Most products met in practice have a factor 1: memo entries scaled by ONE,
-pivot rows scaled to 1.  So x * ONE and ONE * x return x itself, accumulate
-takes a factor ONE as none, and a product, or a result built by _made, that
-equals 1 is the ONE singleton, so later products with it are skipped too.
+pivot rows scaled to 1.  So x * ONE, ONE * x and x / ONE return x itself,
+ONE / x is x.inverse(), ONE.inverse() is ONE, accumulate takes a factor ONE
+as none, and a product, a negation, a sum of Laurent scalars, v_pow(0), or a
+result built by _made, that equals 1 is the ONE singleton, so later products
+with it are skipped too.  Only the constructor builds a 1 that is not ONE.
 This is an optimisation only: equality stays value equality, and no caller
 may rely on a result being ONE rather than equal to it.
 """
@@ -307,7 +309,10 @@ class Scalar:
         return h
 
     def __neg__(self):
-        return Scalar._raw(_lp_neg(self.num), self.den)
+        num = _lp_neg(self.num)
+        if num == ONE.num and len(self.den) == 1:
+            return ONE
+        return Scalar._raw(num, self.den)
 
     def __add__(self, other):
         if type(other) is not Scalar:
@@ -320,6 +325,8 @@ class Scalar:
             a, b, c, d = c, d, a, b
         if len(b) == 1:  # Laurent a: (a*d + c)/d, in lowest terms
             num = accumulate(_lp_mul(a, d) if len(d) > 1 else dict(a), c.items())
+            if num == ONE.num and len(d) == 1:
+                return ONE
             return Scalar._raw(_as_stored(num), d)
         if b == d:
             g, b, d = b, _DEN_ONE, _DEN_ONE
@@ -363,6 +370,8 @@ class Scalar:
     def inverse(self):
         if not self.num:
             raise ScalarDivisionError("inverse of zero")
+        if self is ONE:
+            return ONE
         return Scalar._raw(*_inverted(self.num, self.den))
 
     def __truediv__(self, other):
@@ -373,6 +382,10 @@ class Scalar:
                 return NotImplemented
         if not other.num:
             raise ScalarDivisionError("division by zero")
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other.inverse()
         return _product(self.num, self.den, *_inverted(other.num, other.den))
 
     def __rtruediv__(self, other):
@@ -445,7 +458,7 @@ ONE = Scalar(1)
 
 def v_pow(k):
     """v^k; a monic monomial is canonical as it stands."""
-    return Scalar._raw({k: 1}, _DEN_ONE)
+    return Scalar._raw({k: 1}, _DEN_ONE) if k else ONE
 
 
 def q_pow(k):

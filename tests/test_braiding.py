@@ -2,8 +2,10 @@ from itertools import product
 
 import pytest
 
+import qmodalg.braiding as braiding
 from qmodalg.algebras import psi_pair_poly
 from qmodalg.braiding import (
+    _commutes,
     invariant_vector_t,
     pair_eigenvalue_p0,
     projectors,
@@ -62,6 +64,53 @@ def test_projector_algebra(family, rank):
 def test_braid_and_skein_suite(family, rank):
     report = verify_braid_and_skein(LieTypeSpec(family, rank))
     assert report["pass"], report
+
+
+def _with_entry(op, row, col, value):
+    """op with its (row, col) entry set to value."""
+    entries = dict(op.entries)
+    entries[row, col] = value
+    return LinearOperator(op.domain, op.codomain, entries)
+
+
+def _verdicts(spec):
+    return {e["citation"]: e["pass"] for e in verify_braid_and_skein(spec)["entries"]}
+
+
+def test_a_changed_rcheck_entry_breaks_the_braid_relation(monkeypatch):
+    spec = LieTypeSpec("D", 2)
+    rc = rcheck(spec)
+    # the sym eigenvalue q on the highest-weight word, made q + 1
+    bad = _with_entry(rc, (1, 1), (1, 1), rc.column((1, 1))[1, 1] + ONE)
+    monkeypatch.setattr(braiding, "rcheck", lambda s: bad)
+    assert _verdicts(spec)["YB braid relation on V^3"] is False
+
+
+def test_a_weight_changing_rcheck_entry_fails_intertwining_by_the_diagonal_route(monkeypatch):
+    # (1, 1) has weight 2 eps_1 and (1, 2) weight eps_1 + eps_2
+    spec = LieTypeSpec("D", 2)
+    rc = rcheck(spec)
+    assert (1, 2) not in rc.column((1, 1))
+    bad = _with_entry(rc, (1, 2), (1, 1), ONE)
+    ops = tensor_generator_ops(natural_rep(spec), 2)
+    diagonal = [op for (kind, _), op in sorted(ops.items()) if kind == "k"]
+    assert diagonal
+    real, calls = LinearOperator.compose, []
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(LinearOperator, "compose", counting)
+    assert all(_commutes(rc, op) for op in diagonal)
+    assert not all(_commutes(bad, op) for op in diagonal)
+    assert calls == []  # k/K generators are compared entrywise
+    # a diagonal verdict equals the compose route's on either operator
+    for op in diagonal:
+        for r in (rc, bad):
+            assert _commutes(r, op) == ((r @ op) == (op @ r))
+    monkeypatch.setattr(braiding, "rcheck", lambda s: bad)
+    assert _verdicts(spec)["R-check intertwines the coproduct action"] is False
 
 
 def test_rcheck_spectrum_d2():

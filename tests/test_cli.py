@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from qmodalg.braiding import projectors
 from qmodalg.cli import COMMANDS, OPTIONS, reads, run
+from qmodalg.linop import LinearOperator
+from qmodalg.rootdata import LieTypeSpec
+from qmodalg.scalar import ONE
 
 
 def test_dims_subcommand_exit_zero(tmp_path, capsys):
@@ -59,21 +63,92 @@ def test_projector_ranks_are_the_classical_dimensions(family, rank, want, tmp_pa
 
 def test_a_wrong_projector_rank_fails_the_braiding_report(tmp_path, monkeypatch):
     import qmodalg.cli as cli
-    from qmodalg.linalg import rank
 
-    calls = []
+    trace, calls = cli._trace, []
 
-    def off_by_one_once(vectors):
+    def off_by_one_once(op):
         calls.append(None)
-        return rank(vectors) + (len(calls) == 1)
+        return trace(op) + int(len(calls) == 1)
 
-    monkeypatch.setattr(cli, "rank", off_by_one_once)
+    monkeypatch.setattr(cli, "_trace", off_by_one_once)
     out = tmp_path / "braid.json"
     assert run(["braiding", "--family", "C", "--rank", "2", "--output", str(out)]) == 1
     entries = json.loads(out.read_text())["suites"][0]["entries"]
     failed = [e for e in entries if not e["pass"]]
     assert [e["citation"] for e in failed] == ["projector ranks"]
     assert len(calls) == 3
+
+
+def test_a_non_idempotent_projector_fails_idempotence_and_ranks(monkeypatch):
+    # P + E, E one entry off the diagonal and outside P's rows and columns:
+    # the trace, read as the rank, still equals the classical rank, but
+    # (P + E)^2 = P != P + E, and a trace is a rank only for an idempotent
+    import qmodalg.cli as cli
+
+    spec = LieTypeSpec("C", 2)
+    projs = dict(projectors(spec))
+    triv = projs["triv"]
+    row, col = (1, 2), (1, 1)
+    assert col not in triv.cols and all(row not in c for c in triv.cols.values())
+    entries = dict(triv.entries)
+    entries[row, col] = ONE
+    projs["triv"] = LinearOperator(triv.domain, triv.codomain, entries)
+    monkeypatch.setattr(cli, "projectors", lambda s: projs)
+    verdicts = {}
+    for e in cli.suite_braiding(spec)["entries"]:
+        verdicts.setdefault(e["citation"], []).append((e["instance"], e["pass"]))
+    assert (f"{spec} triv", False) in verdicts["projector idempotence"]
+    assert verdicts["projector ranks"] == [(f"{spec}: anti=5, sym=10, triv=1", False)]
+
+
+def test_an_oracle_mismatch_is_reported_with_its_residual(monkeypatch):
+    import qmodalg.cli as cli
+    from qmodalg.ncpoly import NCPolynomial
+
+    real, calls = cli.tensor_oracle_product, []
+
+    def one_more_once(spec, m, x, y):
+        calls.append(None)
+        out = real(spec, m, x, y)
+        return out + NCPolynomial.one() if len(calls) == 2 else out
+
+    monkeypatch.setattr(cli, "tensor_oracle_product", one_more_once)
+    report = cli.suite_oracle(LieTypeSpec("D", 2), 2, 1)
+    failed = [e for e in report["entries"] if not e["pass"]]
+    assert [e["citation"] for e in failed] == [
+        "presented product differs from the tensor route", "tensor-route agreement"
+    ]
+    assert (failed[0]["instance"], failed[0]["residual"]) == ("1 * X[2,1]", "-1")
+    assert failed[1]["instance"] == "D2 m=2: 17 pairs, 1 mismatches"
+
+
+def test_braiding_and_oracle_suites_do_no_redundant_work(monkeypatch):
+    # the braid relation takes 3 composes, the skein polynomial 2, the
+    # intertwining check 2 per e/f generator (none for k/K), and the
+    # projector checks 3 + 3; the oracle reads normal forms from the memo
+    import qmodalg.cli as cli
+    from qmodalg.ncpoly import RewriteSystem
+
+    spec = LieTypeSpec("D", 2)
+    cli.suite_braiding(spec)
+    cli.suite_oracle(spec, 2, 3)  # builds the cached handles and cables
+    composes, normal_forms = [], []
+    compose, normal_form = LinearOperator.compose, RewriteSystem.normal_form
+
+    def counting_compose(self, other):
+        composes.append(None)
+        return compose(self, other)
+
+    def counting_normal_form(self, poly, fuel=None):
+        normal_forms.append(None)
+        return normal_form(self, poly, fuel)
+
+    monkeypatch.setattr(LinearOperator, "compose", counting_compose)
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting_normal_form)
+    assert cli.suite_braiding(spec)["pass"]
+    assert len(composes) == 3 + 2 + 2 * 4 + 3 + 3
+    assert cli.suite_oracle(spec, 2, 3)["pass"]
+    assert normal_forms == []
 
 
 def test_relations_subcommand(tmp_path):

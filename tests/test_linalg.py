@@ -16,8 +16,16 @@ from fractions import Fraction
 
 import pytest
 
-from qmodalg.linalg import EchelonBasis, Expresser, _size, nullspace, rank, vec_axpy
+from qmodalg.linalg import EchelonBasis, Expresser, _size, nullspace, vec_axpy
 from qmodalg.scalar import ONE, ZERO, Scalar
+
+
+def _echelon(vectors):
+    """An EchelonBasis with every vector added, in order."""
+    eb = EchelonBasis()
+    for v in vectors:
+        eb.add(v)
+    return eb
 
 
 def reference_nullspace(rows, col_keys):
@@ -201,7 +209,7 @@ def test_echelon_basis_matches_smallest_key_pivoting(shape):
         for v in vectors:
             assert eb.add(v) == ref.add(v), seed
             assert eb.rank() == ref.rank() == len(eb)
-        assert rank(vectors) == ref.rank()
+        assert _echelon(vectors).rank() == ref.rank()
         nonzero = [v for v in vectors if v]
         probes = [_combination(rng, nonzero), _sparse_row(rng, keys, shape[3]), {}]
         for p in probes:
@@ -214,8 +222,8 @@ def test_expresser_coordinates_recombine_to_the_target(shape):
         rng, vectors, keys = _case(shape, seed, [("w", i) for i in range(10)])
         columns = [v for v in vectors if v]
         columns.insert(rng.randint(1, len(columns)), _combination(rng, columns))
-        expr = Expresser(columns)
-        assert expr.rank() == rank(columns) < len(columns), seed
+        expr, eb = Expresser(columns), _echelon(columns)
+        assert expr.rank() == eb.rank() < len(columns), seed
         inside = _combination(rng, columns)
         coords = expr.express(inside)
         recombined = {}
@@ -224,9 +232,6 @@ def test_expresser_coordinates_recombine_to_the_target(shape):
         assert recombined == inside, seed
         assert expr.express({}) == {}
         assert expr.express(vec_axpy(inside, ONE, {("w", 99): ONE})) is None  # a key no column has
-        eb = EchelonBasis()
-        for v in columns:
-            eb.add(v)
         for _ in range(3):
             probe = _sparse_row(rng, keys, shape[3])
             assert (expr.express(probe) is None) == (not eb.contains(probe)), seed
@@ -258,7 +263,7 @@ def test_draws_cover_duplicates_zero_rows_and_both_rank_cases():
             nonzero = [r for r in rows if r]
             seen.add("zero row" if len(nonzero) < len(rows) else "no zero row")
             seen.add("duplicate" if any(nonzero.count(r) > 1 for r in nonzero) else "distinct")
-            full = rank(rows) == min(len(nonzero), len(col_keys))
+            full = _echelon(rows).rank() == min(len(nonzero), len(col_keys))
             seen.add("full rank" if full else "rank deficient")
             for r in nonzero:
                 seen.update("rational" if len(c.den) > 1 else "Laurent" for c in r.values())

@@ -228,6 +228,64 @@ def test_fuel_partial_equals_the_input_in_the_algebra(words):
     assert RewriteSystem(rules).normal_form(partial) == RewriteSystem(rules).normal_form(poly)
 
 
+def test_word_normal_form_is_the_one_word_normal_form(monkeypatch):
+    # every word the three grid oracle suites reduce, on both of their systems
+    from qmodalg.cli import suite_oracle
+
+    seen = {}  # id(system) -> (system, words in first-call order)
+    real = RewriteSystem.word_normal_form
+
+    def recording(self, word):
+        seen.setdefault(id(self), (self, {}))[1][word] = None
+        return real(self, word)
+
+    monkeypatch.setattr(RewriteSystem, "word_normal_form", recording)
+    for family, rank in (("D", 2), ("B", 1), ("C", 2)):
+        assert suite_oracle(LieTypeSpec(family, rank), 2, 3)["pass"]
+    monkeypatch.undo()
+    assert len(seen) == 6 and sum(len(words) for _, words in seen.values()) > 2000
+    for rs, words in seen.values():
+        # rs is warm; fresh is cold, so its calls reduce on a miss
+        fresh, ref = RewriteSystem(rs.rules), RewriteSystem(rs.rules)
+        for w in words:
+            want = ref.normal_form(NCPolynomial.from_word(w)).coeffs
+            assert fresh.word_normal_form(w) == rs.word_normal_form(w) == want
+
+
+def test_word_normal_form_exhausts_fuel_as_normal_form_does(monkeypatch):
+    # the word is charged 28 (test_fuel_charge_is_the_same_warm_or_cold)
+    import qmodalg.ncpoly
+
+    rules = build_am(LieTypeSpec("D", 2), 2).rs.rules
+    hard = (x_(2, 4), x_(2, 3), x_(1, 2), x_(1, 1))
+    for fuel, raises in ((27, True), (28, False)):
+        monkeypatch.setattr(qmodalg.ncpoly, "DEFAULT_FUEL", fuel)
+        for warm in (False, True):
+            rs, ref = RewriteSystem(rules), RewriteSystem(rules)
+            if warm:
+                rs.normal_form(NCPolynomial.from_word(hard), fuel=28)
+                ref.normal_form(NCPolynomial.from_word(hard), fuel=28)
+            if not raises:
+                assert rs.word_normal_form(hard) == ref.normal_form(NCPolynomial.from_word(hard)).coeffs
+                continue
+            with pytest.raises(FuelExhausted) as got:
+                rs.word_normal_form(hard)
+            with pytest.raises(FuelExhausted) as want:
+                ref.normal_form(NCPolynomial.from_word(hard))
+            assert got.value.partial == want.value.partial == NCPolynomial.from_word(hard)
+
+
+def test_word_normal_form_is_read_only():
+    rs = RewriteSystem(build_am(LieTypeSpec("D", 2), 2).rs.rules)
+    word = (x_(2, 1), x_(1, 1))
+    view = rs.word_normal_form(word)
+    with pytest.raises(TypeError):
+        view[word] = ONE
+    with pytest.raises(TypeError):
+        del view[next(iter(view))]
+    assert rs.word_normal_form(word) == rs.normal_form(NCPolynomial.from_word(word)).coeffs
+
+
 def _leftmost_normal_form(rules, word):
     """Normal form of word by leftmost reduction with no memo: the reference."""
     for i in range(len(word) - 1):

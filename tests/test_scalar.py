@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -455,30 +456,45 @@ from qmodalg.algebras import build_am
 from qmodalg.invariants import verify_relation_suite
 from qmodalg.rootdata import LieTypeSpec
 
-product, calls, with_one = scalar._product, [], []
+product, calls, with_one, equal_one = scalar._product, [], [], []
 
 def spy(a, b, c, d):
     calls.append(None)
     if a is scalar.ONE.num or c is scalar.ONE.num:
         with_one.append(None)
+    if (a == {0: 1} and len(b) == 1) or (c == {0: 1} and len(d) == 1):
+        equal_one.append(None)
     return product(a, b, c, d)
 
 scalar._product = spy
 report = verify_relation_suite(build_am(LieTypeSpec("D", 2), 4))
 assert all(e["pass"] for e in report["entries"])
-print(len(calls), len(with_one))
+print(len(calls), len(with_one), len(equal_one))
 """
 
 
-def test_no_product_is_taken_with_the_one_singleton():
+@lru_cache(maxsize=None)
+def _guard_counts():
+    """(products, with the ONE singleton, with a factor equal to 1)."""
     src = str(Path(qmodalg.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _GUARD], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    calls, with_one = map(int, proc.stdout.split())
+    return tuple(map(int, proc.stdout.split()))
+
+
+def test_no_product_is_taken_with_the_one_singleton():
+    calls, with_one, _ = _guard_counts()
     assert calls > 1000 and with_one == 0
+
+
+def test_no_product_is_taken_with_a_factor_equal_to_one():
+    # inverse, negation, Laurent sums and v_pow(0) give the ONE singleton
+    # when their value is 1, so x * ONE short-cuts instead of multiplying
+    calls, _, equal_one = _guard_counts()
+    assert calls > 1000 and equal_one == 0
 
 
 def test_unit_denominator_survives_the_module():
