@@ -511,6 +511,7 @@ def _printed_cross_rules(spec, m):
     pairsum = dim + 1
     zero = n + 1 if dim % 2 else None  # the zero weight label of B
     qq = q_pow(1) - q_pow(-1)
+    middle = qq if fam.middle == 1 else fam.middle * qq  # no product by the int 1
     rules = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -545,7 +546,7 @@ def _printed_cross_rules(spec, m):
                 rules[(x_(j, t), x_(i, u))] = first
                 tail = partial_sum(t + fam.bar_next, True) - psi_full
                 rules[(x_(j, u), x_(i, t))] = NCPolynomial(
-                    {w(t, u): q_pow(fam.second), w(u, t): fam.middle * qq}
+                    {w(t, u): q_pow(fam.second), w(u, t): middle}
                 ) + tail.scale(qq * q_pow(t - n + fam.tail))
     return f"printed presentation: {fam.name} cross rules", rules
 

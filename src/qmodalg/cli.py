@@ -52,6 +52,9 @@ GRID_SPECS = [
     ("GL", 3),
 ]
 
+# the specs with pairing generators whose A_m algebras every grid suite runs on
+PAIRED_SPECS = [("D", 2), ("B", 1), ("C", 2)]
+
 
 # ---------------------------------------------------------------------------
 # suite runners (shared between subcommands and the full grid)
@@ -177,7 +180,7 @@ def suite_oracle(spec, m, max_total_degree):
     return suite(f"oracle {spec} m={m}", entries)
 
 
-def suite_oracle_diff(spec, m=2):
+def suite_oracle_diff(spec, m):
     """Printed presentation variants audited against the shipped rules."""
     entries = printed_rule_diffs(spec, m)
     disagreements = sum(1 for e in entries if not e["agrees"])
@@ -186,7 +189,7 @@ def suite_oracle_diff(spec, m=2):
     return suite(f"oracle-diff {spec}", entries)
 
 
-def suite_invariance(handle, include_sigma=False):
+def suite_invariance(handle, include_sigma):
     spec = handle.spec
     pair_vector = [] if spec.family == "GL" else invariant_pair_vector(spec)[1]["entries"]
     entries = [
@@ -204,7 +207,7 @@ def suite_relations(handle):
     return verify_relation_suite(handle)
 
 
-def suite_fft(handle, max_total, include_sigma=False):
+def suite_fft(handle, max_total, include_sigma):
     if handle.kind == "Akl":
         degrees = [d for _, _, ds in _bidegrees(handle, max_total) for d in ds]
     else:
@@ -220,7 +223,6 @@ def suite_skew(m, n):
 def suite_classical():
     """Classical-limit degeneration of every rule of every grid algebra."""
     entries = []
-    handles = []
     for fam, r in GRID_SPECS:
         spec = LieTypeSpec(fam, r)
         try:
@@ -230,9 +232,7 @@ def suite_classical():
         else:
             instance, ok = f"{spec}: {qd}", qd == natural_rep(spec).dim_v
         entries.append(check("classical limit of the quantum dimension", instance, ok))
-    handles.append(("A2(D2)", build_am(LieTypeSpec("D", 2), 2)))
-    handles.append(("A2(B1)", build_am(LieTypeSpec("B", 1), 2)))
-    handles.append(("A2(C2)", build_am(LieTypeSpec("C", 2), 2)))
+    handles = [(f"A2({fam}{r})", build_am(LieTypeSpec(fam, r), 2)) for fam, r in PAIRED_SPECS]
     handles.append(("M22", build_am(LieTypeSpec("GL", 2), 2)))
     handles.append(("A22(GL2)", build_akl(2, 2, 2)))
     handles.append(("Ext(2,2)", build_exterior(2, 2)))
@@ -253,70 +253,70 @@ def suite_classical():
 
 
 def _classical_rule_ok(handle, pattern, replacement):
-    exterior = handle.kind == "Exterior"
-
-    def classical(word, coeff):
-        letters = list(word)
-        sign = 1
-        if exterior:
-            inv = sum(
-                1
-                for i in range(len(letters))
-                for j in range(i + 1, len(letters))
-                if letters[i] > letters[j]
-            )
-            sign = -1 if inv % 2 else 1
-            if len(set(letters)) != len(letters):
-                return None, None
-        return tuple(sorted(letters)), sign * coeff
-
+    """Whether pattern - replacement vanishes at v = 1 in the commutative
+    algebra, or for an exterior algebra in the anticommutative one."""
+    try:
+        terms = [(pattern, 1)] + [(w, -c.classical_limit()) for w, c in replacement.coeffs.items()]
+    except PoleAtOneError:
+        return False
     acc = {}
-
-    def add(key, value):
-        if key is None:
-            return
-        acc[key] = acc.get(key, 0) + value
-
-    key, val = classical(pattern, 1)
-    add(key, val)
-    for w, c in replacement.coeffs.items():
-        try:
-            limit = c.classical_limit()
-        except PoleAtOneError:
-            return False
-        key, val = classical(w, limit)
-        add(key, -val)
-    return all(v == 0 for v in acc.values())
+    for word, coeff in terms:
+        if handle.kind == "Exterior":
+            if len(set(word)) != len(word):
+                continue  # a repeated letter squares to zero
+            if sum(a > b for i, a in enumerate(word) for b in word[i + 1:]) % 2:
+                coeff = -coeff
+        key = tuple(sorted(word))
+        acc[key] = acc.get(key, 0) + coeff
+    return not any(acc.values())
 
 
-def grid_report(include_sigma=False):
+def run_suites(command, args, label):
+    """The suites of a run of command on its filled-in options (label names a
+    dims suite); a rebound cli.suite_* is the one that runs."""
+    if command == "grid":
+        return grid_report(args.sigma)
+    if command == "braiding":
+        return [suite_braiding(_spec_from(args))]
+    if command == "skew-duality":
+        return [suite_skew(args.m or 2, args.n or 2)]
+    if command == "oracle-diff":
+        spec = _spec_from(args)
+        return [suite_oracle(spec, args.copies, args.max_degree), suite_oracle_diff(spec, args.copies)]
+    handle = _handle_from(args)
+    if command == "dims":
+        return [suite_dims(handle, args.max_degree, label)]
+    if command == "relations":
+        return [suite_relations(handle)]
+    if command == "invariance":
+        return [suite_invariance(handle, args.sigma)]
+    return [suite_fft(handle, args.max_degree, args.sigma)]
+
+
+def grid_plan():
+    """The grid's subcommand runs in report order, as (command, given options,
+    dims label) rows; the grid report is their suites, then suite_classical()."""
+    am = [{"family": fam, "rank": r, "copies": 2} for fam, r in PAIRED_SPECS]
+    akl = {"family": "GL", "rank": 2, "k": 2, "l": 2}
+    rows = [("braiding", {"family": fam, "rank": r}, None) for fam, r in GRID_SPECS]
+    rows += [("dims", {**o, "copies": m}, f"A{m}({o['family']}{o['rank']})")
+             for o in am for m in (1, 2)]
+    rows += [("dims", {"family": "GL", "rank": 2, "copies": 2}, "M22"), ("dims", akl, "A22(GL2)")]
+    rows += [("dims", {"exterior": True, "m": 2, "n": n}, f"Ext(2,{n})") for n in (2, 3)]
+    rows += [("oracle-diff", {**o, "max-degree": 3}, None) for o in am]
+    for command, copies in (("invariance", 2), ("relations", 4), ("fft", 2)):
+        rows += [(command, {**o, "copies": copies}, None) for o in am] + [(command, akl, None)]
+    return rows + [("skew-duality", {"m": 2, "n": n}, None) for n in (2, 3)]
+
+
+def grid_report(include_sigma):
+    """The plan's suites; include_sigma gives --sigma to each run that reads it."""
     suites = []
-    for fam, r in GRID_SPECS:
-        suites.append(suite_braiding(LieTypeSpec(fam, r)))
-    for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        spec = LieTypeSpec(fam, r)
-        for m in (1, 2):
-            suites.append(suite_dims(build_am(spec, m), 4, f"A{m}({spec})"))
-    suites.append(suite_dims(build_am(LieTypeSpec("GL", 2), 2), 4, "M22"))
-    suites.append(suite_dims(build_akl(2, 2, 2), 4, "A22(GL2)"))
-    suites.append(suite_dims(build_exterior(2, 2), None, "Ext(2,2)"))
-    suites.append(suite_dims(build_exterior(2, 3), None, "Ext(2,3)"))
-    for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_oracle(LieTypeSpec(fam, r), 2, 3))
-        suites.append(suite_oracle_diff(LieTypeSpec(fam, r)))
-    for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_invariance(build_am(LieTypeSpec(fam, r), 2), include_sigma))
-    suites.append(suite_invariance(build_akl(2, 2, 2)))
-    for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_relations(build_am(LieTypeSpec(fam, r), 4)))
-    suites.append(suite_relations(build_akl(2, 2, 2)))
-    for fam, r in [("D", 2), ("B", 1), ("C", 2)]:
-        suites.append(suite_fft(build_am(LieTypeSpec(fam, r), 2), 4, include_sigma))
-    suites.append(suite_fft(build_akl(2, 2, 2), 4, False))
-    suites.append(suite_skew(2, 2))
-    suites.append(suite_skew(2, 3))
-    suites.append(suite_classical())
-    return suites
+    for command, given, label in grid_plan():
+        if include_sigma and "sigma" in reads(command, _refuse_unread(_filled(command, given))):
+            given = {**given, "sigma": True}
+        suites += run_suites(command, _filled(command, given), label)
+    return suites + [suite_classical()]
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +482,13 @@ class _Unsupported(argparse.Action):
         namespace.unsupported = namespace.unsupported or self.option_strings[0]
 
 
-def _default(flag):
-    kw = OPTIONS[flag]
-    return kw.get("default", False if kw.get("action") == "store_true" else None)
+def _filled(command, given):
+    """A run's options: each given one (flag -> value), every other at its default."""
+    args = argparse.Namespace(command=command, given=set(given))
+    for flag, kw in OPTIONS.items():
+        default = kw.get("default", False if kw.get("action") == "store_true" else None)
+        setattr(args, flag.replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def build_parser():
@@ -526,7 +530,8 @@ def _refuse_unread(args):
     return kind
 
 
-def _handle_from(args, kind):
+def _handle_from(args):
+    kind = _kind(args)
     if kind == "exterior":
         return build_exterior(args.m or 2, args.n or 2)
     spec = _spec_from(args)
@@ -534,7 +539,8 @@ def _handle_from(args, kind):
         if args.k is None or args.l is None:
             raise SystemExit2("--k and --l must be given together")
         return build_akl(spec.rank, args.k, args.l)
-    return build_am(spec, args.copies, strict=args.strict)
+    # positional, so that a grid run hits the cache entry of build_am(spec, m)
+    return build_am(spec, args.copies, True) if args.strict else build_am(spec, args.copies)
 
 
 def run(argv):
@@ -551,10 +557,9 @@ def run(argv):
     if args.unsupported:
         sys.stderr.write(f"error: {args.unsupported} is not supported by {args.command}\n")
         return 2
-    args.given = {flag for flag in OPTIONS if hasattr(args, flag.replace("-", "_"))}
-    for flag in OPTIONS.keys() - args.given:
-        setattr(args, flag.replace("-", "_"), _default(flag))
-    fmt, out, verbose = args.format, args.output, args.verbose
+    parsed = vars(args)
+    args = _filled(args.command, {flag: parsed[flag.replace("-", "_")] for flag in OPTIONS
+                                  if flag.replace("-", "_") in parsed})
     config = {
         "command": args.command,
         **{
@@ -564,36 +569,16 @@ def run(argv):
         },
     }
     try:
-        kind = _refuse_unread(args)
+        _refuse_unread(args)
         for flag, least in LEAST.items():
             value = getattr(args, flag.replace("-", "_"))
             if value is not None and value < least:
                 raise SystemExit2(f"--{flag} must be at least {least}, got {value}")
-        if args.command == "grid":
-            suites = grid_report(include_sigma=args.sigma)
-        elif args.command == "dims":
-            suites = [suite_dims(_handle_from(args, kind), args.max_degree, "requested")]
-        elif args.command == "braiding":
-            suites = [suite_braiding(_spec_from(args))]
-        elif args.command == "relations":
-            suites = [suite_relations(_handle_from(args, kind))]
-        elif args.command == "invariance":
-            suites = [suite_invariance(_handle_from(args, kind), args.sigma)]
-        elif args.command == "fft":
-            suites = [suite_fft(_handle_from(args, kind), args.max_degree, args.sigma)]
-        elif args.command == "skew-duality":
-            suites = [suite_skew(args.m or 2, args.n or 2)]
-        elif args.command == "dump-presentation":
-            emit(presentation_manifest(_handle_from(args, kind)), "json", out)
+        if args.command == "dump-presentation":
+            emit(presentation_manifest(_handle_from(args)), "json", args.output)
             return 0
-        else:
-            spec = _spec_from(args)
-            suites = [
-                suite_oracle(spec, args.copies, args.max_degree),
-                suite_oracle_diff(spec, args.copies),
-            ]
-        report = assemble(config, suites, verbose)
-        emit(report, fmt, out)
+        report = assemble(config, run_suites(args.command, args, "requested"), args.verbose)
+        emit(report, args.format, args.output)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

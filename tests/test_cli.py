@@ -432,6 +432,67 @@ def test_grid_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert hashlib.sha256(reports[0]).hexdigest() == GRID_SHA256
 
 
+def _row_argv(command, given):
+    """A grid plan row as a command line, its options in the row's order."""
+    argv = [command]
+    for flag, value in given.items():
+        argv += ["--" + flag] if value is True else ["--" + flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("sigma", [False, True])
+def test_the_grid_is_its_plan_of_subcommand_runs(sigma, tmp_path):
+    # the grid report is each plan row's subcommand run, a dims suite read
+    # after its label, then classical-limit; --sigma reaches only the rows
+    # that read it
+    import qmodalg.cli as cli
+
+    grid = tmp_path / "grid.json"
+    assert run(["grid", "--output", str(grid)] + ["--sigma"] * sigma) == 0
+    suites = json.loads(grid.read_text())["suites"]
+    runs, with_sigma = [], []
+    for command, given, label in cli.grid_plan():
+        kind = cli._refuse_unread(cli._filled(command, given))
+        assert (label is not None) == (command == "dims"), (command, given)
+        argv = _row_argv(command, given)
+        if sigma and "sigma" in reads(command, kind):
+            argv.append("--sigma")
+            with_sigma.append(f"{command} {given['family']}{given['rank']}")
+        out = tmp_path / "row.json"
+        assert run(argv + ["--output", str(out)]) == 0, argv
+        text = out.read_text()
+        runs += json.loads(text.replace("requested", label) if label else text)["suites"]
+    assert [s["name"] for s in suites[len(runs):]] == ["classical-limit"]
+    assert runs == suites[:len(runs)]
+    assert with_sigma == (["invariance D2", "invariance B1", "fft D2", "fft B1"] if sigma else [])
+
+
+# each cli.suite_* and the number of its calls in one grid run
+GRID_RUNNER_CALLS = {
+    "suite_braiding": 8, "suite_dims": 10, "suite_oracle": 3, "suite_oracle_diff": 3,
+    "suite_invariance": 4, "suite_relations": 4, "suite_fft": 4, "suite_skew": 2,
+    "suite_classical": 1,
+}
+
+
+def test_a_grid_run_reaches_each_runner_through_the_module(tmp_path, monkeypatch):
+    # the benchmark tracer rebinds cli.suite_* in the module namespace only,
+    # so the grid must look each runner up there when it calls it
+    import qmodalg.cli as cli
+
+    assert {name for name in vars(cli) if name.startswith("suite_")} == set(GRID_RUNNER_CALLS)
+    calls = dict.fromkeys(GRID_RUNNER_CALLS, 0)
+    for name in GRID_RUNNER_CALLS:
+
+        def counted(*args, _name=name, _runner=getattr(cli, name)):
+            calls[_name] += 1
+            return _runner(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run(["grid", "--output", str(tmp_path / "grid.json")]) == 0
+    assert calls == GRID_RUNNER_CALLS
+
+
 # (argv, exit code, sha256 of the report file): between them these cover
 # every entry shape (residual, variant, agrees and printed, the dimension
 # fields, sigma_filtered_dim) and the text format
@@ -651,6 +712,22 @@ def test_classical_limit_pole_is_reported(monkeypatch):
             assert entry["pass"]
 
 
+def test_a_rule_off_at_v_equal_one_is_a_classical_defect():
+    # a shipped rule degenerates to the (anti)commutative one; a wrong
+    # coefficient, a wrong exterior sign or a pole at v = 1 is a defect
+    import qmodalg.cli as cli
+    from qmodalg.algebras import build_am, build_exterior
+    from qmodalg.scalar import Scalar, q_pow
+
+    pole = (q_pow(1) - ONE).inverse()
+    for handle in (build_am(LieTypeSpec("D", 2), 2), build_exterior(2, 2)):
+        rules = handle.rs.rules
+        assert all(cli._classical_rule_ok(handle, pat, repl) for pat, repl in rules.items())
+        pat, repl = next((p, r) for p, r in sorted(rules.items()) if not r.is_zero())
+        for factor in (Scalar(2), Scalar(-1), pole):
+            assert not cli._classical_rule_ok(handle, pat, repl.scale(factor)), factor
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -773,6 +850,21 @@ def test_readme_option_table_is_the_code_table():
     for command, (options, _) in COMMANDS.items():
         want = {"output"} if command == "dump-presentation" else report
         assert report.intersection(options) == want, command
+
+
+def test_readme_grid_table_is_the_grid_plan():
+    import qmodalg.cli as cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| grid run | dims label |"):].splitlines()
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+    plan = [(" ".join(["qmodalg"] + _row_argv(command, given)), label or "—")
+            for command, given, label in cli.grid_plan()]
+    assert rows == plan + [("classical-limit", "—")]
 
 
 _IMPORT_SET = """

@@ -452,7 +452,7 @@ def test_accumulate_with_factor_one_keeps_the_pairs_objects():
 # Run in a fresh process, so that no rewrite memo or cached operator is warm.
 _GUARD = """
 from qmodalg import scalar
-from qmodalg.algebras import build_am
+from qmodalg.algebras import build_am, printed_rule_diffs
 from qmodalg.invariants import verify_relation_suite
 from qmodalg.rootdata import LieTypeSpec
 
@@ -469,6 +469,8 @@ def spy(a, b, c, d):
 scalar._product = spy
 report = verify_relation_suite(build_am(LieTypeSpec("D", 2), 4))
 assert all(e["pass"] for e in report["entries"])
+for family, rank in (("D", 2), ("B", 1), ("C", 2)):
+    assert printed_rule_diffs(LieTypeSpec(family, rank), 2)
 print(len(calls), len(with_one), len(equal_one))
 """
 
