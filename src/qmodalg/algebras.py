@@ -331,10 +331,15 @@ def build_sq(spec):
     return _build_am(spec, 1, kind="Sq")
 
 
-@lru_cache(maxsize=None)
 def build_am(spec, m, strict=False):
     if m < 1:
         raise ValueError("m must be positive")
+    return _cached_am(spec, m, bool(strict))
+
+
+@lru_cache(maxsize=None)
+def _cached_am(spec, m, strict):
+    """build_am's handles, keyed one way however strict was spelled."""
     return _build_am(spec, m, kind="Am", strict=strict)
 
 

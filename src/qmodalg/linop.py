@@ -23,19 +23,25 @@ Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
 is put over one common denominator with integer numerators, working once per
 distinct Scalar value: operators repeat one value many times, lifted ones as
 one object and sums and scalings as equal new objects.  Each
-int-coefficient Laurent numerator p is then packed into one Python int,
-sum(c << B*(e - lo)) over its terms c*v^e, where lo is the least exponent of
-the operand.  Packing turns a product of Laurent polynomials into one int
-product, and a sum into one int sum, so every product-accumulate is one
-big-int multiply-add.  The digit width B is chosen so that no digit can
-overflow: an output coefficient is a sum of at most K products, K the most
-products that meet in one entry, so its size is at most K*N1*N2, N1 and N2
-the largest l1 norms of the two operands' numerators, and B makes that less
-than 2^(B-1).  Each distinct accumulated int is then decoded once into
-balanced digits in [-2^(B-1), 2^(B-1)), which are exactly the output
-coefficients; a packed 0 is an entry that cancelled.  Each decoded entry is
-divided by the operands' scales and cancelled against their common
-denominator by one gcd.  Operands are prepared, bounded and decoded from
+int-coefficient Laurent numerator p is then packed into one Python int on
+the exponent lattice of the two operands: an operand's exponents are
+lo + g_i*Z, lo its least exponent and g_i the gcd of every e - lo (0 for a
+single exponent; _lattice), g = gcd(g1, g2) (1 when both are 0), and p is
+sum(c << B*((e - lo) // g)) over its terms c*v^e, so digit k holds the
+coefficient of v^(lo + g*k).  The R-checks have coefficients in q = v^2,
+so cables pack at g = 2, into ints of half the size.  Packing turns a
+product of Laurent polynomials into one int product, digit k1 times digit
+k2 landing in digit k1 + k2 at v^(lo1 + lo2 + g*(k1 + k2)), and a sum into
+one int sum, so every product-accumulate is one big-int multiply-add.  The
+digit width B is chosen so that no digit can overflow: a digit is one output
+coefficient, a sum of at most K products, K the most products that meet in
+one entry, so its size is at most K*N1*N2, N1 and N2 the largest l1 norms
+of the two operands' numerators, and B makes that less than 2^(B-1).  Each
+distinct accumulated int is then decoded once into balanced digits in
+[-2^(B-1), 2^(B-1)), which are exactly the output coefficients; a packed 0
+is an entry that cancelled.  Each decoded entry is divided by the operands'
+scales and cancelled against their common denominator by one gcd.
+Operands are prepared, bounded and decoded from
 their small operators, whose entries are the lifts' entries: a column of a
 lift holds the entries of one small column, so K is the longest column of
 the small operator applied first.  Canonical form is unique, so the table
@@ -48,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .scalar import (
@@ -114,22 +120,28 @@ def _over_one_denominator(entries):
     return common, lnum * lcof, to_int
 
 
-def _pack(ints, width):
-    """(lo, packed): lo is the least exponent of the int Laurent dicts in
-    ints, and packed maps each key to its dict p as one int,
-    sum(c << width*(e - lo)) over p's terms."""
+def _lattice(ints):
+    """(lo, g): the least exponent of the int Laurent dicts in ints, and the
+    gcd of every exponent less lo, which is 0 when every exponent is lo."""
     lo = min(map(min, ints.values()))
+    return lo, gcd(*{e - lo for p in ints.values() for e in p})
+
+
+def _pack(ints, width, lo, step):
+    """{key: its dict p as one int}, sum(c << width*((e - lo) // step)) over
+    p's terms; every e - lo is a multiple of step."""
     packed = {}
     for k, p in ints.items():
         n = 0
         for e, c in p.items():
-            n += c << width * (e - lo)
+            n += c << width * ((e - lo) // step)
         packed[k] = n
-    return lo, packed
+    return packed
 
 
-def _unpack(n, width, lo):
-    """The int Laurent dict packed as n at this width and least exponent.
+def _unpack(n, width, lo, step):
+    """The int Laurent dict packed as n at this width, least exponent and
+    step: digit k is the coefficient of v^(lo + step*k).
 
     Its digits are balanced, in [-2^(width-1), 2^(width-1)): & on a negative
     int gives the two's-complement low bits, and a digit of half or more is
@@ -144,7 +156,7 @@ def _unpack(n, width, lo):
         if d:
             out[e] = d
         n = (n - d) >> width
-        e += 1
+        e += step
     return out
 
 
@@ -177,9 +189,9 @@ def _label_index(labels):
     return hit[1]
 
 
-def _decoder(width, lo, scale, den):
+def _decoder(width, lo, step, scale, den):
     """decode(acc, labels): {labels[i]: Scalar} for the nonzero packed sums
-    {i: n} of acc, at this digit width and least exponent.
+    {i: n} of acc, at this digit width, least exponent and step.
 
     Each distinct sum is decoded once into balanced digits, which are the
     coefficients, divided by scale (taken as is when that is 1) and, when
@@ -195,7 +207,7 @@ def _decoder(width, lo, scale, den):
                 continue  # the products cancelled
             s = shared.get(n)
             if s is None:
-                num = _unpack(n, width, lo)
+                num = _unpack(n, width, lo, step)
                 if scale != 1:
                     num = {e: _div(c, scale) for e, c in num.items()}
                 s = shared[n] = _made(*_cancel(num, den))
@@ -299,7 +311,9 @@ class LinearOperator:
         built.  The small operators of self and other are each put over one
         common denominator (D1, D2) with int numerators scaled by L1, L2,
         once per distinct entry value, and each numerator is packed into
-        one int (see the module docstring); entries are then looked up by
+        one int whose digit k holds the coefficient of v^(lo + g*k), lo its
+        operand's least exponent and g the gcd of both operands' exponent
+        steps (see the module docstring); entries are then looked up by
         object id, so no entry is hashed as a Scalar.  The digit width B is
         the least with K*N1*N2 < 2^(B-1), where K is the smaller of
         len(self.domain) and the longest column of other's small operator,
@@ -333,11 +347,12 @@ class LinearOperator:
         # K, the most products one output entry sums
         k = min(len(self.domain), max(map(len, right.values())))
         width = (k * _l1_max(ints1) * _l1_max(ints2)).bit_length() + 1
-        lo1, packed1 = _pack(ints1, width)
-        lo2, packed2 = _pack(ints2, width)
+        (lo1, g1), (lo2, g2) = _lattice(ints1), _lattice(ints2)
+        step = gcd(g1, g2) or 1  # each operand's exponents lie on its lo + step*Z
+        packed1, packed2 = _pack(ints1, width, lo1, step), _pack(ints2, width, lo2, step)
         packed1 = {i: packed1[v] for i, v in ids1.items()}
         packed2 = {i: packed2[v] for i, v in ids2.items()}
-        decode = _decoder(width, lo1 + lo2, scale1 * scale2, _lp_mul(den1, den2))
+        decode = _decoder(width, lo1 + lo2, step, scale1 * scale2, _lp_mul(den1, den2))
         rows, columns = self.codomain, other.domain
         outer, inner = self._small_columns(packed1), other._small_columns(packed2)
         s1, n1, s2, n2 = self.stride, len(outer), other.stride, len(inner)

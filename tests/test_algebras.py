@@ -261,6 +261,15 @@ def test_strict_variant_behaves_differently():
     assert shipped.normal_form(pattern) != strict.normal_form(pattern)
 
 
+def test_build_am_is_one_handle_however_strict_is_spelled():
+    # one handle, and so one rewrite memo, per (spec, m, strict)
+    spec = LieTypeSpec("D", 2)
+    shipped = build_am(spec, 2)
+    assert build_am(spec, 2, False) is shipped and build_am(spec, 2, strict=False) is shipped
+    strict = build_am(spec, 2, strict=True)
+    assert strict is not shipped and build_am(spec, 2, True) is strict
+
+
 def test_manifest_shape():
     h = build_am(LieTypeSpec("D", 2), 2)
     man = presentation_manifest(h)

@@ -20,7 +20,13 @@ from qmodalg.braiding import (
     rcheck_cabled,
     tensor_generator_ops,
 )
-from qmodalg.linop import LinearOperator, _over_one_denominator, lift_block_op, tensor_words
+from qmodalg.linop import (
+    LinearOperator,
+    _lattice,
+    _over_one_denominator,
+    lift_block_op,
+    tensor_words,
+)
 from qmodalg.rootdata import LieTypeSpec, natural_rep
 from qmodalg.scalar import ONE, Scalar, accumulate, q_pow
 
@@ -544,3 +550,107 @@ def test_nine_cables_build_no_lifted_table():
     rcheck_cabled.cache_clear()
     cables = [rcheck_cabled(spec, k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
     assert all(type(cab) is LinearOperator for cab in cables)
+
+
+# compose packs digit k of a numerator as the coefficient of v^(lo + g*k),
+# g the gcd of both operands' exponent steps
+
+
+def test_lattice_is_the_least_exponent_and_the_step():
+    assert _lattice({"a": {-3: 1, 1: 2}, "b": {5: -7}}) == (-3, 4)
+    assert _lattice({"a": {-1: 1, 2: 1}, "b": {4: 3}}) == (-1, 1)
+    assert _lattice({"a": {2: 5}, "b": {2: -1}}) == (2, 0)  # one exponent: step 0
+
+
+def packed_steps(monkeypatch):
+    """The step of every _pack call from now on, one per operand."""
+    import qmodalg.linop as linop
+
+    steps, pack = [], linop._pack
+
+    def spy(ints, width, lo, step):
+        steps.append(step)
+        return pack(ints, width, lo, step)
+
+    monkeypatch.setattr(linop, "_pack", spy)
+    return steps
+
+
+def lattice_op(rng, rows, cols, lo, step, dens=("one",), coeffs="int"):
+    """A dense operator whose numerators have exponents in lo + step*{0..3}."""
+    entries = {}
+    for r, c in product(range(rows), range(cols)):
+        num = {lo + step * rng.randint(0, 3): Fraction(rng.choice(COEFFS[coeffs]))
+               for _ in range(rng.randint(1, 3))}
+        den = DENS[rng.choice(dens)]
+        entries[(r, c)] = Scalar(num, den) if den is not None else Scalar(num)
+    return LinearOperator(range(cols), range(rows), entries)
+
+
+@pytest.mark.parametrize(
+    "left_lattice,right_lattice,step",
+    [
+        ((0, 2), (0, 3), 1),  # steps 2 and 3 meet on step 1
+        ((-4, 6), (3, 4), 2),
+        ((5, 0), (-2, 2), 2),  # a single exponent takes the other's step
+        ((-3, 2), (0, 2), 2),  # odd lo, so odd output exponents
+        ((-3, 2), (1, 2), 2),
+        ((1, 0), (-2, 0), 1),
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_compose_matches_reference(monkeypatch, left_lattice, right_lattice, step, seed):
+    rng = random.Random(f"lattice-{left_lattice}-{right_lattice}-{seed}")
+    n, m, k = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 4)
+    left = lattice_op(rng, n, m, *left_lattice)
+    right = lattice_op(rng, m, k, *right_lattice)
+    steps = packed_steps(monkeypatch)
+    assert_matches_reference(left, right)
+    assert steps == [step, step]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_compose_of_rational_entries(monkeypatch, seed):
+    # v^2 + 1 and v^2 - 2 keep the cleared numerators on the even lattice
+    rng = random.Random(f"lattice-rational-{seed}")
+    dens = ("one", "shared", "coprime")
+    left = lattice_op(rng, 3, 3, -1, 2, dens, "frac")
+    right = lattice_op(rng, 3, 2, 2, 2, dens, "frac")
+    steps = packed_steps(monkeypatch)
+    got = assert_matches_reference(left, right)
+    assert steps == [2, 2]
+    assert any(len(s.den) > 1 for s in got.entries.values())
+
+
+def test_lattice_compose_near_the_bound(monkeypatch):
+    # test_packed_compose_near_the_bound's coefficients on even exponents
+    a = Scalar({-60: BIG, -2: -1, 18: -BIG})
+    b = Scalar({-14: -BIG, 0: BIG, 20: 1})
+    c = Scalar({-8: BIG, 4: -1})
+    left = LinearOperator(range(2), range(2), {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): a})
+    right = LinearOperator(
+        range(3),
+        range(2),
+        {(0, 0): b * c, (1, 0): -(a * c), (0, 1): c, (1, 1): -c, (0, 2): a, (1, 2): b},
+    )
+    steps = packed_steps(monkeypatch)
+    got = assert_matches_reference(left, right)
+    assert steps == [2, 2]
+    assert (0, 0) not in got.entries and (1, 0) in got.entries
+    assert max(abs(x) for s in got.entries.values() for x in s.num.values()) > BIG ** 2
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("D", 2), ("D", 3), ("B", 1), ("B", 2), ("C", 2), ("GL", 2)]
+)
+def test_cables_pack_on_the_even_lattice(monkeypatch, family, rank):
+    # every R-check has coefficients in q = v^2, so a cable packs at step 2
+    spec = LieTypeSpec(family, rank)
+    rc, labels = rcheck(spec), natural_rep(spec).labels
+    steps = packed_steps(monkeypatch)
+    got = lift_block_op(rc, labels, 3, 1, 2) @ lift_block_op(rc, labels, 3, 2, 2)
+    assert steps == [2, 2]
+    want = reference_compose(
+        reference_lift(rc, labels, 3, 1, 2), reference_lift(rc, labels, 3, 2, 2)
+    )
+    assert_column_table(got, want.entries)

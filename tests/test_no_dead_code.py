@@ -10,7 +10,8 @@ is read by its function, and every default is overridden, by position or
 keyword, by some call in src/, tests/ or perfbench/.  Every module-level
 import of a package module other than __init__.py is used by a name in
 that module.  Report entries are built by report.check, never as
-a dict literal elsewhere.
+a dict literal elsewhere, and a check's verdict is a constant True only at
+the known sites that certify nothing yet.
 """
 
 import ast
@@ -133,6 +134,45 @@ def test_report_entries_are_built_by_check():
             ):
                 literals.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not literals, "report entries written as dict literals:\n" + "\n".join(literals)
+
+
+# (module, function) of each check(...) whose verdict is the constant True;
+# turning those entries into checks that can fail shrinks this list
+LITERAL_TRUE_VERDICTS = {
+    ("algebras", "printed_rule_diffs"),
+    ("cli", "suite_oracle_diff"),
+}
+
+
+def _calls(node, function=None):
+    """(innermost enclosing function name, call) for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield function, child
+        yield from _calls(child, function)
+
+
+def _verdict(call):
+    """The verdict argument of a report.check(citation, instance, ok) call."""
+    if len(call.args) >= 3:
+        return call.args[2]
+    return next((k.value for k in call.keywords if k.arg == "ok"), None)
+
+
+def test_no_new_check_holds_a_literal_true_verdict():
+    found = {
+        (path.stem, function)
+        for path, tree in _trees("src/qmodalg")
+        for function, call in _calls(tree)
+        if isinstance(call.func, ast.Name)
+        and call.func.id == "check"
+        and isinstance(_verdict(call), ast.Constant)
+        and _verdict(call).value is True
+    }
+    assert found == LITERAL_TRUE_VERDICTS
 
 
 def test_every_parameter_is_read():
