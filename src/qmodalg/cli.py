@@ -1,12 +1,13 @@
 """Batch entry point: build algebras, run verification suites, emit reports.
 
-Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error (a bad
-option value, an option the subcommand and algebra kind do not read, a
-subcommand with no suite for the kind, an --output path that cannot be
-written, or exhausted fuel: a normal form
-charged more than the fixed budget ncpoly.DEFAULT_FUEL = 10^6 expansions,
-each word being charged what a memo-free leftmost reduction of it makes),
-3 internal error (any other exception, ValueError included).
+Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error, 3
+internal error (any other exception, ValueError included).  A usage error is
+a value argparse cannot parse, with argparse's message (every subparser
+parses every option, so also for one the subcommand does not take); an option
+refused by the one gate, _refuse_unread; an --output path that cannot be
+written; or exhausted fuel: a normal form charged more than the fixed budget
+ncpoly.DEFAULT_FUEL = 10^6 expansions, each word being charged what a
+memo-free leftmost reduction of it makes.
 Reports are deterministic: entries are emitted in a fixed order and JSON is
 serialised with sorted keys, so identical configurations give identical bytes.
 """
@@ -368,7 +369,7 @@ def emit(report, fmt, path):
                 if "agrees" in e:
                     extra += f" agrees={e['agrees']}"
                 lines.append(f"  {mark} {e['citation']} | {e['instance']}{extra}")
-                if "residual" in e and not e.get("pass"):
+                if "residual" in e:  # a passing entry keeps one only under --verbose
                     lines.append(f"       residual: {e['residual']}")
         s = report["summary"]
         lines.append(
@@ -468,23 +469,16 @@ def _kind(args):
         return "exterior"
     if not args.family:
         raise SystemExit2("--family is required for this command")
-    if args.family == "GL" and args.given & {"k", "l"}:
+    if args.family == "GL" and {"k", "l"}.intersection(args.given):
         return "A_{k,l}"
     return {"B": "A_m over B/D", "D": "A_m over B/D", "C": "A_m over C",
             "GL": "A_m over GL"}[args.family]
 
 
-class _Unsupported(argparse.Action):
-    """An option another subcommand takes: parsed as usual, so abbreviations
-    resolve as they would with every option present, then refused in run()."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.unsupported = namespace.unsupported or self.option_strings[0]
-
-
 def _filled(command, given):
-    """A run's options: each given one (flag -> value), every other at its default."""
-    args = argparse.Namespace(command=command, given=set(given))
+    """A run's options: each given one (flag -> value), every other at its
+    default; given keeps the given flags in their order."""
+    args = argparse.Namespace(command=command, given=tuple(given))
     for flag, kw in OPTIONS.items():
         default = kw.get("default", False if kw.get("action") == "store_true" else None)
         setattr(args, flag.replace("-", "_"), given.get(flag, default))
@@ -500,33 +494,34 @@ def build_parser():
     sub = p.add_subparsers(dest="command")
     for name, (flags, _) in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.set_defaults(unsupported=None)
-        # no option has a parser default, so run() can tell "--rank 2" from
-        # no --rank; it fills the defaults in after parsing
+        # every option, so abbreviations resolve alike in every subcommand;
+        # _refuse_unread refuses those name does not take, kept out of --help.
+        # No parser default, so run() can tell "--rank 2" from no --rank
         for flag, kw in OPTIONS.items():
-            if flag in flags:
-                sp.add_argument("--" + flag, **{**kw, "default": argparse.SUPPRESS})
-            else:
-                sp.add_argument(
-                    "--" + flag,
-                    action=_Unsupported,
-                    nargs=0 if kw.get("action") == "store_true" else None,
-                    default=argparse.SUPPRESS,
-                    help=argparse.SUPPRESS,
-                )
+            hidden = {} if flag in flags else {"help": argparse.SUPPRESS}
+            sp.add_argument("--" + flag, **{**kw, "default": argparse.SUPPRESS, **hidden})
     return p
 
 
 def _refuse_unread(args):
-    """The run's algebra kind, once every given option is one it reads."""
-    kinds = COMMANDS[args.command][1]
+    """The run's algebra kind, once it has refused, in this order, a given
+    option the subcommand does not take (the first in command-line order), a
+    kind with no suite, options the kind does not read, a value below LEAST."""
+    options, kinds = COMMANDS[args.command]
+    foreign = [flag for flag in args.given if flag not in options]
+    if foreign:
+        raise SystemExit2(f"--{foreign[0]} is not supported by {args.command}")
     kind = _kind(args) if kinds else None
     if kinds and kind not in kinds:
         raise SystemExit2(f"{args.command} has no suite for {kind}; it runs on {', '.join(kinds)}")
-    refused = sorted(args.given - reads(args.command, kind))
+    refused = sorted(set(args.given) - reads(args.command, kind))
     if refused:
         flags = ", ".join("--" + flag for flag in refused)
         raise SystemExit2(f"{args.command} on {kind} does not read {flags}")
+    for flag, least in LEAST.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None and value < least:
+            raise SystemExit2(f"--{flag} must be at least {least}, got {value}")
     return kind
 
 
@@ -539,8 +534,7 @@ def _handle_from(args):
         if args.k is None or args.l is None:
             raise SystemExit2("--k and --l must be given together")
         return build_akl(spec.rank, args.k, args.l)
-    # positional, so that a grid run hits the cache entry of build_am(spec, m)
-    return build_am(spec, args.copies, True) if args.strict else build_am(spec, args.copies)
+    return build_am(spec, args.copies, args.strict)
 
 
 def run(argv):
@@ -554,12 +548,9 @@ def run(argv):
     if not args.command:
         parser.print_help()
         return 2
-    if args.unsupported:
-        sys.stderr.write(f"error: {args.unsupported} is not supported by {args.command}\n")
-        return 2
-    parsed = vars(args)
-    args = _filled(args.command, {flag: parsed[flag.replace("-", "_")] for flag in OPTIONS
-                                  if flag.replace("-", "_") in parsed})
+    # vars(args) holds the given options in command-line order
+    given = {key.replace("_", "-"): value for key, value in vars(args).items()}
+    args = _filled(args.command, {f: v for f, v in given.items() if f in OPTIONS})
     config = {
         "command": args.command,
         **{
@@ -570,10 +561,6 @@ def run(argv):
     }
     try:
         _refuse_unread(args)
-        for flag, least in LEAST.items():
-            value = getattr(args, flag.replace("-", "_"))
-            if value is not None and value < least:
-                raise SystemExit2(f"--{flag} must be at least {least}, got {value}")
         if args.command == "dump-presentation":
             emit(presentation_manifest(_handle_from(args)), "json", args.output)
             return 0

@@ -165,28 +165,35 @@ def _l1_max(ints):
     return max(sum(map(abs, p.values())) for p in ints.values())
 
 
+# id(tensor_words tuple) -> its index, or None until first use; the cache
+# holds every such tuple, so no other object takes its id
+_INDEXES = {}
+
+
 @lru_cache(maxsize=None)
 def tensor_words(labels, r):
     """The words of V^(x)r over the letters labels, in lexicographic order.
 
     One tuple per (labels, r), so every operator on V^(x)r built over it
     shares its domain and its label objects."""
-    return tuple(product(labels, repeat=r))
-
-
-_INDEXES = {}  # id(labels) -> (labels, its index); holding labels keeps the id its own
+    words = tuple(product(labels, repeat=r))
+    _INDEXES[id(words)] = None  # indexed on first use
+    return words
 
 
 def _label_index(labels):
-    """{label: position} over a label tuple, built once per tuple object.
+    """{label: position} over a label tuple.
 
-    Keyed by the object, not its value, so a lookup never hashes the words;
-    operators on V^(x)r share their tensor_words tuple, so each is indexed
-    once."""
-    hit = _INDEXES.get(id(labels))
-    if hit is None:
-        hit = _INDEXES[id(labels)] = (labels, {w: i for i, w in enumerate(labels)})
-    return hit[1]
+    A tensor_words tuple's index is built once and kept, keyed by the
+    object, not its value, so a lookup never hashes the words; operators on
+    V^(x)r share that tuple.  Any other tuple gets an index that is not kept,
+    so a caller building fresh tuples leaves nothing behind."""
+    at = _INDEXES.get(id(labels))
+    if at is None:
+        at = {w: i for i, w in enumerate(labels)}
+        if id(labels) in _INDEXES:
+            _INDEXES[id(labels)] = at
+    return at
 
 
 def _decoder(width, lo, step, scale, den):

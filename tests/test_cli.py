@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -526,7 +527,7 @@ SUBCOMMAND_PINS = [
     ("oracle-diff --family D --rank 2 --verbose", 0,
      "5b12327cb60b6d900f46cd54c53a5e93b28c0a43d6c3a4752a1d5fd2967ff613"),
     ("oracle-diff --family D --rank 2 --verbose --format text", 0,
-     "4eaec9c581fac6bc1353a30ea537accae928b6122b25c7b701e2f312e4e94738"),
+     "286f0d4f9a54b921bb008cef9f38b7bc974f025750d796f3a503447895d4189b"),
 ]
 
 
@@ -740,6 +741,12 @@ def test_a_rule_off_at_v_equal_one_is_a_classical_defect():
         ("dump-presentation --family D --format text", "--format"),
         ("oracle-diff --family D --strict", "--strict"),
         ("grid --max-degree 2", "--max-degree"),
+        # an abbreviation is refused as its full flag, and of two options
+        # the subcommand does not take the first on the command line is named
+        ("grid --stri", "--strict"),
+        ("skew-duality --rank 3 --family D", "--rank"),
+        ("braiding --family D --strict --copies 2", "--strict"),
+        ("braiding --family D --copies 2 --strict", "--copies"),
     ],
 )
 def test_unhonoured_option_exits_two(argv, flag, tmp_path, capsys):
@@ -749,6 +756,28 @@ def test_unhonoured_option_exits_two(argv, flag, tmp_path, capsys):
     command = argv.split()[0]
     assert capsys.readouterr().err == f"error: {flag} is not supported by {command}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("skew-duality --rank x", "argument --rank: invalid int value: 'x'"),
+    ("dump-presentation --family D --format xml", "argument --format: invalid choice: 'xml'"),
+])
+def test_an_ill_typed_option_not_taken_gets_the_parser_message(argv, message, tmp_path, capsys):
+    # every subparser parses every option, so a value it cannot read is an
+    # argparse error before the gate sees the option
+    out = tmp_path / "report.json"
+    assert run(argv.split() + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"qmodalg {argv.split()[0]}: error: {message}" in err
+    assert "is not supported" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_exactly_the_options_a_subcommand_takes(command, capsys):
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out)) - {"help"}
+    assert listed == set(COMMANDS[command][0])
 
 
 # one small instance per algebra kind: the options that select it (rank 2 is

@@ -654,3 +654,23 @@ def test_cables_pack_on_the_even_lattice(monkeypatch, family, rank):
         reference_lift(rc, labels, 3, 1, 2), reference_lift(rc, labels, 3, 2, 2)
     )
     assert_column_table(got, want.entries)
+
+
+def test_only_tensor_word_tuples_keep_an_index():
+    # a fresh label tuple per call (validate_rep's, identity's from a list)
+    # gets an index that is not kept; a tensor_words tuple keeps its own
+    import qmodalg.linop as linop
+    from qmodalg.rootdata import validate_rep
+
+    rep = natural_rep(LieTypeSpec("D", 2))
+    validate_rep(rep)
+    kept = len(linop._INDEXES)
+    for _ in range(5):
+        assert validate_rep(rep) == []
+        ident = LinearOperator.identity([1, 2])
+        assert ident @ ident == ident
+    assert len(linop._INDEXES) == kept
+    words = tensor_words(rep.labels, 2)
+    ident = LinearOperator.identity(words)
+    assert ident @ ident == ident
+    assert linop._INDEXES[id(words)] == {w: i for i, w in enumerate(words)}
