@@ -12,7 +12,8 @@ exchange).  The transcribed textbook presentation variants
 are available behind strict=True and compared rule-by-rule by the
 oracle-diff machinery; the independent tensor-route product (lift, braid
 blocks with cabled R-checks, re-straighten slotwise) lives in
-tensor_oracle_product.
+tensor_oracle_product.  A pair of words whose concatenation never steps down
+a slot has no block to braid, so the route straightens that word at once.
 """
 
 from __future__ import annotations
@@ -600,14 +601,19 @@ def tensor_oracle_product(spec, m, x, y):
     cabled R-checks, then re-straighten every slot with the one-slot rules."""
     rs = _slot_only_system(spec, m)
     out = {}
-    for wx, cx in x.terms():
-        for wy, cy in y.terms():
+    for wx, cx in x.coeffs.items():
+        for wy, cy in y.coeffs.items():
             _oracle_word_product(out, spec, wx, wy, cx * cy, rs)
-    return NCPolynomial(out)
+    return NCPolynomial._raw(out)
 
 
 def _oracle_word_product(out, spec, wx, wy, coeff, slot_rs):
     """Add coeff times the tensor-route product of two words to out."""
+    word = wx + wy
+    if all(a[1] <= b[1] for a, b in zip(word, word[1:])):
+        # no block descends, so no braid step runs: the word is its one state
+        accumulate(out, slot_rs.word_normal_form(word).items(), coeff)
+        return
     blocks = _slot_blocks(wx) + _slot_blocks(wy)
     slots = [b[0] for b in blocks]
     sizes = [len(b[1]) for b in blocks]

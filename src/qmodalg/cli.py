@@ -4,8 +4,9 @@ Exit codes: 0 all checks pass, 1 at least one failed, 2 usage error, 3
 internal error (any other exception, ValueError included).  A usage error is
 a value argparse cannot parse, with argparse's message (every subparser
 parses every option, so also for one the subcommand does not take); an option
-refused by the one gate, _refuse_unread; an --output path that cannot be
-written; or exhausted fuel: a normal form charged more than the fixed budget
+refused by the one gate, _refuse_unread; a run whose report would hold no
+entry, so it checks nothing; an --output path that cannot be written; or
+exhausted fuel: a normal form charged more than the fixed budget
 ncpoly.DEFAULT_FUEL = 10^6 expansions, each word being charged what a
 memo-free leftmost reduction of it makes.
 Reports are deterministic: entries are emitted in a fixed order and JSON is
@@ -565,6 +566,8 @@ def run(argv):
             emit(presentation_manifest(_handle_from(args)), "json", args.output)
             return 0
         report = assemble(config, run_suites(args.command, args, "requested"), args.verbose)
+        if not report["summary"]["total"]:
+            raise SystemExit2(f"{args.command} has no entry to check on this algebra")
         emit(report, args.format, args.output)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")

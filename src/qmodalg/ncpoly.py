@@ -77,7 +77,7 @@ class NCPolynomial:
 
     @staticmethod
     def from_word(word):
-        return NCPolynomial({tuple(word): ONE})
+        return NCPolynomial._raw({tuple(word): ONE})
 
     def is_zero(self):
         return not self.coeffs

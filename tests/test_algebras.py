@@ -242,6 +242,16 @@ def test_oracle_agreement_degree_three(family, rank):
             assert h.multiply(p2, p1) == tensor_oracle_product(spec, 2, p2, p1)
 
 
+@pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 2)])
+def test_oracle_braids_a_descent_inside_a_factor(family, rank):
+    # x descends inside itself but meets y in slot order: only the braid
+    # steps inside x bring x + y to slot order before it is straightened
+    spec = LieTypeSpec(family, rank)
+    x = NCPolynomial.from_word((x_(2, 1), x_(1, 1)))
+    y = NCPolynomial.from_word((x_(2, 2),))
+    assert tensor_oracle_product(spec, 2, x, y) == build_am(spec, 2).multiply(x, y)
+
+
 def test_printed_variant_audit_counts():
     # the braiding-derived rules are the shipped ones; the printed cross
     # relations differ in the second exchange family (and for the odd family

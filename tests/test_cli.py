@@ -528,6 +528,8 @@ SUBCOMMAND_PINS = [
      "5b12327cb60b6d900f46cd54c53a5e93b28c0a43d6c3a4752a1d5fd2967ff613"),
     ("oracle-diff --family D --rank 2 --verbose --format text", 0,
      "286f0d4f9a54b921bb008cef9f38b7bc974f025750d796f3a503447895d4189b"),
+    ("oracle-diff --family C --rank 2", 0,
+     "f23aaeda906d8135352aeac1ef999c14fd9f05d77fcccbba4d92c6ecf347b669"),
 ]
 
 
@@ -663,6 +665,20 @@ def test_fuel_exhaustion_is_a_config_error(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_with_no_entry_exits_two(tmp_path, capsys):
+    # A_1 over C2 has no relation instance (A_1 over D2 has 5): a report
+    # with no entry checks nothing, so it is refused, not passed
+    def relations(family, out):
+        return run(["relations", "--family", family, "--copies", "1", "--output", str(out)])
+
+    assert relations("D", tmp_path / "d.json") == 0
+    out = tmp_path / "c.json"
+    assert relations("C", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exterior_dims(tmp_path):
     out = tmp_path / "ext.json"
     code = run(
@@ -791,7 +807,7 @@ KIND_ARGV = {
     None: [],
 }
 # a small value other than the instance's for each option (a flag is given bare)
-VARIED = {"rank": "3", "copies": "1", "k": "2", "l": "2", "m": "1", "n": "1",
+VARIED = {"rank": "3", "copies": "3", "k": "2", "l": "2", "m": "1", "n": "1",
           "max-degree": "2"}
 # a legal value for each option, given where the table refuses it
 GIVEN = {"family": "B", "rank": "2", "copies": "2", "k": "1", "l": "1", "m": "2",
