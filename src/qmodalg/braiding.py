@@ -4,7 +4,11 @@ The operator is assembled from the spectral form
 R-check = q P_s - q^-1 P_a (+ kappa P_0 for B, C, D) where the submodules are
 built as exact U_q-closures of seed vectors and validated to be a direct-sum
 decomposition of V (x) V; its inverse has the inverted eigenvalues.  The
-coproduct action on V^(x)r is rootdata.coproduct_image on tensor words.
+projectors have rational entries; R-check sums their Laurent numerators over
+one common denominator d (linop.over_one_denominator) and divides by d once
+per distinct entry.  The coproduct action on V^(x)r is
+rootdata.coproduct_image on tensor words; on V (x) V it is built once per
+spec (pair_generator_ops).
 
 Labels of tensor-power operators are tuples of V-positions.
 """
@@ -15,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import EchelonBasis, Expresser
-from .linop import LinearOperator, lift_block_op, tensor_words
+from .linop import LinearOperator, lift_block_op, over_one_denominator, tensor_words
 from .report import check, suite
 from .rootdata import LieTypeSpec, coproduct_image, natural_rep
 from .scalar import ONE, accumulate, q_pow
@@ -93,6 +97,13 @@ def tensor_generator_ops(rep, r):
     return ops
 
 
+@lru_cache(maxsize=None)
+def pair_generator_ops(spec):
+    """tensor_generator_ops on V (x) V for spec's natural representation,
+    built once per spec; callers share the dict and must not mutate it."""
+    return tensor_generator_ops(natural_rep(spec), 2)
+
+
 def invariant_vector_t(spec):
     """The distinguished invariant vector T in V (x) V, in position labels."""
     n = spec.rank
@@ -146,7 +157,7 @@ def spectral_data(spec):
     """Distinguished submodule bases of V (x) V with their R-check eigenvalues."""
     rep = natural_rep(spec)
     n = spec.rank
-    ops = list(tensor_generator_ops(rep, 2).values())
+    ops = list(pair_generator_ops(spec).values())
 
     sym_seed = {(1, 1): ONE}
     l_s = _closure([sym_seed], ops)
@@ -208,13 +219,28 @@ def projectors(spec):
 @lru_cache(maxsize=None)
 def rcheck(spec, inverse=False):
     """The braiding P R on V (x) V: the sum of ev P over the summands, or of
-    ev^-1 P for its inverse."""
-    projs = projectors(spec)
-    out = None
+    ev^-1 P for its inverse.
+
+    The projectors are read over one denominator, P = M / d
+    (over_one_denominator).  Every eigenvalue is +-q^k, so the sum of ev M
+    is Laurent and takes no gcd; each distinct entry of it is then divided
+    by d once.
+    """
+    d, nums = over_one_denominator(projectors(spec))
+    total = None
     for name, ev, _ in spectral_data(spec).summands:
-        term = projs[name].scale(ev.inverse() if inverse else ev)
-        out = term if out is None else out + term
-    return out
+        term = nums[name].scale(ev.inverse() if inverse else ev)
+        total = term if total is None else total + term
+    inv_d, quotients = d.inverse(), {}
+    cols = {}
+    for c, col in total.cols.items():
+        out = cols[c] = {}
+        for r, x in col.items():
+            y = quotients.get(x)
+            if y is None:
+                y = quotients[x] = x * inv_d
+            out[r] = y
+    return LinearOperator._raw(total.domain, total.codomain, cols)
 
 
 @lru_cache(maxsize=None)
@@ -285,8 +311,7 @@ def verify_braid_and_skein(spec):
     entries.append(check("skein minimal polynomial", instance, acc.is_zero()))
 
     # R-check commutes with the coproduct action of every generator
-    ops = tensor_generator_ops(rep, 2)
-    comm_ok = all(_commutes(rc, op) for op in ops.values())
+    comm_ok = all(_commutes(rc, op) for op in pair_generator_ops(spec).values())
     entries.append(check("R-check intertwines the coproduct action", str(spec), comm_ok))
 
     if spec.family != "GL":

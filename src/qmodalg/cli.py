@@ -36,7 +36,7 @@ from .invariants import (
     skew_duality_check,
     verify_relation_suite,
 )
-from .linop import LinearOperator
+from .linop import LinearOperator, over_one_denominator
 from .ncpoly import FuelExhausted, NCPolynomial
 from .report import check, suite
 from .rootdata import LieTypeSpec, natural_rep, quantum_dimension
@@ -82,25 +82,30 @@ def _trace(op):
 def suite_braiding(spec):
     report = verify_braid_and_skein(spec)
     entries = report["entries"]
-    projs = projectors(spec)
-    names = sorted(projs)
-    ident = None
+    # each projector is checked through its numerator over one denominator,
+    # P = M / d with d != 0 (over_one_denominator): P P = P iff M M = d M,
+    # P_a P_b = 0 iff M_a M_b = 0, and the sum of the P is I iff the sum of
+    # the M is d I; every M is Laurent, so no check takes a gcd per entry
+    d, nums = over_one_denominator(projectors(spec))
+    names = sorted(nums)
+    total = None
     idempotent = True
     for name in names:
-        p = projs[name]
-        ident = p if ident is None else ident + p
-        ok = (p @ p) == p
+        m = nums[name]
+        total = m if total is None else total + m
+        ok = (m @ m) == m.scale(d)
         idempotent = idempotent and ok
         entries.append(check("projector idempotence", f"{spec} {name}", ok))
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            ok = (projs[a] @ projs[b]).is_zero()
+            ok = (nums[a] @ nums[b]).is_zero()
             entries.append(check("projector orthogonality", f"{spec} {a}|{b}", ok))
-    ok = ident == LinearOperator.identity(ident.domain)
+    ok = total == LinearOperator.identity(total.domain).scale(d)
     entries.append(check("projectors resolve the identity", str(spec), ok))
     # in characteristic 0 the trace of an idempotent is its rank, so a trace
-    # counts as a rank only once every projector has passed idempotence
-    ranks = {name: _trace(p) for name, p in projs.items()}
+    # counts as a rank only once every projector has passed idempotence;
+    # tr(P) = tr(M) / d, one division per projector
+    ranks = {name: _trace(m) / d for name, m in nums.items()}
     instance = f"{spec}: " + ", ".join(f"{k}={v}" for k, v in sorted(ranks.items()))
     ok = idempotent and ranks == _classical_ranks(spec)
     entries.append(check("projector ranks", instance, ok))

@@ -19,6 +19,11 @@ the block of word index c is (c // s) % n^width, s being the number of
 words of the slots after the block and n = len(labels), and a small entry
 moves c by (row block index less column block index) * s.
 
+over_one_denominator puts named operators over one common denominator d,
+P = M / d with every entry of every M a Laurent polynomial with int
+coefficients, so that identities among them (P P = P as M M = d M) are
+checked on Laurent numerators, which take no gcd.
+
 Composition is fraction-free and runs on Kronecker-packed ints.  Each operand
 is put over one common denominator with integer numerators, working once per
 distinct Scalar value: operators repeat one value many times, lifted ones as
@@ -59,6 +64,7 @@ from types import MappingProxyType
 
 from .scalar import (
     ONE,
+    _DEN_ONE,
     _cancel,
     _div,
     _lp_mul,
@@ -118,6 +124,33 @@ def _over_one_denominator(entries):
         return _lp_mul(scaled(s), cof)
 
     return common, lnum * lcof, to_int
+
+
+def over_one_denominator(ops):
+    """Put operators over one common denominator: (d, {name: M}) for a
+    mapping of named operators, with ops[name] == M.scale(d.inverse()).
+
+    d is one nonzero Laurent Scalar and every entry of every M is a Laurent
+    Scalar with int coefficients, so sums, scalings by Laurent scalars and
+    composes of the M take no gcd.  The conversion is compose's
+    (_over_one_denominator) over the entries of all the operators at once,
+    once per distinct value; equal entries share one numerator.
+    """
+    ids, vals = _values_by_id(
+        {(name, c): col for name, op in ops.items() for c, col in op.cols.items()}
+    )
+    den, scale, to_int = _over_one_denominator(vals)
+    nums = {v: _made(to_int(v), _DEN_ONE) for v in vals}
+    by_id = {i: nums[v] for i, v in ids.items()}
+    out = {
+        name: LinearOperator._raw(
+            op.domain,
+            op.codomain,
+            {c: {r: by_id[id(x)] for r, x in col.items()} for c, col in op.cols.items()},
+        )
+        for name, op in ops.items()
+    }
+    return _made(_int_form(den, scale), _DEN_ONE), out
 
 
 def _lattice(ints):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .braiding import invariant_vector_t, tensor_generator_ops
+from .braiding import invariant_vector_t, pair_generator_ops
 from .linalg import EchelonBasis, nullspace
 from .ncpoly import NCPolynomial, terms_json
 from .report import check, suite
@@ -91,7 +91,7 @@ def invariant_pair_vector(spec):
         raise ValueError("the invariant pair vector exists for B, C, D")
     rep = natural_rep(spec)
     tvec = invariant_vector_t(spec)
-    ops = tensor_generator_ops(rep, 2)
+    ops = pair_generator_ops(spec)
     entries = []
     for (kind, i), op in sorted(ops.items()):
         img = op.apply(tvec)

@@ -16,10 +16,10 @@ from qmodalg.braiding import (
     verify_braid_and_skein,
 )
 from qmodalg.linalg import EchelonBasis
-from qmodalg.linop import LinearOperator, lift_block_op
+from qmodalg.linop import LinearOperator, lift_block_op, over_one_denominator
 from qmodalg.ncpoly import NCPolynomial, x_
 from qmodalg.rootdata import LieTypeSpec, natural_rep
-from qmodalg.scalar import ONE, q_pow
+from qmodalg.scalar import ONE, ZERO, q_pow
 
 GRID = [("D", 2), ("D", 3), ("B", 1), ("B", 2), ("C", 2), ("C", 3), ("GL", 2), ("GL", 3)]
 
@@ -58,6 +58,34 @@ def test_projector_algebra(family, rank):
                 assert (projs[a] @ projs[b]).is_zero()
                 assert (projs[b] @ projs[a]).is_zero()
     assert ident == LinearOperator.identity(ident.domain)
+
+
+@pytest.mark.parametrize("family,rank", GRID)
+def test_projectors_are_laurent_numerators_over_one_denominator(family, rank):
+    projs = projectors(LieTypeSpec(family, rank))
+    d, nums = over_one_denominator(projs)
+    assert d != ONE  # every grid spec has a rational projector
+    assert nums.keys() == projs.keys()
+    laurent = [d] + [x for m in nums.values() for col in m.cols.values() for x in col.values()]
+    for s in laurent:
+        assert s.den == {0: 1} and all(type(c) is int for c in s.num.values())
+    for name, p in projs.items():
+        assert nums[name].scale(d.inverse()) == p
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("family,rank", GRID)
+def test_rcheck_is_the_eigenvalue_sum_of_the_projectors(family, rank, inverse):
+    # the reference adds ev P (ev^-1 P for the inverse) entry by entry
+    spec = LieTypeSpec(family, rank)
+    projs = projectors(spec)
+    ref = {}
+    for name, ev, _ in spectral_data(spec).summands:
+        c = ev.inverse() if inverse else ev
+        for key, x in projs[name].entries.items():
+            ref[key] = ref.get(key, ZERO) + c * x
+    words = projs["sym"].domain
+    assert rcheck(spec, inverse) == LinearOperator(words, words, ref)
 
 
 @pytest.mark.parametrize("family,rank", GRID)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from qmodalg.braiding import projectors
 from qmodalg.cli import COMMANDS, OPTIONS, reads, run
 from qmodalg.linop import LinearOperator
 from qmodalg.rootdata import LieTypeSpec
-from qmodalg.scalar import ONE
+from qmodalg.scalar import ONE, Scalar
 
 
 def test_dims_subcommand_exit_zero(tmp_path, capsys):
@@ -100,6 +101,47 @@ def test_a_non_idempotent_projector_fails_idempotence_and_ranks(monkeypatch):
         verdicts.setdefault(e["citation"], []).append((e["instance"], e["pass"]))
     assert (f"{spec} triv", False) in verdicts["projector idempotence"]
     assert verdicts["projector ranks"] == [(f"{spec}: anti=5, sym=10, triv=1", False)]
+
+
+def test_a_rationally_scaled_projector_fails_idempotence_resolution_and_ranks(monkeypatch):
+    # (2/3) v P_triv: its numerator over the common denominator has a
+    # Fraction coefficient before scaling, and it is no idempotent, the sum
+    # is no longer I, and its trace is no rank
+    import qmodalg.cli as cli
+
+    spec = LieTypeSpec("C", 2)
+    projs = dict(projectors(spec))
+    projs["triv"] = projs["triv"].scale(Scalar({1: Fraction(2, 3)}))
+    monkeypatch.setattr(cli, "projectors", lambda s: projs)
+    failed = [(e["citation"], e["instance"]) for e in cli.suite_braiding(spec)["entries"]
+              if not e["pass"]]
+    assert failed == [
+        ("projector idempotence", f"{spec} triv"),
+        ("projectors resolve the identity", str(spec)),
+        ("projector ranks", f"{spec}: anti=5, sym=10, triv=2/3*v"),
+    ]
+
+
+def test_a_warm_braiding_suite_takes_no_gcd_per_entry(monkeypatch):
+    # the projector checks compare Laurent numerators: the warm C3 suite
+    # takes gcds only for the common denominator and one per rank, not one
+    # per decoded entry of a rational compose (256 on that route)
+    import qmodalg.cli as cli
+    import qmodalg.linop as linop
+    import qmodalg.scalar as scalar
+
+    spec = LieTypeSpec("C", 3)
+    cli.suite_braiding(spec)
+    real, calls = scalar._poly_gcd, []
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(scalar, "_poly_gcd", counting)
+    monkeypatch.setattr(linop, "_poly_gcd", counting)
+    assert cli.suite_braiding(spec)["pass"]
+    assert len(calls) <= 10
 
 
 def test_an_oracle_mismatch_is_reported_with_its_residual(monkeypatch):
